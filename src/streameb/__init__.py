@@ -11,7 +11,14 @@ from .engine import (
     update_stream,
 )
 from .gridding import GridSpec, binned_discretization, build_equispaced_grid, kl_grid_size
-from .inference import EstimateReport, asymptotic_variance, clt_scale, credible_interval, ratio_estimate
+from .inference import (
+    EstimateReport,
+    asymptotic_variance,
+    clt_scale,
+    credible_interval,
+    credible_intervals,
+    ratio_estimate,
+)
 from .model import (
     CountHistogram,
     DegenerateLikelihoodError,
@@ -41,6 +48,7 @@ __all__ = [
     "build_equispaced_grid",
     "clt_scale",
     "credible_interval",
+    "credible_intervals",
     "deserialize_state",
     "init",
     "kl_grid_size",

@@ -197,9 +197,7 @@ def _cmd_fit(args) -> int:
 def _cmd_estimate(args) -> int:
     with open(args.state, "rb") as handle:
         state = engine.deserialize_state(handle.read())
-    reports = [
-        inference.credible_interval(state, y, args.level) for y in _parse_y_range(args.y)
-    ]
+    reports = inference.credible_intervals(state, _parse_y_range(args.y), args.level)
     text = inference.EstimateReport.CSV_HEADER + "\n"
     text += "\n".join(r.csv_row() for r in reports) + "\n"
     _emit(text, args)

@@ -28,6 +28,7 @@ from .model import (
     Grid,
     KernelMatrixCache,
     MixingWeights,
+    posterior_table,
 )
 
 _MAGIC = b"EBSTREAM"
@@ -204,11 +205,7 @@ def martingale_residual(state: NewtonState, y_max: int) -> float:
     w = g.weights
     pts = g.grid.points
     a = state.rate(state.n + 1)
-    table = np.exp(state.cache.log_table(y_max))        # (y_max+1, d)
-    p = table @ w
-    live = p > 0
-    post = np.zeros_like(table)
-    post[live] = table[live] * w[None, :] / p[live][:, None]
+    p, post = posterior_table(g, y_max, state.cache)    # (y_max+1, d)
     stepped = (1.0 - a) * w[None, :] + a * post         # update applied at each y
     expected = (p[:, None] * stepped).sum(axis=0)
     # Poisson tail beyond y_max, exact: P(Y > y_max | theta_j)

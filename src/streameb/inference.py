@@ -4,9 +4,17 @@ The point estimate is the plug-in posterior mean in ratio form,
 ``(y+1) p_g(y+1) / p_g(y)``.  Its uncertainty after n observations is
 asymptotically Gaussian with variance ``V(y) / b_n``, where ``V(y)`` is a
 predictive-expectation functional of the current weights and ``b_n`` is the
-inverse tail sum of squared step sizes.  Expectations over future counts are
-truncated at ``grid.hi + 20 * sqrt(grid.hi)`` by default; the Poisson tail
-beyond that point is far below any tolerance used here.
+inverse tail sum of squared step sizes.
+
+``V(y)`` sums ``p(z) s(z)^2`` over future counts z.  Unless the caller fixes
+the truncation point, it is certified per query: by Jensen's inequality the
+terms beyond Z add at most ``sum_j g_j c_j^2 P(Y > Z | theta_j)`` (c the
+contrast below), an O(d) bound, and Z is the first point where that bound
+is within 1e-12 of the partial sum up to ``max(ys) + 1``, for every
+requested count; the terms kept only add to that sum.  ``default_y_max``
+(``grid.hi + 20 * sqrt(grid.hi)``) caps Z, so the result never differs from
+the fixed-cutoff value by more than the certificate allows and never costs
+more to compute.
 """
 
 from __future__ import annotations
@@ -15,6 +23,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import ndtri, pdtrc
 
 from .engine import LearningRate, NewtonState, Schedule
 from .model import (
@@ -22,14 +31,17 @@ from .model import (
     KernelMatrixCache,
     MixingWeights,
     log_mixture_pmf,
+    posterior_table,
 )
 
 _TAIL_SUM_TERMS = 200_000
-_COVARIANCE_MAX_D = 200
+# Certified truncation: the neglected terms of V(y) are at most this
+# fraction of the terms kept.
+_TRUNCATION_RTOL = 1e-12
 
 
 def default_y_max(grid) -> int:
-    """Truncation point for sums over future counts: hi + 20*sqrt(hi)."""
+    """Cap on the truncation point of sums over future counts: hi + 20*sqrt(hi)."""
     return int(math.ceil(grid.hi + 20.0 * math.sqrt(grid.hi)))
 
 
@@ -101,16 +113,81 @@ def validate_clt_schedule(rate: Schedule, probe: int = 4096) -> None:
     )
 
 
-def _posterior_table(g: MixingWeights, y_max: int, cache: KernelMatrixCache | None):
-    """Rows y=0..y_max of (pmf p(y), posterior weights given y)."""
+def _contrasts(g: MixingWeights, ys: np.ndarray, cache: KernelMatrixCache) -> np.ndarray:
+    """One row per requested count: k(y+1|theta)/p(y+1) - k(y|theta)/p(y)."""
+    log_k = cache.log_table(int(ys.max()) + 1)
+    k0, k1 = np.exp(log_k[ys]), np.exp(log_k[ys + 1])
+    p0, p1 = k0 @ g.weights, k1 @ g.weights
+    bad = (p0 <= 0) | (p1 <= 0)
+    if bad.any():
+        raise DegenerateLikelihoodError(int(ys[bad.argmax()]))
+    return k1 / p1[:, None] - k0 / p0[:, None]
+
+
+def truncation_tail_bound(g: MixingWeights, contrasts: np.ndarray, z: int) -> np.ndarray:
+    """Upper bound on ``sum_{z' > z} p(z') s(z')^2`` for each contrast row.
+
+    Jensen's inequality puts ``s(z')^2`` under the posterior mean of
+    ``c^2``, and summing that over z' leaves ``sum_j g_j c_j^2 P(Y > z |
+    theta_j)``: O(d) to evaluate, with no truncation of its own.  Atoms
+    whose terms are exactly zero (the contrast underflows far from the
+    requested counts) are skipped.
+    """
+    weighted = contrasts**2 * g.weights
+    cols = np.flatnonzero(weighted.any(axis=0))
+    return weighted[:, cols] @ pdtrc(z, g.grid.points[cols])
+
+
+def _certified_y_max(g, contrasts, partial, z_lo: int, cap: int) -> int:
+    """First z in [z_lo, cap] whose tail bound is within tolerance of ``partial``.
+
+    ``partial`` holds the sums up to ``z_lo``; later partial sums only grow,
+    so the certificate holds at the returned point too.  Returns ``cap``
+    when no point up to it qualifies.
+    """
+    target = _TRUNCATION_RTOL * partial
+
+    def certified(z):
+        return bool(np.all(truncation_tail_bound(g, contrasts, z) <= target))
+
+    lo = hi = z_lo
+    while not certified(hi):
+        if hi >= cap:
+            return cap
+        lo, hi = hi, min(cap, 2 * hi)
+    while hi - lo > 1:  # certified(hi) holds; certified(lo) fails unless lo == hi
+        mid = (lo + hi) // 2
+        if certified(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def _estimates(g: MixingWeights, ys, y_max: int | None, cache: KernelMatrixCache | None):
+    """Point estimates and variance functionals for several counts at once.
+
+    All of ``ys`` share one truncation point and one posterior table: at
+    ``y_max`` when given, else at the certified point, which is found from
+    a table up to ``max(ys) + 1`` and the O(d) tail bound.
+    """
+    ys = np.asarray(ys, dtype=np.int64)
+    if ys.min() < 0:
+        raise ValueError("counts must be nonnegative")
     if cache is None:
         cache = KernelMatrixCache(g.grid)
-    kernel = np.exp(cache.log_table(y_max))
-    p = kernel @ g.weights
-    live = p > 0
-    post = np.zeros_like(kernel)
-    post[live] = kernel[live] * g.weights[None, :] / p[live][:, None]
-    return p, post
+    thetas = np.array([ratio_estimate(g, int(y), cache) for y in ys])
+    contrasts = _contrasts(g, ys, cache)
+
+    def partial_sums(z):
+        p, post = posterior_table(g, z, cache)
+        return p @ (post @ contrasts.T) ** 2
+
+    if y_max is None:
+        cap = default_y_max(g.grid)
+        z_lo = min(int(ys.max()) + 1, cap)
+        y_max = _certified_y_max(g, contrasts, partial_sums(z_lo), z_lo, cap)
+    return thetas, thetas**2 * partial_sums(y_max)
 
 
 def asymptotic_variance(
@@ -120,104 +197,59 @@ def asymptotic_variance(
 
     theta_hat(y)^2 times the predictive second moment of
     sum_j post_j(Z) * (k(y+1|theta_j)/p(y+1) - k(y|theta_j)/p(y)),
-    with Z summed up to ``y_max``.  Zero exactly for a point mass.
+    with Z summed up to ``y_max``, or to the certified truncation point
+    when ``y_max`` is None.  Zero exactly for a point mass.
     """
-    if y_max is None:
-        y_max = default_y_max(g.grid)
-    if cache is None:
-        cache = KernelMatrixCache(g.grid)
-    theta_hat = ratio_estimate(g, y, cache)
-    kernel = np.exp(cache.log_table(max(y_max, y + 1)))
-    p_y = float(kernel[y] @ g.weights)
-    p_y1 = float(kernel[y + 1] @ g.weights)
-    if p_y <= 0 or p_y1 <= 0:
-        raise DegenerateLikelihoodError(y)
-    contrast = kernel[y + 1] / p_y1 - kernel[y] / p_y
-    p, post = _posterior_table(g, y_max, cache)
-    s = post @ contrast
-    return float(theta_hat**2 * np.dot(p[: y_max + 1], s[: y_max + 1] ** 2))
-
-
-def posterior_weight_covariance(
-    g: MixingWeights, y_max: int | None = None, cache: KernelMatrixCache | None = None
-) -> np.ndarray:
-    """Predictive covariance of the first d-1 posterior weights.
-
-    Entry (i, j) is ``sum_z post_i(z) post_j(z) p(z) - g_i g_j``.  Symmetric
-    and positive semidefinite; strictly positive definite when every weight
-    is positive.  Quadratic in d, so this is refused beyond d=200; it is a
-    cross-check for the variance above, never a hot path.
-    """
-    d = len(g.grid)
-    if d > _COVARIANCE_MAX_D:
-        raise ValueError(f"covariance matrix refused for d={d} > {_COVARIANCE_MAX_D}")
-    if y_max is None:
-        y_max = default_y_max(g.grid)
-    p, post = _posterior_table(g, y_max, cache)
-    full = post.T @ (p[:, None] * post) - np.outer(g.weights, g.weights)
-    full = 0.5 * (full + full.T)
-    return full[: d - 1, : d - 1]
+    return float(_estimates(g, [y], y_max, cache)[1][0])
 
 
 def normal_quantile(p: float) -> float:
-    """Standard normal inverse CDF via a rational approximation plus one
-    Halley refinement; absolute error well below 1e-9."""
+    """Standard normal inverse CDF."""
     if not 0.0 < p < 1.0:
         raise ValueError("quantile level must be in (0, 1)")
-    # Acklam's rational approximation in three regions.
-    a = (-3.969683028665376e01, 2.209460984245205e02, -2.759285104469687e02,
-         1.383577518672690e02, -3.066479806614716e01, 2.506628277459239e00)
-    b = (-5.447609879822406e01, 1.615858368580409e02, -1.556989798598866e02,
-         6.680131188771972e01, -1.328068155288572e01)
-    c = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e00,
-         -2.549732539343734e00, 4.374664141464968e00, 2.938163982698783e00)
-    d = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e00,
-         3.754408661907416e00)
-    p_low, p_high = 0.02425, 1 - 0.02425
-    if p < p_low:
-        q = math.sqrt(-2 * math.log(p))
-        x = ((((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5])
-             / ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1))
-    elif p <= p_high:
-        q = p - 0.5
-        r = q * q
-        x = ((((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * q
-             / (((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1))
-    else:
-        q = math.sqrt(-2 * math.log(1 - p))
-        x = -((((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5])
-              / ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1))
-    # One Halley step against the exact CDF.
-    err = 0.5 * math.erfc(-x / math.sqrt(2)) - p
-    pdf = math.exp(-0.5 * x * x) / math.sqrt(2 * math.pi)
-    u = err / pdf
-    return x - u / (1 + x * u / 2)
+    return float(ndtri(p))
 
 
-def credible_interval(
-    state: NewtonState, y: int, level: float, y_max: int | None = None
-) -> EstimateReport:
-    """Asymptotic interval theta_hat +/- z * sqrt(V / b_n) at the given level.
+def credible_intervals(
+    state: NewtonState, ys, level: float, y_max: int | None = None
+) -> list[EstimateReport]:
+    """Asymptotic intervals theta_hat +/- z * sqrt(V / b_n) for several counts.
 
-    Valid for large n only; n must be at least 1 and the schedule must be
-    the power schedule (b_n needs a convergent squared tail).
+    One posterior table serves every count in ``ys``, and ``b_n`` and the
+    normal quantile are computed once.  Valid for large n only; n must be at
+    least 1 and the schedule must be the power schedule (b_n needs a
+    convergent squared tail).
     """
     if not 0.0 < level < 1.0:
         raise ValueError("level must be in (0, 1)")
     if state.n < 1:
         raise ValueError("interval requires at least one observation")
     validate_clt_schedule(state.rate)
-    theta_hat = ratio_estimate(state.g, y, state.cache)
-    variance = asymptotic_variance(state.g, y, y_max, state.cache)
+    ys = [int(y) for y in ys]
+    if not ys:
+        return []
+    thetas, variances = _estimates(state.g, ys, y_max, state.cache)
     b_n = clt_scale(state.rate, state.n)
     z = normal_quantile(0.5 * (1.0 + level))
-    half = z * math.sqrt(variance / b_n)
-    return EstimateReport(
-        y=y,
-        theta_hat=theta_hat,
-        variance=variance,
-        b_n=b_n,
-        ci_low=theta_hat - half,
-        ci_high=theta_hat + half,
-        level=level,
-    )
+    reports = []
+    for y, theta_hat, variance in zip(ys, thetas.tolist(), variances.tolist()):
+        half = z * math.sqrt(variance / b_n)
+        reports.append(
+            EstimateReport(
+                y=y,
+                theta_hat=theta_hat,
+                variance=variance,
+                b_n=b_n,
+                ci_low=theta_hat - half,
+                ci_high=theta_hat + half,
+                level=level,
+            )
+        )
+    return reports
+
+
+def credible_interval(
+    state: NewtonState, y: int, level: float, y_max: int | None = None
+) -> EstimateReport:
+    """Asymptotic interval at one count; see ``credible_intervals``."""
+    return credible_intervals(state, [y], level, y_max)[0]

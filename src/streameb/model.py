@@ -166,18 +166,24 @@ class KernelMatrixCache:
     Reads are safe from multiple threads; extension takes an internal lock.
     Alongside the log table the cache keeps each row shifted by its maximum
     and exponentiated, which is what the streaming update consumes.
+
+    The three tables are published together as one tuple of views, so a
+    reader always sees rows that exist in all of them.  Their backing
+    buffers are sized exactly on the first request and grow geometrically
+    after that, so a rising maximum count costs amortized O(d) per row.
     """
 
     def __init__(self, grid: Grid):
         self.grid = grid
         self._lock = threading.Lock()
-        self._log = np.empty((0, len(grid)))
-        self._row_max = np.empty(0)
-        self._scaled = np.empty((0, len(grid)))
+        d = len(grid)
+        empty = (np.empty((0, d)), np.empty(0), np.empty((0, d)))
+        self._buffers = empty  # full capacity; touched only under the lock
+        self._tables = empty  # (log, row_max, scaled), rows 0..max_y
 
     @property
     def max_y(self) -> int:
-        return self._log.shape[0] - 1
+        return self._tables[1].shape[0] - 1
 
     def ensure(self, y: int) -> None:
         if y <= self.max_y:
@@ -186,33 +192,49 @@ class KernelMatrixCache:
             lo = self.max_y + 1
             if y < lo:
                 return
+            capacity = self._buffers[1].shape[0]
+            if y >= capacity:
+                rows = y + 1 if lo == 0 else max(y + 1, 2 * capacity)
+                self._buffers = tuple(_grown(buf, rows, lo) for buf in self._buffers)
+            log, row_max, scaled = self._buffers
             ys = np.arange(lo, y + 1, dtype=float)[:, None]
             pts = self.grid.points[None, :]
-            block = -pts + ys * np.log(pts) - gammaln(ys + 1.0)
-            row_max = block.max(axis=1)
-            scaled = np.exp(block - row_max[:, None])
-            self._log = np.concatenate([self._log, block])
-            self._row_max = np.concatenate([self._row_max, row_max])
-            self._scaled = np.concatenate([self._scaled, scaled])
+            block = log[lo : y + 1]
+            block[:] = -pts + ys * np.log(pts) - gammaln(ys + 1.0)
+            block.max(axis=1, out=row_max[lo : y + 1])
+            np.exp(block - row_max[lo : y + 1, None], out=scaled[lo : y + 1])
+            self._tables = (log[: y + 1], row_max[: y + 1], scaled[: y + 1])
+
+    def _tables_through(self, y: int):
+        """The published tables, extended first if they stop before row y."""
+        tables = self._tables
+        if y >= tables[1].shape[0]:
+            self.ensure(y)
+            tables = self._tables
+        return tables
 
     def log_row(self, y: int) -> np.ndarray:
-        self.ensure(y)
-        return self._log[y]
+        return self._tables_through(y)[0][y]
 
     def scaled_row(self, y: int):
         """Return ``(m, exp(log_row - m))`` with ``m`` the row maximum."""
-        self.ensure(y)
-        return self._row_max[y], self._scaled[y]
+        _, row_max, scaled = self._tables_through(y)
+        return row_max[y], scaled[y]
 
     def log_table(self, y_max: int) -> np.ndarray:
         """Rows 0..y_max of the log-kernel table, shape (y_max+1, d)."""
-        self.ensure(y_max)
-        return self._log[: y_max + 1]
+        return self._tables_through(y_max)[0][: y_max + 1]
 
     def scaled_table(self, y_max: int) -> np.ndarray:
         """Rows 0..y_max of the row-max-shifted kernel, shape (y_max+1, d)."""
-        self.ensure(y_max)
-        return self._scaled[: y_max + 1]
+        return self._tables_through(y_max)[2][: y_max + 1]
+
+
+def _grown(buf: np.ndarray, rows: int, keep: int) -> np.ndarray:
+    """A buffer of ``rows`` rows whose first ``keep`` rows are copied from ``buf``."""
+    out = np.empty((rows,) + buf.shape[1:])
+    out[:keep] = buf[:keep]
+    return out
 
 
 def log_poisson_kernel(y: int, theta) -> float:
@@ -257,6 +279,21 @@ def log_mixture_pmf_table(
     active = g.support_mask()
     lw = _log_weights(g)
     return logsumexp(table[:, active] + lw[active][None, :], axis=1)
+
+
+def posterior_table(g: MixingWeights, y_max: int, cache: KernelMatrixCache | None = None):
+    """Rows z = 0..y_max of the mixture pmf and the posterior weights given z.
+
+    Returns ``(p, post)``: ``p[z] = p_g(z)`` and ``post[z] = k(z|theta) g /
+    p_g(z)``, shape (y_max+1, d).  Rows where p_g(z) underflows stay zero.
+    """
+    if cache is None:
+        cache = KernelMatrixCache(g.grid)
+    post = np.exp(cache.log_table(y_max))
+    p = post @ g.weights
+    post *= g.weights[None, :]
+    np.divide(post, p[:, None], out=post, where=(p > 0)[:, None])
+    return p, post
 
 
 def posterior_weights(

@@ -14,7 +14,6 @@ from functools import lru_cache
 
 import numpy as np
 from scipy.special import erf, gammainc, gammaln, roots_legendre
-from scipy.stats import gamma as _gamma_dist
 
 FAMILIES = ("weibull", "uniform", "half-gaussian", "grid-atoms", "gamma")
 
@@ -110,8 +109,10 @@ class PriorSpec:
                 0.0,
             )
         elif self.family == "gamma":
+            from scipy.stats import gamma  # slow import, needed by this family only
+
             shape, rate = self.params
-            out = _gamma_dist.pdf(x, shape, scale=1.0 / rate)
+            out = gamma.pdf(x, shape, scale=1.0 / rate)
         else:
             raise ValueError("grid-atoms prior has no density")
         return float(out) if np.ndim(out) == 0 else out
@@ -177,8 +178,10 @@ class PriorSpec:
         if self.family == "half-gaussian":
             return 9.0 * self.params[0]
         if self.family == "gamma":
+            from scipy.stats import gamma
+
             shape, rate = self.params
-            return float(_gamma_dist.ppf(1 - 1e-16, shape, scale=1.0 / rate))
+            return float(gamma.ppf(1 - 1e-16, shape, scale=1.0 / rate))
         return float(self.atoms[-1])
 
     # -- induced count distribution ----------------------------------------

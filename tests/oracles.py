@@ -9,6 +9,11 @@ trustworthy to be checked against.
 import math
 
 import numpy as np
+from scipy.stats import poisson
+
+from streameb.inference import default_y_max
+
+COVARIANCE_MAX_D = 200
 
 
 def poisson_pmf(y, theta):
@@ -71,3 +76,24 @@ def gradient_sandwich_variance(points, weights, y, y_max, covariance):
     return float(grad @ covariance @ grad)
 
 
+def posterior_weight_covariance(g, y_max=None):
+    """Predictive covariance of the first d-1 posterior weights.
+
+    Entry (i, j) is ``sum_z post_i(z) post_j(z) p(z) - g_i g_j`` over
+    z = 0..y_max (by default the library's cap ``default_y_max``), with the
+    table built from scipy's Poisson pmf.  Symmetric and positive
+    semidefinite; strictly positive definite when every weight is positive.
+    Quadratic in d, so this is refused beyond d=200.
+    """
+    points, weights = g.grid.points, g.weights
+    d = len(points)
+    if d > COVARIANCE_MAX_D:
+        raise ValueError(f"covariance matrix refused for d={d} > {COVARIANCE_MAX_D}")
+    if y_max is None:
+        y_max = default_y_max(g.grid)
+    joint = poisson.pmf(np.arange(y_max + 1)[:, None], points[None, :]) * weights
+    p = joint.sum(axis=1)
+    post = np.divide(joint, p[:, None], out=np.zeros_like(joint), where=(p > 0)[:, None])
+    full = post.T @ (p[:, None] * post) - np.outer(weights, weights)
+    full = 0.5 * (full + full.T)
+    return full[: d - 1, : d - 1]

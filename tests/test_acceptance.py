@@ -29,7 +29,6 @@ from streameb.inference import (
     clt_scale,
     default_y_max,
     normal_quantile,
-    posterior_weight_covariance,
     ratio_estimate,
 )
 from streameb.model import (
@@ -154,7 +153,7 @@ def test_variance_two_independent_derivations_agree():
         y = int(rng.integers(0, 8))
         y_max = default_y_max(g.grid)
         direct = asymptotic_variance(g, y, y_max)
-        cov = posterior_weight_covariance(g, y_max)
+        cov = oracles.posterior_weight_covariance(g, y_max)
         sandwich = oracles.gradient_sandwich_variance(
             g.grid.points, g.weights, y, y_max, cov
         )

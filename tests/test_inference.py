@@ -7,18 +7,22 @@ from hypothesis import strategies as st
 from scipy.special import ndtri, zeta
 
 from streameb.engine import KernelMatrixCache, LearningRate, NewtonState, init, update_stream
+from streameb.evaluation import generate_compound
+from streameb.gridding import GridSpec, build_equispaced_grid
 from streameb.inference import (
     EstimateReport,
     asymptotic_variance,
     clt_scale,
     credible_interval,
+    credible_intervals,
     default_y_max,
     normal_quantile,
-    posterior_weight_covariance,
     ratio_estimate,
+    truncation_tail_bound,
     validate_clt_schedule,
 )
-from streameb.model import Grid, MixingWeights, posterior_mean
+from streameb.model import Grid, MixingWeights, log_poisson_kernel, posterior_mean, posterior_table
+from streameb.priors import parse_prior
 
 from . import oracles
 from .conftest import random_weights
@@ -115,7 +119,7 @@ class TestAsymptoticVariance:
             g = random_weights(rng, np.sort(rng.uniform(0.2, 9.0, size=d)))
             y = int(rng.integers(0, 6))
             y_max = default_y_max(g.grid)
-            v = posterior_weight_covariance(g, y_max)
+            v = oracles.posterior_weight_covariance(g, y_max)
             direct = asymptotic_variance(g, y, y_max)
             sandwich = oracles.gradient_sandwich_variance(
                 g.grid.points, g.weights, y, y_max, v
@@ -123,33 +127,103 @@ class TestAsymptoticVariance:
             assert direct == pytest.approx(sandwich, abs=1e-8, rel=1e-8)
 
 
+def _fitted_weights(grid, seed, n=500):
+    """Weights after streaming Weibull(3,5) counts: mass where data put it."""
+    _, ys = generate_compound(parse_prior("weibull:3,5"), n, seed)
+    return update_stream(init(grid, LearningRate(1.0, 0.99)), ys).g
+
+
+def _truncation_cases(rng):
+    """States on narrow and on wide grids; the wide one reaches rates near
+    1e4 as the paper-default grid does, with d kept small enough that the
+    uncapped table stays cheap."""
+    wide = Grid(np.linspace(0.025, 9662.75, 200))
+    yield random_weights(rng, np.sort(rng.uniform(0.2, 12.0, size=25)))
+    yield random_weights(rng, np.sort(rng.uniform(0.2, 60.0, size=80)))
+    yield random_weights(rng, wide.points)
+    yield _fitted_weights(wide, int(rng.integers(0, 1000)))
+
+
+class TestCertifiedTruncation:
+    def test_bound_dominates_the_neglected_tail(self, rng):
+        for g in _truncation_cases(rng):
+            cap = default_y_max(g.grid)
+            p, post = posterior_table(g, cap)
+            for y in (0, 3, 7):
+                k0 = np.exp(log_poisson_kernel(y, g.grid.points))
+                k1 = np.exp(log_poisson_kernel(y + 1, g.grid.points))
+                contrast = k1 / (k1 @ g.weights) - k0 / (k0 @ g.weights)
+                terms = p * (post @ contrast) ** 2
+                for z in (y + 1, y + 5, y + 20, y + 60, y + 200):
+                    tail = float(terms[z + 1 :].sum())
+                    bound = float(truncation_tail_bound(g, contrast[None, :], z)[0])
+                    assert tail <= bound * (1 + 1e-9) + 1e-300, (len(g.grid), y, z)
+
+    def test_certified_variance_matches_the_capped_one(self, rng):
+        for g in _truncation_cases(rng):
+            cache = KernelMatrixCache(g.grid)
+            for y in range(8):
+                capped = asymptotic_variance(g, y, default_y_max(g.grid), cache)
+                certified = asymptotic_variance(g, y, cache=cache)
+                assert certified == pytest.approx(capped, rel=1e-12, abs=1e-30)
+
+    def test_batched_intervals_equal_single_ones(self, rng):
+        grid = Grid(np.linspace(0.025, 9662.75, 200))
+        state = update_stream(init(grid, LearningRate(1.0, 0.99)), rng.poisson(4.0, 300))
+        ys = [5, 0, 2, 7, 2]
+        batched = credible_intervals(state, ys, 0.9)
+        single = [credible_interval(state, y, 0.9) for y in ys]
+        assert [r.y for r in batched] == ys
+        for b, s in zip(batched, single):
+            assert (b.y, b.theta_hat, b.b_n, b.level) == (s.y, s.theta_hat, s.b_n, s.level)
+            for field in ("variance", "ci_low", "ci_high"):
+                assert getattr(b, field) == pytest.approx(getattr(s, field), rel=1e-12), field
+
+    def test_paper_default_state_stays_small(self):
+        # The cap on this grid is over 1.2e4 rows of d = 1e4 (~1 GB per
+        # table); the certified point stays within the first few dozen.
+        _, ys = generate_compound(parse_prior("weibull:3,5"), 500, 7)
+        m2 = float(np.mean(ys.astype(float) ** 2))
+        grid = build_equispaced_grid(GridSpec(0.025, 2, m2, d_cap=10_000))
+        assert len(grid) == 10_000 and grid.hi > 5_000
+        state = update_stream(init(grid, LearningRate(1.0, 0.99)), ys)
+        reports = credible_intervals(state, range(8), 0.95)
+        assert state.cache.max_y < 200
+        assert all(r.variance > 0 and r.ci_low < r.theta_hat < r.ci_high for r in reports)
+
+    def test_negative_counts_are_rejected(self):
+        g = MixingWeights(Grid([1.0, 2.0]), [0.5, 0.5])
+        with pytest.raises(ValueError):
+            asymptotic_variance(g, -1)
+
+
 class TestWeightCovariance:
     def test_symmetric(self, rng):
         g = random_weights(rng, np.sort(rng.uniform(0.3, 8.0, size=10)))
-        v = posterior_weight_covariance(g)
+        v = oracles.posterior_weight_covariance(g)
         assert np.max(np.abs(v - v.T)) < 1e-14
 
     def test_three_uniform_atoms_are_positive_definite(self):
         g = MixingWeights(Grid([1.0, 2.0, 3.0]), np.full(3, 1 / 3))
-        v = posterior_weight_covariance(g)
+        v = oracles.posterior_weight_covariance(g)
         assert np.all(np.linalg.eigvalsh(v) > 0)
 
     def test_near_point_mass_vanishes(self):
         grid = Grid([1.0, 2.0, 3.0])
         for eps in (1e-4, 1e-6, 1e-8):
             g = MixingWeights(grid, [1 - eps, eps / 2, eps / 2])
-            norm = np.linalg.norm(posterior_weight_covariance(g), 2)
+            norm = np.linalg.norm(oracles.posterior_weight_covariance(g), 2)
             assert norm < 10 * eps
 
     def test_positive_semidefinite_generally(self, rng):
         g = random_weights(rng, np.sort(rng.uniform(0.2, 12.0, size=25)))
-        eig = np.linalg.eigvalsh(posterior_weight_covariance(g))
+        eig = np.linalg.eigvalsh(oracles.posterior_weight_covariance(g))
         assert eig.min() > -1e-12
 
     def test_large_grids_are_refused(self):
         g = MixingWeights(Grid(np.linspace(0.1, 50, 300)), np.full(300, 1 / 300))
         with pytest.raises(ValueError):
-            posterior_weight_covariance(g, 60)
+            oracles.posterior_weight_covariance(g, 60)
 
 
 class TestNormalQuantile:

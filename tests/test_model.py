@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -132,6 +134,48 @@ class TestKernelCache:
         m, scaled = cache.scaled_row(5)
         assert scaled.max() == pytest.approx(1.0)
         assert np.allclose(np.log(scaled[scaled > 0]) + m, cache.log_row(5)[scaled > 0])
+
+    def test_growing_row_by_row_matches_one_extension(self):
+        g = Grid(np.linspace(0.5, 30, 40))
+        stepwise, once = KernelMatrixCache(g), KernelMatrixCache(g)
+        for y in range(37):
+            stepwise.ensure(y)
+        once.ensure(36)
+        assert stepwise.max_y == once.max_y == 36
+        assert np.array_equal(stepwise.log_table(36), once.log_table(36))
+        assert np.array_equal(stepwise.scaled_table(36), once.scaled_table(36))
+
+    def test_reads_during_growth_see_complete_rows(self):
+        # A reader that trusts max_y must find that row in every table,
+        # whichever point of an extension its thread switch falls on.
+        grid = Grid(np.linspace(0.1, 50.0, 20_000))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                cache = KernelMatrixCache(grid)
+                cache.ensure(0)
+                errors, stop = [], threading.Event()
+
+                def read():
+                    try:
+                        while not stop.is_set():
+                            cache.scaled_row(cache.max_y)
+                    except IndexError as exc:
+                        errors.append(exc)
+
+                reader = threading.Thread(target=read)
+                reader.start()
+                try:
+                    for y in range(1, 60):
+                        cache.ensure(y)
+                finally:
+                    stop.set()
+                    reader.join(timeout=30)
+                assert not reader.is_alive()
+                assert errors == []
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestMixturePmf:
