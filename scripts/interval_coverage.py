@@ -9,15 +9,10 @@ often the interval covered the long-run estimate.
 """
 
 import argparse
-import math
 import sys
 
-import numpy as np
-
 from streameb.engine import LearningRate
-from streameb.evaluation import batched_newton_stream
-from streameb.inference import asymptotic_variance, clt_scale, normal_quantile, ratio_estimate
-from streameb.model import Grid, KernelMatrixCache, MixingWeights
+from streameb.evaluation import interval_coverage
 
 
 def main(argv=None) -> int:
@@ -33,27 +28,13 @@ def main(argv=None) -> int:
     ap.add_argument("--seed", type=int, default=42)
     args = ap.parse_args(argv)
 
-    atoms = np.asarray(args.atoms)
-    probs = np.asarray(args.probs)
-    grid = Grid(atoms)
-    rate = LearningRate(1.0, args.gamma)
-    rng = np.random.default_rng(args.seed)
-    thetas = rng.choice(atoms, size=(args.reps, args.n_big), p=probs)
-    ys = rng.poisson(thetas).astype(np.int64)
-    final, snaps = batched_newton_stream(grid, rate, ys, checkpoints=(args.n_small,))
-    b_n = clt_scale(rate, args.n_small)
-    z = normal_quantile(0.5 * (1 + args.level))
-    cache = KernelMatrixCache(grid)
+    coverage = interval_coverage(
+        args.atoms, args.probs, LearningRate(1.0, args.gamma), args.level, args.y,
+        args.reps, args.n_small, args.n_big, args.seed,
+    )
     print("y,coverage")
-    for y in args.y:
-        hits = 0
-        for r in range(args.reps):
-            g_small = MixingWeights(grid, snaps[args.n_small][r])
-            est = ratio_estimate(g_small, y, cache)
-            half = z * math.sqrt(asymptotic_variance(g_small, y, cache=cache) / b_n)
-            ref = ratio_estimate(MixingWeights(grid, final[r]), y, cache)
-            hits += est - half <= ref <= est + half
-        print(f"{y},{hits / args.reps:.3f}")
+    for y, share in coverage.items():
+        print(f"{y},{share:.3f}")
     return 0
 
 

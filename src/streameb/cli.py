@@ -144,6 +144,15 @@ def _parse_y_range(text: str):
     return _parse_int_list(text)
 
 
+def _read_scalar_state(path: str) -> engine.NewtonState:
+    """A serialized state from ``path``; lattice states have no CLI commands."""
+    with open(path, "rb") as handle:
+        state = engine.deserialize_state(handle.read())
+    if state.g.grid.k != 1:
+        raise engine.StateFormatError(f"expected a scalar state, found kdim={state.g.grid.k}")
+    return state
+
+
 def _ingest_format(args) -> IngestFormat:
     return IngestFormat(kind=args.format, window_s=args.window)
 
@@ -175,8 +184,7 @@ def _cmd_fit(args) -> int:
         h = ingest(args.input, fmt)
         ys = [y for y in sorted(h.entries) for _ in range(h.entries[y])]
     if args.state_in:
-        with open(args.state_in, "rb") as handle:
-            state = engine.deserialize_state(handle.read())
+        state = _read_scalar_state(args.state_in)
     else:
         m2 = args.m2 if args.m2 else float(np.mean(np.array(ys, dtype=float) ** 2))
         if m2 <= 0:
@@ -195,8 +203,7 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
-    with open(args.state, "rb") as handle:
-        state = engine.deserialize_state(handle.read())
+    state = _read_scalar_state(args.state)
     reports = inference.credible_intervals(state, _parse_y_range(args.y), args.level)
     text = inference.EstimateReport.CSV_HEADER + "\n"
     text += "\n".join(r.csv_row() for r in reports) + "\n"

@@ -1,23 +1,27 @@
-"""Streaming recursion for the mixing distribution, one count at a time.
+"""Streaming recursion for the mixing distribution, one observation at a time.
 
 Each observation moves the current weight vector toward its one-observation
 posterior by a step size from a decaying schedule:
 
     g_{n+1} = (1 - a_{n+1}) g_n + a_{n+1} * posterior(g_n, y)
 
+An observation is a count on a :class:`Grid`, or a vector of k independent
+counts on a :class:`ProductGrid` of D = d^k rate vectors, whose kernel row
+is the outer product of k per-coordinate rows.  That row is the only step
+that depends on the grid kind; the recursion is shared.
+
 States are immutable; ``update`` returns a fresh state sharing the kernel
 cache, so a held reference is already a consistent snapshot.  Updates are
 strictly sequential (the recursion is order-dependent), and each one costs
-O(d) independent of how many observations came before.
+O(d), or O(D) on a lattice, independent of how many observations came before.
 """
 
 from __future__ import annotations
 
-import json
 import struct
 import zlib
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 from scipy.linalg import blas as _blas
@@ -28,12 +32,14 @@ from .model import (
     Grid,
     KernelMatrixCache,
     MixingWeights,
+    ProductGrid,
     posterior_table,
 )
 
 _MAGIC = b"EBSTREAM"
 _VERSION = 1
 _HEADER = struct.Struct("<8sIIQQdd")
+_MAX_KDIM = 64  # bounds d**kdim, so a forged header cannot ask for a huge power
 
 
 class StateFormatError(ValueError):
@@ -75,7 +81,11 @@ Schedule = Callable[[int], float]
 
 @dataclass(frozen=True, eq=False)
 class NewtonState:
-    """Weights after n observations, plus the schedule and kernel cache."""
+    """Weights after n observations, plus the schedule and kernel cache.
+
+    The grid is a :class:`Grid` for scalar counts or a :class:`ProductGrid`
+    for vectors of k independent counts; the cache is over ``grid.base``.
+    """
 
     g: MixingWeights
     n: int
@@ -83,27 +93,42 @@ class NewtonState:
     cache: KernelMatrixCache
 
 
-def init(grid: Grid, rate: Schedule, g0: MixingWeights | None = None) -> NewtonState:
+def init(grid: Grid | ProductGrid, rate: Schedule, g0: MixingWeights | None = None) -> NewtonState:
     """Fresh state at n=0; ``g0`` defaults to uniform on the grid."""
     if g0 is None:
         g0 = MixingWeights.uniform(grid)
     elif not g0.grid.same_points(grid):
         raise ValueError("initial weights are not supported on the given grid")
-    return NewtonState(g=g0, n=0, rate=rate, cache=KernelMatrixCache(grid))
+    return NewtonState(g=g0, n=0, rate=rate, cache=KernelMatrixCache(grid.base))
 
 
-def update(state: NewtonState, y: int, step_size: float | None = None) -> NewtonState:
-    """Consume one count; returns the state after observation n+1.
+def _counts(grid: Grid | ProductGrid, ys) -> np.ndarray:
+    """Validated counts: shape (n,) on a Grid, (n, k) on a ProductGrid."""
+    ys = np.asarray(ys, dtype=np.int64)
+    row = (grid.k,) if isinstance(grid, ProductGrid) else ()
+    if ys.ndim == 0 or ys.shape[1:] != row:
+        raise ValueError(f"expected observations of shape {row}, got an array of shape {ys.shape}")
+    if ys.min() < 0:
+        raise ValueError("counts must be nonnegative")
+    return ys
 
+
+def update(state: NewtonState, y, step_size: float | None = None) -> NewtonState:
+    """Consume one observation; returns the state after observation n+1.
+
+    ``y`` is a count on a Grid and a vector of k counts on a ProductGrid.
     ``step_size`` overrides the schedule (used to probe boundary behavior,
     e.g. a unit step collapses the update to the pure posterior).
     Raises DegenerateLikelihoodError, leaving the state unchanged, when the
     mixture likelihood of ``y`` underflows.
     """
-    y = int(y)
-    if y < 0:
-        raise ValueError("counts must be nonnegative")
-    _, scaled = state.cache.scaled_row(y)
+    grid = state.g.grid
+    if isinstance(grid, ProductGrid):
+        y = tuple(_counts(grid, [y])[0].tolist())
+        scaled = _LatticeRows(grid, state.cache.scaled_table(max(y)))[y]
+    else:
+        y = int(y)
+        _, scaled = state.cache.scaled_row(y)
     w = state.g.weights
     q = scaled * w
     total = q.sum()
@@ -113,7 +138,7 @@ def update(state: NewtonState, y: int, step_size: float | None = None) -> Newton
     new_w = (1.0 - a) * w + (a / total) * q
     new_w /= new_w.sum()
     return NewtonState(
-        g=MixingWeights(state.g.grid, new_w),
+        g=MixingWeights(grid, new_w),
         n=state.n + 1,
         rate=state.rate,
         cache=state.cache,
@@ -133,54 +158,78 @@ def _aligned_empty(size: int) -> np.ndarray:
     return raw[start : start + size]
 
 
+class _LatticeRows:
+    """Scaled kernel rows of a ProductGrid, indexed by count vector.
+
+    Row ``yvec`` is the flattened outer product of the per-coordinate rows
+    ``scaled[y_1], ..., scaled[y_k]``, written into one aligned scratch
+    buffer that every lookup overwrites.  Indexing mirrors ``scaled[y]`` on
+    a Grid, so the recursion reads rows the same way for both grid kinds.
+    """
+
+    def __init__(self, grid: ProductGrid, scaled: np.ndarray):
+        self.scaled = scaled
+        self.row = _aligned_empty(len(grid))
+        self.last = self.row.reshape(-1, len(grid.base))  # (d^(k-1), d)
+
+    def __getitem__(self, yvec) -> np.ndarray:
+        scaled = self.scaled
+        prefix = scaled[yvec[0]] if len(yvec) > 1 else np.ones(1)
+        for y in yvec[1:-1]:
+            prefix = np.multiply.outer(prefix, scaled[y]).ravel()
+        np.multiply(prefix[:, None], scaled[yvec[-1]], out=self.last)
+        return self.row
+
+
 def update_stream(
     state: NewtonState,
-    ys: Sequence[int],
+    ys,
     snapshot_every: int | None = None,
     on_snapshot: Callable[[NewtonState], None] | None = None,
     skip_degenerate: bool = False,
 ) -> NewtonState:
-    """Fold the one-count update over a sequence, with a low-overhead loop.
+    """Fold the one-observation update over a sequence, with a low-overhead loop.
 
+    ``ys`` holds counts on a Grid and rows of k counts on a ProductGrid.
     Semantically a repeated ``update`` (same arithmetic via BLAS, so results
     agree to rounding); the loop mutates a private scratch copy of the
     weights, and the caller's state is untouched if anything raises.
     Results are bit-reproducible: identical inputs give bit-identical
     weights, wherever the allocator places the caller's arrays.  The
-    first degenerate count aborts with its stream index attached to the
-    raised error; with ``skip_degenerate`` set, offending counts are skipped
-    instead (this biases the fit and is opt-in for that reason).  When
-    ``snapshot_every`` is set, ``on_snapshot`` receives an immutable state
-    snapshot every that many observations.
+    first degenerate observation aborts with its stream index attached to
+    the raised error; with ``skip_degenerate`` set, offending observations
+    are skipped instead (this biases the fit and is opt-in for that
+    reason).  When ``snapshot_every`` is set, ``on_snapshot`` receives an
+    immutable state snapshot every that many observations.
     """
-    ys = np.asarray(ys, dtype=np.int64)
-    if ys.size == 0:
+    if len(ys) == 0:
         return state
-    if ys.min() < 0:
-        raise ValueError("counts must be nonnegative")
+    grid = state.g.grid
+    ys = _counts(grid, ys)
     cache = state.cache
-    scaled = cache.scaled_table(int(ys.max()))
+    rows = cache.scaled_table(int(ys.max()))
+    if isinstance(grid, ProductGrid):  # the one grid-dependent step: rows[y]
+        rows = _LatticeRows(grid, rows)
     w = _aligned_empty(len(state.g.weights))
     w[:] = state.g.weights
     q = _aligned_empty(len(w))
     rate = state.rate
     n = state.n
-    grid = state.g.grid
     n0 = n
     if isinstance(rate, LearningRate):
-        planned = rate.steps(n, ys.size).tolist()
+        planned = rate.steps(n, len(ys)).tolist()
         step_at = planned.__getitem__  # indexed by successful updates, not stream position
     else:
         step_at = lambda _: rate(n + 1)  # noqa: E731 - n is read at call time
     y_list = ys.tolist()
     mul, dasum, dscal, daxpy = np.multiply, _blas.dasum, _blas.dscal, _blas.daxpy
     for i, y in enumerate(y_list):
-        mul(scaled[y], w, q)
+        mul(rows[y], w, q)
         total = dasum(q)
         if not total > 0.0:  # catches underflow to zero (and NaN, defensively)
             if skip_degenerate:
                 continue
-            err = DegenerateLikelihoodError(y, n)
+            err = DegenerateLikelihoodError(y if ys.ndim == 1 else tuple(y), n)
             err.stream_index = i
             raise err
         a = step_at(n - n0)
@@ -219,23 +268,21 @@ def martingale_residual(state: NewtonState, y_max: int) -> float:
 #
 # Layout (little endian):
 #   magic 8s | version u32 | kdim u32 | d u64 | n u64 | alpha f64 | gamma f64
-#   | grid f64[d] | weights f64[d^kdim] | crc32 u32 of everything above
-# The scalar engine writes kdim=1; the lattice engine shares the format.
+#   | base grid f64[d] | weights f64[d^kdim] | crc32 u32 of everything above
+# A scalar state has kdim = 1; a lattice state has kdim = k.
 
 
-def pack_state(kdim: int, grid: Grid, weights: np.ndarray, n: int, rate: Schedule) -> bytes:
+def serialize_state(state: NewtonState) -> bytes:
+    rate, grid = state.rate, state.g.grid
     if not isinstance(rate, LearningRate):
         raise ValueError("only the power schedule serializes; custom schedules do not")
-    d = len(grid)
-    if weights.size != d**kdim:
-        raise ValueError("weight length does not match grid size")
-    head = _HEADER.pack(_MAGIC, _VERSION, kdim, d, n, rate.alpha, rate.gamma)
-    body = head + grid.points.tobytes() + np.ascontiguousarray(weights).tobytes()
+    head = _HEADER.pack(_MAGIC, _VERSION, grid.k, len(grid.base), state.n, rate.alpha, rate.gamma)
+    body = head + grid.base.points.tobytes() + state.g.weights.tobytes()
     return body + struct.pack("<I", zlib.crc32(body))
 
 
-def unpack_state(blob: bytes):
-    """Inverse of pack_state; returns (kdim, grid, weights, n, rate)."""
+def deserialize_state(blob: bytes) -> NewtonState:
+    """Inverse of ``serialize_state``; kdim = 1 gives a Grid, else a ProductGrid."""
     if len(blob) < _HEADER.size + 4:
         raise StateFormatError("truncated state blob")
     body, (crc,) = blob[:-4], struct.unpack("<I", blob[-4:])
@@ -246,25 +293,13 @@ def unpack_state(blob: bytes):
         raise StateFormatError("bad magic")
     if version != _VERSION:
         raise StateFormatError(f"unsupported state version {version}")
-    need = _HEADER.size + 8 * d + 8 * d**kdim
-    if len(body) != need:
+    if not 1 <= kdim <= _MAX_KDIM:
+        raise StateFormatError(f"unsupported dimension kdim={kdim}")
+    if len(body) != _HEADER.size + 8 * d + 8 * d**kdim:
         raise StateFormatError("state blob has wrong length")
     pts = np.frombuffer(body, dtype="<f8", count=d, offset=_HEADER.size)
     w = np.frombuffer(body, dtype="<f8", count=d**kdim, offset=_HEADER.size + 8 * d)
-    return kdim, Grid(pts.copy()), w.copy(), n, LearningRate(alpha, gamma)
-
-
-def serialize_state(state: NewtonState) -> bytes:
-    return pack_state(1, state.g.grid, state.g.weights, state.n, state.rate)
-
-
-def deserialize_state(blob: bytes) -> NewtonState:
-    kdim, grid, w, n, rate = unpack_state(blob)
-    if kdim != 1:
-        raise StateFormatError(f"expected a scalar state, found kdim={kdim}")
-    return NewtonState(g=MixingWeights(grid, w), n=n, rate=rate, cache=KernelMatrixCache(grid))
-
-
-def dump_weights_jsonl(state: NewtonState) -> str:
-    """Debug dump: one JSON number per line, in grid order, for diffing."""
-    return "\n".join(json.dumps(float(w)) for w in state.g.weights) + "\n"
+    base = Grid(pts)
+    grid = base if kdim == 1 else ProductGrid(base, kdim)
+    rate = LearningRate(alpha, gamma)
+    return NewtonState(g=MixingWeights(grid, w), n=n, rate=rate, cache=KernelMatrixCache(base))

@@ -22,7 +22,7 @@ import numpy as np
 from . import engine
 from .engine import LearningRate
 from .gridding import GridSpec, build_equispaced_grid
-from .inference import default_y_max, ratio_estimate
+from .inference import credible_intervals, default_y_max, ratio_estimate
 from .model import Grid, KernelMatrixCache, MixingWeights
 from .priors import PriorSpec
 
@@ -240,6 +240,27 @@ def regret_decay_diagnostic(cfg: ExperimentConfig, checkpoints) -> RegretDecayRe
         median_slope=float(np.median(slopes)),
         tv_final=tv_final,
     )
+
+
+def interval_coverage(atoms, probs, rate, level, ys, reps, n_small, n_big, seed) -> dict:
+    """``{y: share of streams whose interval at n_small covers their n_big estimate}``.
+
+    ``reps`` seeded streams of ``n_big`` counts from the grid-atoms prior
+    (``atoms`` with ``probs``) run in lockstep on the atoms' grid.
+    """
+    grid = Grid(atoms)
+    rng = np.random.default_rng(seed)
+    thetas = rng.choice(atoms, size=(reps, n_big), p=probs)
+    y_matrix = rng.poisson(thetas).astype(np.int64)
+    final, snaps = batched_newton_stream(grid, rate, y_matrix, checkpoints=(n_small,))
+    cache = KernelMatrixCache(grid)
+    hits = dict.fromkeys(ys, 0)
+    for r in range(reps):
+        state = engine.NewtonState(MixingWeights(grid, snaps[n_small][r]), n_small, rate, cache)
+        g_big = MixingWeights(grid, final[r])
+        for rep in credible_intervals(state, ys, level):
+            hits[rep.y] += rep.ci_low <= ratio_estimate(g_big, rep.y, cache) <= rep.ci_high
+    return {y: h / reps for y, h in hits.items()}
 
 
 def timing_harness(

@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri, pdtrc
+from scipy.special import ndtri, pdtrc, zeta
 
 from .engine import LearningRate, NewtonState, Schedule
 from .model import (
@@ -34,7 +34,6 @@ from .model import (
     posterior_table,
 )
 
-_TAIL_SUM_TERMS = 200_000
 # Certified truncation: the neglected terms of V(y) are at most this
 # fraction of the terms kept.
 _TRUNCATION_RTOL = 1e-12
@@ -78,20 +77,15 @@ def ratio_estimate(g: MixingWeights, y: int, cache: KernelMatrixCache | None = N
 def clt_scale(rate: LearningRate, n: int) -> float:
     """b_n = 1 / sum_{k >= n} step(k)^2 for the power schedule.
 
-    Computed from the definition: an explicit partial sum over the first
-    2e5 terms plus a midpoint-rule remainder for the rest, which is accurate
-    to ~1e-9 relative.  Strictly increasing in n.
+    The tail sum of (alpha + k)^(-2 gamma) over k >= n is the Hurwitz zeta
+    function zeta(2 gamma, alpha + n), evaluated in closed form.  Strictly
+    increasing in n.
     """
     if not isinstance(rate, LearningRate):
         raise TypeError("closed-form tail sums exist only for the power schedule")
     if n < 1:
         raise ValueError("n must be at least 1")
-    two_g = 2.0 * rate.gamma
-    ks = rate.alpha + np.arange(n, n + _TAIL_SUM_TERMS, dtype=float)
-    partial = float(np.sum(ks**-two_g))
-    edge = rate.alpha + n + _TAIL_SUM_TERMS - 0.5
-    remainder = edge ** (1.0 - two_g) / (two_g - 1.0)
-    return 1.0 / (partial + remainder)
+    return 1.0 / float(zeta(2.0 * rate.gamma, rate.alpha + n))
 
 
 def validate_clt_schedule(rate: Schedule, probe: int = 4096) -> None:

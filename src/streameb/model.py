@@ -18,6 +18,8 @@ from scipy.special import gammaln, logsumexp
 # Weight vectors are renormalized after every arithmetic step; construction
 # rejects anything farther than this from the simplex.
 SIMPLEX_TOL = 1e-9
+# Largest product grid accepted: D = d^k weights, and kernel rows of that length.
+LATTICE_CAP = 10**6
 
 
 class DegenerateLikelihoodError(ValueError):
@@ -65,15 +67,54 @@ class Grid:
     def hi(self) -> float:
         return float(self.points[-1])
 
-    def same_points(self, other: "Grid") -> bool:
-        return self.points.shape == other.points.shape and bool(
+    # A scalar grid is the one-coordinate case of the shared grid surface:
+    # observations have k = 1 coordinate, each ranging over ``base``.
+    k = 1
+
+    @property
+    def base(self) -> "Grid":
+        return self
+
+    def same_points(self, other) -> bool:
+        return isinstance(other, Grid) and self.points.shape == other.points.shape and bool(
             np.array_equal(self.points, other.points)
         )
 
 
 @dataclass(frozen=True, eq=False)
+class ProductGrid:
+    """k-fold product of a base grid: D = d^k candidate rate vectors.
+
+    Lattice points are indexed lexicographically, the first coordinate being
+    the most significant digit.  The Poisson kernel factorizes across
+    coordinates, so one kernel cache over ``base`` serves every coordinate.
+    """
+
+    base: Grid
+    k: int
+
+    def __post_init__(self):
+        if self.k < 1:
+            raise ValueError("k must be at least 1")
+        if self.size > LATTICE_CAP:
+            raise ValueError(f"lattice size d^k = {self.size} exceeds the cap {LATTICE_CAP}")
+
+    def __len__(self) -> int:
+        return self.size
+
+    @property
+    def size(self) -> int:
+        return len(self.base) ** self.k
+
+    def same_points(self, other) -> bool:
+        return isinstance(other, ProductGrid) and self.k == other.k and self.base.same_points(
+            other.base
+        )
+
+
+@dataclass(frozen=True, eq=False)
 class MixingWeights:
-    """A probability mass function over a :class:`Grid`.
+    """A probability mass function over a :class:`Grid` or :class:`ProductGrid`.
 
     Weights must be nonnegative and sum to one within ``SIMPLEX_TOL``; the
     stored vector is renormalized so its sum is exactly 1 in floating point.
@@ -81,7 +122,7 @@ class MixingWeights:
     support never changes silently.
     """
 
-    grid: Grid
+    grid: Grid | ProductGrid
     weights: np.ndarray
 
     def __post_init__(self):
@@ -207,6 +248,8 @@ class KernelMatrixCache:
 
     def _tables_through(self, y: int):
         """The published tables, extended first if they stop before row y."""
+        if y < 0:  # a negative index would silently read a cached row from the end
+            raise ValueError("counts must be nonnegative")
         tables = self._tables
         if y >= tables[1].shape[0]:
             self.ensure(y)

@@ -1,170 +1,47 @@
-"""Coordinate-wise independent Poisson vectors over a product grid.
+"""Inference for vectors of independent Poisson counts over a product grid.
 
-A base grid of d rates raised to k coordinates gives a lattice of D = d^k
-candidate rate vectors, indexed lexicographically (the first coordinate is
-the most significant digit).  The kernel factorizes across coordinates, so
-lattice kernel rows are assembled as outer products of per-coordinate rows
-and every operation costs O(D) per observation, exactly mirroring the
-scalar engine, to which everything here reduces when k = 1.
+A :class:`ProductGrid` raises a base grid of d rates to k coordinates, a
+lattice of D = d^k candidate rate vectors.  The recursion runs in
+``engine`` for both grid kinds (``multi_init`` and ``multi_update_stream``
+are the engine's ``init`` and ``update_stream``); this module holds what
+is lattice-only: the mixture pmf of a count vector, the per-coordinate
+estimates and their covariance.  The kernel factorizes across coordinates,
+so lattice log-kernel rows are outer sums of per-coordinate rows.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
-from .engine import LearningRate, Schedule, pack_state, unpack_state
-from .model import (
-    DegenerateLikelihoodError,
-    Grid,
-    KernelMatrixCache,
-    MixingWeights,
-    SIMPLEX_TOL,
-    log_poisson_kernel,
-)
+from .engine import _counts, init, update_stream
+from .inference import default_y_max
+from .model import DegenerateLikelihoodError, KernelMatrixCache, MixingWeights, ProductGrid
 
-DEFAULT_LATTICE_CAP = 10**6
 _COVARIANCE_MAX_D = 10**4
 
-
-@dataclass(frozen=True, eq=False)
-class ProductGrid:
-    """k-fold product of a base grid, size D = d^k, lexicographic order."""
-
-    base: Grid
-    k: int
-    cap: int = DEFAULT_LATTICE_CAP
-
-    def __post_init__(self):
-        if self.k < 1:
-            raise ValueError("k must be at least 1")
-        if self.size > self.cap:
-            raise ValueError(
-                f"lattice size d^k = {self.size} exceeds the cap {self.cap}"
-            )
-
-    @property
-    def size(self) -> int:
-        return len(self.base) ** self.k
-
-    def index_to_tuple(self, i: int) -> tuple:
-        """Rate vector at flat index i."""
-        d = len(self.base)
-        digits = []
-        for _ in range(self.k):
-            digits.append(i % d)
-            i //= d
-        return tuple(float(self.base.points[j]) for j in reversed(digits))
-
-    def tuple_to_index(self, indices) -> int:
-        d = len(self.base)
-        i = 0
-        for j in indices:
-            i = i * d + int(j)
-        return i
-
-    def coordinate_columns(self) -> np.ndarray:
-        """(k, D) array: row j holds theta_j for every lattice point."""
-        d = len(self.base)
-        cols = np.empty((self.k, self.size))
-        for j in range(self.k):
-            reps_inner = d ** (self.k - 1 - j)
-            reps_outer = d**j
-            cols[j] = np.tile(np.repeat(self.base.points, reps_inner), reps_outer)
-        return cols
-
-
-@dataclass(frozen=True, eq=False)
-class MultiMixingWeights:
-    """Probability mass function over a product grid."""
-
-    grid: ProductGrid
-    weights: np.ndarray
-
-    def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
-        if w.shape != (self.grid.size,):
-            raise ValueError("weights must match the lattice size")
-        if np.any(w < 0) or not np.all(np.isfinite(w)):
-            raise ValueError("weights must be finite and nonnegative")
-        total = float(w.sum())
-        if abs(total - 1.0) > SIMPLEX_TOL:
-            raise ValueError(f"weights sum to {total!r}, not 1")
-        if abs(total - 1.0) > 1e-13:
-            w = w / total
-        w = w.copy()
-        w.flags.writeable = False
-        object.__setattr__(self, "weights", w)
-
-    @classmethod
-    def uniform(cls, grid: ProductGrid) -> "MultiMixingWeights":
-        return cls(grid, np.full(grid.size, 1.0 / grid.size))
-
-
-def multi_log_kernel(yvec, theta) -> float:
-    """Sum of scalar log kernels across coordinates."""
-    yvec, theta = tuple(yvec), tuple(theta)
-    if len(yvec) != len(theta):
-        raise ValueError("count vector and rate vector must have equal length")
-    return float(sum(log_poisson_kernel(int(y), t) for y, t in zip(yvec, theta)))
+# The lattice recursion is the engine's own; these names are the same objects.
+multi_init = init
+multi_update_stream = update_stream
 
 
 def _validate_yvec(grid: ProductGrid, yvec) -> tuple:
-    yvec = tuple(int(y) for y in yvec)
-    if len(yvec) != grid.k:
-        raise ValueError(f"expected {grid.k} coordinates, got {len(yvec)}")
-    if any(y < 0 for y in yvec):
-        raise ValueError("counts must be nonnegative")
-    return yvec
+    return tuple(_counts(grid, [yvec])[0].tolist())
 
 
-@dataclass(frozen=True, eq=False)
-class MultiNewtonState:
-    """Lattice analogue of the scalar streaming state."""
-
-    g: MultiMixingWeights
-    n: int
-    rate: Schedule
-    cache: KernelMatrixCache  # per-coordinate scalar kernel columns
-
-
-def multi_init(
-    grid: ProductGrid, rate: Schedule, g0: MultiMixingWeights | None = None
-) -> MultiNewtonState:
-    if g0 is None:
-        g0 = MultiMixingWeights.uniform(grid)
-    elif g0.grid is not grid and not (
-        g0.grid.k == grid.k and g0.grid.base.same_points(grid.base)
-    ):
-        raise ValueError("initial weights are not supported on the given lattice")
-    return MultiNewtonState(g=g0, n=0, rate=rate, cache=KernelMatrixCache(grid.base))
-
-
-def _scaled_lattice_row(grid: ProductGrid, cache: KernelMatrixCache, yvec):
-    """Outer product of per-coordinate shifted kernel rows, flattened."""
-    row = np.ones(1)
-    for y in yvec:
-        _, scaled = cache.scaled_row(int(y))
-        row = (row[:, None] * scaled[None, :]).ravel()
-    return row
-
-
-def _log_lattice_row(grid: ProductGrid, cache: KernelMatrixCache, yvec) -> np.ndarray:
+def _log_lattice_row(cache: KernelMatrixCache, yvec) -> np.ndarray:
     row = np.zeros(1)
     for y in yvec:
-        log_col = cache.log_row(int(y))
-        row = (row[:, None] + log_col[None, :]).ravel()
+        row = (row[:, None] + cache.log_row(int(y))[None, :]).ravel()
     return row
 
 
-def multi_mixture_pmf(g: MultiMixingWeights, yvec, cache: KernelMatrixCache | None = None) -> float:
+def multi_mixture_pmf(g: MixingWeights, yvec, cache: KernelMatrixCache | None = None) -> float:
     yvec = _validate_yvec(g.grid, yvec)
     if cache is None:
         cache = KernelMatrixCache(g.grid.base)
-    log_row = _log_lattice_row(g.grid, cache, yvec)
+    log_row = _log_lattice_row(cache, yvec)
     live = g.weights > 0
     if not live.any():
         return 0.0
@@ -172,49 +49,8 @@ def multi_mixture_pmf(g: MultiMixingWeights, yvec, cache: KernelMatrixCache | No
     return float(math.exp(m) * np.dot(np.exp(log_row[live] - m), g.weights[live]))
 
 
-def multi_posterior_weights(
-    g: MultiMixingWeights, yvec, cache: KernelMatrixCache | None = None
-) -> MultiMixingWeights:
-    yvec = _validate_yvec(g.grid, yvec)
-    if cache is None:
-        cache = KernelMatrixCache(g.grid.base)
-    q = _scaled_lattice_row(g.grid, cache, yvec) * g.weights
-    total = q.sum()
-    if total <= 0 or not np.isfinite(total):
-        raise DegenerateLikelihoodError(yvec)
-    return MultiMixingWeights(g.grid, q / total)
-
-
-def multi_update(state: MultiNewtonState, yvec, step_size: float | None = None) -> MultiNewtonState:
-    """One lattice observation; same contract as the scalar ``update``."""
-    yvec = _validate_yvec(state.g.grid, yvec)
-    q = _scaled_lattice_row(state.g.grid, state.cache, yvec) * state.g.weights
-    total = q.sum()
-    if total <= 0 or not np.isfinite(total):
-        raise DegenerateLikelihoodError(yvec, state.n)
-    a = state.rate(state.n + 1) if step_size is None else float(step_size)
-    w = (1.0 - a) * state.g.weights + (a / total) * q
-    w /= w.sum()
-    return MultiNewtonState(
-        g=MultiMixingWeights(state.g.grid, w),
-        n=state.n + 1,
-        rate=state.rate,
-        cache=state.cache,
-    )
-
-
-def multi_update_stream(state: MultiNewtonState, yvecs) -> MultiNewtonState:
-    for i, yvec in enumerate(yvecs):
-        try:
-            state = multi_update(state, yvec)
-        except DegenerateLikelihoodError as err:
-            err.stream_index = i
-            raise
-    return state
-
-
 def multi_estimate(
-    g: MultiMixingWeights, yvec, coord: int, cache: KernelMatrixCache | None = None
+    g: MixingWeights, yvec, coord: int, cache: KernelMatrixCache | None = None
 ) -> float:
     """Coordinate estimate (y_j + 1) p_g(y + e_j) / p_g(y)."""
     yvec = _validate_yvec(g.grid, yvec)
@@ -230,33 +66,26 @@ def multi_estimate(
     return float((yvec[coord] + 1) * p_up / p_y)
 
 
-def _lattice_counts(y_maxes) -> np.ndarray:
-    """All count vectors with coordinate j at most y_maxes[j]."""
-    axes = [np.arange(m + 1) for m in y_maxes]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=1)
-
-
-def multi_asymptotic_variance(
-    g: MultiMixingWeights, yvec, y_max: int | None = None
-) -> np.ndarray:
+def multi_asymptotic_variance(g: MixingWeights, yvec, y_max: int | None = None) -> np.ndarray:
     """k-by-k covariance of the coordinate estimates' fluctuation.
 
     Entry (j, j') pairs the count contrasts toward y+e_j and y+e_j', summed
-    against the predictive pmf over the truncated count lattice.  Symmetric
-    positive semidefinite; reduces to the scalar variance at k = 1.
+    against the predictive pmf over the truncated count lattice (each
+    coordinate up to ``y_max``, by default ``default_y_max`` of the base
+    grid).  Symmetric positive semidefinite; reduces to the scalar variance
+    at k = 1.
     """
     grid = g.grid
     yvec = _validate_yvec(grid, yvec)
     if grid.size > _COVARIANCE_MAX_D:
         raise ValueError(f"covariance refused for lattice size {grid.size}")
     if y_max is None:
-        y_max = int(math.ceil(grid.base.hi + 20.0 * math.sqrt(grid.base.hi)))
+        y_max = default_y_max(grid.base)
     cache = KernelMatrixCache(grid.base)
     p_y = multi_mixture_pmf(g, yvec, cache)
     if p_y <= 0:
         raise DegenerateLikelihoodError(yvec)
-    k_y = np.exp(_log_lattice_row(grid, cache, yvec))
+    k_y = np.exp(_log_lattice_row(cache, yvec))
     contrasts = np.empty((grid.k, grid.size))
     theta_hat = np.empty(grid.k)
     for j in range(grid.k):
@@ -264,15 +93,12 @@ def multi_asymptotic_variance(
         p_up = multi_mixture_pmf(g, bumped, cache)
         if p_up <= 0:
             raise DegenerateLikelihoodError(bumped)
-        k_up = np.exp(_log_lattice_row(grid, cache, bumped))
+        k_up = np.exp(_log_lattice_row(cache, bumped))
         contrasts[j] = k_up / p_up - k_y / p_y
         theta_hat[j] = (yvec[j] + 1) * p_up / p_y
-    zs = _lattice_counts([y_max] * grid.k)
+    zs = np.indices((y_max + 1,) * grid.k).reshape(grid.k, -1).T  # count vectors, lexicographic
     log_base = cache.log_table(y_max + 1)
-    d = len(grid.base)
-    digit = np.stack(
-        [(np.arange(grid.size) // d ** (grid.k - 1 - j)) % d for j in range(grid.k)]
-    )
+    digit = np.indices((len(grid.base),) * grid.k).reshape(grid.k, -1)  # base index per coordinate
     cov = np.zeros((grid.k, grid.k))
     chunk = max(1, 2_000_000 // grid.size)
     for lo in range(0, zs.shape[0], chunk):
@@ -288,35 +114,3 @@ def multi_asymptotic_variance(
         cov += (b * p_z[live][:, None]).T @ b
     cov = 0.5 * (cov + cov.T)
     return np.outer(theta_hat, theta_hat) * cov
-
-
-def multi_regret(g_a: MultiMixingWeights, g_b: MultiMixingWeights, y_max: int) -> float:
-    """Toy-scale lattice regret: squared estimate gaps under the oracle pmf."""
-    grid = g_a.grid
-    if grid.size != g_b.grid.size or not grid.base.same_points(g_b.grid.base):
-        raise ValueError("both weight vectors must live on the same lattice")
-    cache = KernelMatrixCache(grid.base)
-    total = 0.0
-    for z in product(range(y_max + 1), repeat=grid.k):
-        p_b = multi_mixture_pmf(g_b, z, cache)
-        if p_b <= 0:
-            continue
-        gap = 0.0
-        for j in range(grid.k):
-            gap += (multi_estimate(g_a, z, j, cache) - multi_estimate(g_b, z, j, cache)) ** 2
-        total += gap * p_b
-    return total
-
-
-def multi_serialize_state(state: MultiNewtonState) -> bytes:
-    return pack_state(
-        state.g.grid.k, state.g.grid.base, state.g.weights, state.n, state.rate
-    )
-
-
-def multi_deserialize_state(blob: bytes) -> MultiNewtonState:
-    kdim, base, w, n, rate = unpack_state(blob)
-    grid = ProductGrid(base, kdim)
-    return MultiNewtonState(
-        g=MultiMixingWeights(grid, w), n=n, rate=rate, cache=KernelMatrixCache(base)
-    )

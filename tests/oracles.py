@@ -12,12 +12,27 @@ import numpy as np
 from scipy.stats import poisson
 
 from streameb.inference import default_y_max
+from streameb.model import log_poisson_kernel
 
 COVARIANCE_MAX_D = 200
 
 
 def poisson_pmf(y, theta):
     return math.exp(-theta) * theta**y / math.factorial(y)
+
+
+def clt_scale_partial_sum(alpha, gamma, n, terms=200_000):
+    """b_n = 1 / sum_{k >= n} (alpha + k)^(-2 gamma), summed term by term.
+
+    An explicit partial sum over the first ``terms`` terms plus a midpoint-rule
+    remainder for the rest; accurate to ~1e-9 relative.
+    """
+    two_g = 2.0 * gamma
+    ks = alpha + np.arange(n, n + terms, dtype=float)
+    partial = float(np.sum(ks**-two_g))
+    edge = alpha + n + terms - 0.5
+    remainder = edge ** (1.0 - two_g) / (two_g - 1.0)
+    return 1.0 / (partial + remainder)
 
 
 def direct_mixture_pmf(points, weights, y):
@@ -97,3 +112,42 @@ def posterior_weight_covariance(g, y_max=None):
     full = post.T @ (p[:, None] * post) - np.outer(weights, weights)
     full = 0.5 * (full + full.T)
     return full[: d - 1, : d - 1]
+
+
+# -- product grids: lexicographic lattice indexing, first coordinate most significant
+
+
+def multi_log_kernel(yvec, theta) -> float:
+    """Sum of scalar log kernels across coordinates."""
+    yvec, theta = tuple(yvec), tuple(theta)
+    if len(yvec) != len(theta):
+        raise ValueError("count vector and rate vector must have equal length")
+    return float(sum(log_poisson_kernel(int(y), t) for y, t in zip(yvec, theta)))
+
+
+def index_to_tuple(grid, i):
+    """Rate vector at flat index i of a ProductGrid."""
+    d = len(grid.base)
+    digits = []
+    for _ in range(grid.k):
+        digits.append(i % d)
+        i //= d
+    return tuple(float(grid.base.points[j]) for j in reversed(digits))
+
+
+def tuple_to_index(grid, indices):
+    """Flat index of the lattice point with these per-coordinate base indices."""
+    d = len(grid.base)
+    i = 0
+    for j in indices:
+        i = i * d + int(j)
+    return i
+
+
+def coordinate_columns(grid):
+    """(k, D) array: row j holds theta_j for every lattice point."""
+    d = len(grid.base)
+    cols = np.empty((grid.k, grid.size))
+    for j in range(grid.k):
+        cols[j] = np.tile(np.repeat(grid.base.points, d ** (grid.k - 1 - j)), d**j)
+    return cols

@@ -16,8 +16,8 @@ from streameb.baselines import VdmConfig, fit_npmle, robbins_estimate
 from streameb.engine import LearningRate, init, update, update_stream
 from streameb.evaluation import (
     ExperimentConfig,
-    batched_newton_stream,
     generate_compound,
+    interval_coverage,
     regret,
     regret_decay_diagnostic,
     run_stream_experiment,
@@ -28,7 +28,6 @@ from streameb.inference import (
     asymptotic_variance,
     clt_scale,
     default_y_max,
-    normal_quantile,
     ratio_estimate,
 )
 from streameb.model import (
@@ -36,16 +35,11 @@ from streameb.model import (
     Grid,
     KernelMatrixCache,
     MixingWeights,
+    ProductGrid,
     mixture_pmf,
     posterior_mean,
 )
-from streameb.multidim import (
-    MultiMixingWeights,
-    ProductGrid,
-    multi_estimate,
-    multi_init,
-    multi_update,
-)
+from streameb.multidim import multi_estimate
 from streameb.priors import (
     grid_atoms_prior,
     half_gaussian_prior,
@@ -243,26 +237,10 @@ def test_interval_coverage_of_the_long_run_estimate():
     # Asymptotic check, not a finite-n guarantee: nominal 90% intervals at
     # n=5e3 should cover the same stream's n=5e5 estimate in >= 80% of runs.
     t0 = time.perf_counter()
-    reps, n_small, n_big = 200, 5_000, 500_000
-    grid = Grid(FIVE_ATOMS)
-    rate = LearningRate(1.0, 0.75)
-    rng = np.random.default_rng(42)
-    thetas = rng.choice(FIVE_ATOMS, size=(reps, n_big), p=FIVE_PROBS)
-    ys = rng.poisson(thetas).astype(np.int64)
-    final, snaps = batched_newton_stream(grid, rate, ys, checkpoints=(n_small,))
-    b_n = clt_scale(rate, n_small)
-    z = normal_quantile(0.95)
-    cache = KernelMatrixCache(grid)
-    coverage = {}
-    for y in (0, 1, 2):
-        hits = 0
-        for r in range(reps):
-            g_small = MixingWeights(grid, snaps[n_small][r])
-            est = ratio_estimate(g_small, y, cache)
-            half = z * math.sqrt(asymptotic_variance(g_small, y, cache=cache) / b_n)
-            ref = ratio_estimate(MixingWeights(grid, final[r]), y, cache)
-            hits += est - half <= ref <= est + half
-        coverage[y] = hits / reps
+    coverage = interval_coverage(
+        FIVE_ATOMS, FIVE_PROBS, LearningRate(1.0, 0.75), 0.90, [0, 1, 2],
+        reps=200, n_small=5_000, n_big=500_000, seed=42,
+    )
     elapsed = time.perf_counter() - t0
     ok = all(c >= 0.80 for c in coverage.values())
     _report(
@@ -276,18 +254,18 @@ def test_lattice_engine_reduces_to_the_scalar_engine():
     base = Grid(np.linspace(0.4, 9.0, 25))
     rate = LearningRate(1.0, 0.99)
     rng = np.random.default_rng(17)
-    mstate = multi_init(ProductGrid(base, 1), rate)
+    mstate = init(ProductGrid(base, 1), rate)
     sstate = init(base, rate)
     worst_traj = 0.0
     for y in rng.poisson(3.0, 1000):
-        mstate = multi_update(mstate, (int(y),))
+        mstate = update(mstate, (int(y),))
         sstate = update(sstate, int(y))
         worst_traj = max(worst_traj, float(np.max(np.abs(mstate.g.weights - sstate.g.weights))))
     base4 = Grid([0.5, 1.5, 3.0, 6.0])
     pg = ProductGrid(base4, 2)
     w1 = rng.dirichlet(np.ones(4))
     w2 = rng.dirichlet(np.ones(4))
-    g2 = MultiMixingWeights(pg, np.outer(w1, w2).ravel())
+    g2 = MixingWeights(pg, np.outer(w1, w2).ravel())
     m1 = MixingWeights(base4, w1)
     m2 = MixingWeights(base4, w2)
     worst_est = 0.0

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from streameb.cli import IngestFormat, ingest, main
-from streameb.engine import deserialize_state
+from streameb.engine import LearningRate, deserialize_state, init, serialize_state
+from streameb.model import Grid, ProductGrid
 
 from .conftest import ACCIDENT_PAIRS
 
@@ -171,11 +172,20 @@ class TestFitEstimateFlow:
         row = lines[1].split(",")
         assert float(row[4]) <= float(row[1]) <= float(row[5])
 
-    def test_estimate_rejects_corrupt_state(self, tmp_path):
+    def test_estimate_rejects_corrupt_state(self, tmp_path, capsys):
         bad = tmp_path / "bad.bin"
         bad.write_bytes(b"garbage")
         code = main(["estimate", "--state", str(bad), "--y", "0..3"])
         assert code == 2
+        # a well-formed lattice state is not a scalar state either
+        lattice = tmp_path / "lattice.bin"
+        grid = ProductGrid(Grid([1.0, 2.0, 3.0]), 2)
+        lattice.write_bytes(serialize_state(init(grid, LearningRate(1.0, 0.99))))
+        counts = tmp_path / "counts.txt"
+        counts.write_text("0\n1\n")
+        assert main(["estimate", "--state", str(lattice), "--y", "0..3"]) == 2
+        assert main(["fit", "--input", str(counts), "--state-in", str(lattice)]) == 2
+        assert capsys.readouterr().err.count("expected a scalar state, found kdim=2") == 2
 
     def test_fit_without_prior_or_input_fails(self):
         assert main(["fit", "--eta", "0.1"]) == 2

@@ -1,5 +1,7 @@
 import math
+import struct
 import time
+import zlib
 
 import numpy as np
 import pytest
@@ -11,14 +13,13 @@ from streameb.engine import (
     LearningRate,
     StateFormatError,
     deserialize_state,
-    dump_weights_jsonl,
     init,
     martingale_residual,
     serialize_state,
     update,
     update_stream,
 )
-from streameb.model import DegenerateLikelihoodError, Grid, MixingWeights
+from streameb.model import DegenerateLikelihoodError, Grid, MixingWeights, ProductGrid
 
 from . import oracles
 from .conftest import random_weights
@@ -123,15 +124,20 @@ class TestUpdateStream:
         assert np.max(np.abs(a.g.weights - b.g.weights)) < 1e-15
 
     def test_stream_matches_folded_updates(self, rng):
-        grid = Grid(np.linspace(0.3, 10, 60))
+        # a scalar grid, then k = 2 and k = 3 lattices (one count vector per row)
+        cases = [
+            (Grid(np.linspace(0.3, 10, 60)), rng.poisson(3.0, 200), 1e-13),
+            (ProductGrid(Grid(np.linspace(0.3, 10, 12)), 2), rng.poisson(3.0, (200, 2)), 1e-12),
+            (ProductGrid(Grid(np.linspace(0.3, 10, 6)), 3), rng.poisson(3.0, (200, 3)), 1e-12),
+        ]
         rate = LearningRate(1.0, 0.8)
-        ys = rng.poisson(3.0, 200)
-        folded = init(grid, rate)
-        for y in ys:
-            folded = update(folded, int(y))
-        streamed = update_stream(init(grid, rate), ys)
-        assert streamed.n == folded.n == 200
-        assert np.max(np.abs(streamed.g.weights - folded.g.weights)) < 1e-13
+        for grid, ys, tol in cases:
+            folded = init(grid, rate)
+            for y in ys:
+                folded = update(folded, y)
+            streamed = update_stream(init(grid, rate), ys)
+            assert streamed.n == folded.n == 200
+            assert np.max(np.abs(streamed.g.weights - folded.g.weights)) < tol
 
     def test_abort_carries_stream_index(self):
         grid = Grid([0.5, 20000.0])
@@ -148,13 +154,26 @@ class TestUpdateStream:
         state = init(grid, LearningRate(1.0, 0.99), g0=g0)
         out = update_stream(state, [0, 20000, 1], skip_degenerate=True)
         assert out.n == 2
+        # a lattice whose mass sits at (0.5, 0.5): the middle vector underflows
+        lattice = ProductGrid(grid, 2)
+        state = init(lattice, LearningRate(1.0, 0.99), g0=MixingWeights(lattice, [1.0, 0, 0, 0]))
+        out = update_stream(state, [(0, 1), (20000, 20000), (1, 0)], skip_degenerate=True)
+        kept = update_stream(state, [(0, 1), (1, 0)])
+        assert out.n == 2
+        assert np.array_equal(out.g.weights, kept.g.weights)
 
     def test_snapshots_fire_at_interval(self):
         grid = Grid([1.0, 2.0])
-        state = init(grid, LearningRate(1.0, 0.99))
-        seen = []
-        update_stream(state, [1] * 25, snapshot_every=10, on_snapshot=seen.append)
-        assert [s.n for s in seen] == [10, 20]
+        for state, ys in [
+            (init(grid, LearningRate(1.0, 0.99)), [1] * 25),
+            (init(ProductGrid(grid, 2), LearningRate(1.0, 0.99)), [(1, 0)] * 25),
+        ]:
+            seen = []
+            final = update_stream(state, ys, snapshot_every=10, on_snapshot=seen.append)
+            assert [s.n for s in seen] == [10, 20]
+            assert seen[0].g.grid is state.g.grid
+            assert np.array_equal(seen[1].g.weights, update_stream(state, ys[:20]).g.weights)
+            assert final.n == 25
 
     def test_custom_schedule_is_accepted(self):
         grid = Grid([1.0, 2.0, 3.0])
@@ -201,20 +220,24 @@ class TestUpdateStream:
                     return at_offset(np.zeros(self.shape), offset).view(Placed)
                 return super().__array_function__(func, types, args, kwargs)
 
-        grid = Grid(np.linspace(0.2, 12.0, 500))
         rate = LearningRate(1.0, 0.99)
-        ys = np.random.default_rng(0).poisson(3.0, 200)
-        start = init(grid, rate)
-        finals = []
-        for offset in range(0, 64, 8):
-            placed = at_offset(start.g.weights, offset).view(Placed)
-            assert placed.ctypes.data % 64 == offset
-            g = MixingWeights(grid, start.g.weights)
-            object.__setattr__(g, "weights", placed)
-            state = engine.NewtonState(g, 0, rate, start.cache)
-            finals.append(update_stream(state, ys).g.weights)
-        for offset, w in zip(range(0, 64, 8), finals):
-            assert np.array_equal(w, finals[0]), f"offset {offset} differs"
+        rng = np.random.default_rng(0)
+        cases = [
+            (Grid(np.linspace(0.2, 12.0, 500)), rng.poisson(3.0, 200)),
+            (ProductGrid(Grid(np.linspace(0.2, 12.0, 23)), 2), rng.poisson(3.0, (200, 2))),
+        ]
+        for grid, ys in cases:
+            start = init(grid, rate)
+            finals = []
+            for offset in range(0, 64, 8):
+                placed = at_offset(start.g.weights, offset).view(Placed)
+                assert placed.ctypes.data % 64 == offset
+                g = MixingWeights(grid, start.g.weights)
+                object.__setattr__(g, "weights", placed)
+                state = engine.NewtonState(g, 0, rate, start.cache)
+                finals.append(update_stream(state, ys).g.weights)
+            for offset, w in zip(range(0, 64, 8), finals):
+                assert np.array_equal(w, finals[0]), f"offset {offset} differs"
 
 
 class TestStreamInvariants:
@@ -305,17 +328,16 @@ class TestSerialization:
             deserialize_state(blob[: len(blob) - 3])
         with pytest.raises(StateFormatError):
             deserialize_state(b"NOTMAGIC" + blob[8:])
+        # a header claiming kdim = 0 or an absurd dimension, with a valid checksum
+        for kdim in (0, 2**31):
+            body = blob[:12] + struct.pack("<I", kdim) + blob[16:-4]
+            with pytest.raises(StateFormatError):
+                deserialize_state(body + struct.pack("<I", zlib.crc32(body)))
 
     def test_custom_schedule_does_not_serialize(self):
         state = init(Grid([1.0, 2.0]), rate=lambda n: 1.0 / n)
         with pytest.raises(ValueError):
             serialize_state(state)
-
-    def test_jsonl_dump_has_one_weight_per_line(self):
-        state = init(Grid([1.0, 2.0, 3.0]), LearningRate(1.0, 0.99))
-        lines = dump_weights_jsonl(state).strip().split("\n")
-        assert len(lines) == 3
-        assert all(abs(float(v) - 1 / 3) < 1e-12 for v in lines)
 
 
 class TestCost:

@@ -49,11 +49,21 @@ class TestRatioEstimate:
         assert ratio_estimate(g, y) == pytest.approx(posterior_mean(g, y), rel=1e-10)
 
 
+    def test_negative_count_is_rejected_with_or_without_a_cache(self):
+        g = MixingWeights(Grid([1.0, 4.0]), [0.5, 0.5])
+        cache = KernelMatrixCache(g.grid)
+        cache.ensure(30)
+        for c in (None, cache):
+            with pytest.raises(ValueError):
+                ratio_estimate(g, -1, c)
+
+
 class TestCltScale:
     def test_matches_hurwitz_tail(self):
-        # independent oracle: sum_{k>=n} (alpha+k)^(-2 gamma) is a Hurwitz zeta
+        # independent oracle: the Hurwitz tail sum_{k>=n} (alpha+k)^(-2 gamma)
+        # summed term by term, where the library evaluates zeta in closed form
         for alpha, gamma, n in [(1.0, 0.75, 10), (1.0, 0.99, 100), (0.5, 0.6, 3)]:
-            expected = 1.0 / float(zeta(2 * gamma, alpha + n))
+            expected = oracles.clt_scale_partial_sum(alpha, gamma, n)
             assert clt_scale(LearningRate(alpha, gamma), n) == pytest.approx(
                 expected, rel=1e-9
             )

@@ -145,6 +145,16 @@ class TestKernelCache:
         assert np.array_equal(stepwise.log_table(36), once.log_table(36))
         assert np.array_equal(stepwise.scaled_table(36), once.scaled_table(36))
 
+    def test_negative_counts_are_rejected_not_read_from_the_end(self):
+        g = MixingWeights(Grid([1.0, 4.0]), [0.5, 0.5])
+        cache = KernelMatrixCache(g.grid)
+        cache.ensure(30)
+        for read in (cache.log_row, cache.scaled_row, cache.log_table, cache.scaled_table):
+            with pytest.raises(ValueError):
+                read(-1)
+        with pytest.raises(ValueError):
+            posterior_weights(g, -1, cache)
+
     def test_reads_during_growth_see_complete_rows(self):
         # A reader that trusts max_y must find that row in every table,
         # whichever point of an extension its thread switch falls on.

@@ -3,23 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from streameb.engine import LearningRate, init, update
-from streameb.inference import asymptotic_variance
-from streameb.model import DegenerateLikelihoodError, Grid, MixingWeights
-from streameb.multidim import (
-    MultiMixingWeights,
-    ProductGrid,
-    multi_asymptotic_variance,
-    multi_deserialize_state,
-    multi_estimate,
-    multi_init,
-    multi_log_kernel,
-    multi_mixture_pmf,
-    multi_regret,
-    multi_serialize_state,
-    multi_update,
-    multi_update_stream,
+from streameb import engine, multidim
+from streameb.engine import (
+    LearningRate,
+    deserialize_state,
+    init,
+    serialize_state,
+    update,
+    update_stream,
 )
+from streameb.inference import asymptotic_variance
+from streameb.model import DegenerateLikelihoodError, Grid, MixingWeights, ProductGrid
+from streameb.multidim import multi_asymptotic_variance, multi_estimate, multi_mixture_pmf
 
 from . import oracles
 
@@ -33,54 +28,68 @@ class TestProductGrid:
         with pytest.raises(ValueError):
             ProductGrid(base, 0)
 
+    def test_shared_grid_surface(self):
+        base = Grid([1.0, 2.0, 3.0])
+        pg = ProductGrid(base, 2)
+        assert (len(pg), pg.k, pg.base) == (9, 2, base)
+        assert (len(base), base.k, base.base) == (3, 1, base)
+        assert pg.same_points(ProductGrid(Grid([1.0, 2.0, 3.0]), 2))
+        assert not pg.same_points(ProductGrid(base, 3))
+        assert not pg.same_points(base) and not base.same_points(pg)
+
     def test_index_tuple_bijection(self):
         base = Grid([1.0, 2.0, 3.0])
         pg = ProductGrid(base, 3)
         seen = set()
         for i in range(pg.size):
-            tup = pg.index_to_tuple(i)
+            tup = oracles.index_to_tuple(pg, i)
             seen.add(tup)
             digits = [list(base.points).index(t) for t in tup]
-            assert pg.tuple_to_index(digits) == i
+            assert oracles.tuple_to_index(pg, digits) == i
         assert len(seen) == pg.size
 
     def test_coordinate_columns_agree_with_tuples(self):
         base = Grid([0.5, 2.0])
         pg = ProductGrid(base, 3)
-        cols = pg.coordinate_columns()
+        cols = oracles.coordinate_columns(pg)
         for i in range(pg.size):
-            assert tuple(cols[:, i]) == pg.index_to_tuple(i)
+            assert tuple(cols[:, i]) == oracles.index_to_tuple(pg, i)
+
+    def test_benchmark_names_are_the_engine_objects(self):
+        assert multidim.ProductGrid is ProductGrid
+        assert multidim.multi_init is engine.init
+        assert multidim.multi_update_stream is engine.update_stream
 
 
 class TestMultiKernel:
     def test_reduces_to_scalar_kernel(self):
         from streameb.model import log_poisson_kernel
 
-        assert multi_log_kernel((3,), (2.0,)) == log_poisson_kernel(3, 2.0)
+        assert oracles.multi_log_kernel((3,), (2.0,)) == log_poisson_kernel(3, 2.0)
 
     def test_two_dim_hand_value(self):
-        assert multi_log_kernel((0, 0), (1.0, 1.0)) == pytest.approx(-2.0, abs=1e-14)
+        assert oracles.multi_log_kernel((0, 0), (1.0, 1.0)) == pytest.approx(-2.0, abs=1e-14)
 
     def test_three_dim_matches_product_of_scalars(self, rng):
         for _ in range(10):
             yv = tuple(int(v) for v in rng.integers(0, 12, size=3))
             th = tuple(float(v) for v in rng.uniform(0.2, 9.0, size=3))
             direct = sum(math.log(oracles.poisson_pmf(y, t)) for y, t in zip(yv, th))
-            assert multi_log_kernel(yv, th) == pytest.approx(direct, rel=1e-12)
+            assert oracles.multi_log_kernel(yv, th) == pytest.approx(direct, rel=1e-12)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            multi_log_kernel((1, 2), (1.0,))
+            oracles.multi_log_kernel((1, 2), (1.0,))
 
 
 class TestMultiUpdate:
     def test_k1_trajectory_is_bitwise_identical_to_scalar(self, rng):
         base = Grid(np.linspace(0.4, 9.0, 25))
         rate = LearningRate(1.0, 0.99)
-        mstate = multi_init(ProductGrid(base, 1), rate)
+        mstate = init(ProductGrid(base, 1), rate)
         sstate = init(base, rate)
         for y in rng.poisson(3.0, 1000):
-            mstate = multi_update(mstate, (int(y),))
+            mstate = update(mstate, (int(y),))
             sstate = update(sstate, int(y))
         assert mstate.n == sstate.n == 1000
         assert np.array_equal(mstate.g.weights, sstate.g.weights)
@@ -89,11 +98,11 @@ class TestMultiUpdate:
         base = Grid([2.0, 5.0])
         pg = ProductGrid(base, 2)
         w = np.zeros(4)
-        w[pg.tuple_to_index([0, 1])] = 1.0  # the rate vector (2, 5)
-        state = multi_init(pg, LearningRate(1.0, 0.99), MultiMixingWeights(pg, w))
+        w[oracles.tuple_to_index(pg, [0, 1])] = 1.0  # the rate vector (2, 5)
+        state = init(pg, LearningRate(1.0, 0.99), MixingWeights(pg, w))
         for yv in [(0, 0), (3, 4), (1, 9)]:
-            state = multi_update(state, yv)
-            assert state.g.weights[pg.tuple_to_index([0, 1])] == 1.0
+            state = update(state, yv)
+            assert state.g.weights[oracles.tuple_to_index(pg, [0, 1])] == 1.0
 
     def test_unit_step_preserves_factorized_weights(self, rng):
         # A pure posterior step (unit step size) maps a product of marginals
@@ -103,12 +112,12 @@ class TestMultiUpdate:
         base = Grid([0.5, 2.0, 6.0])
         pg = ProductGrid(base, 2)
         rate = LearningRate(1.0, 0.9)
-        mstate = multi_init(pg, rate)
+        mstate = init(pg, rate)
         s1 = init(base, rate)
         s2 = init(base, rate)
         for _ in range(40):
             y1, y2 = int(rng.poisson(2.0)), int(rng.poisson(4.0))
-            mstate = multi_update(mstate, (y1, y2), step_size=1.0)
+            mstate = update(mstate, (y1, y2), step_size=1.0)
             s1 = update(s1, y1, step_size=1.0)
             s2 = update(s2, y2, step_size=1.0)
         tensor = np.outer(s1.g.weights, s2.g.weights).ravel()
@@ -119,19 +128,30 @@ class TestMultiUpdate:
         pg = ProductGrid(base, 2)
         w = np.zeros(4)
         w[0] = 1.0  # all mass at (0.5, 0.5)
-        state = multi_init(pg, LearningRate(1.0, 0.99), MultiMixingWeights(pg, w))
+        state = init(pg, LearningRate(1.0, 0.99), MixingWeights(pg, w))
         with pytest.raises(DegenerateLikelihoodError):
-            multi_update(state, (30000, 30000))
+            update(state, (30000, 30000))
 
     def test_stream_reports_the_failing_index(self):
         base = Grid([0.5, 30000.0])
         pg = ProductGrid(base, 2)
         w = np.zeros(4)
         w[0] = 1.0
-        state = multi_init(pg, LearningRate(1.0, 0.99), MultiMixingWeights(pg, w))
+        state = init(pg, LearningRate(1.0, 0.99), MixingWeights(pg, w))
         with pytest.raises(DegenerateLikelihoodError) as err:
-            multi_update_stream(state, [(0, 0), (30000, 30000)])
+            update_stream(state, [(0, 0), (30000, 30000)])
         assert err.value.stream_index == 1
+        assert err.value.y == (30000, 30000)
+
+    def test_malformed_count_vectors_are_rejected(self):
+        state = init(ProductGrid(Grid([1.0, 2.0]), 2), LearningRate(1.0, 0.99))
+        for bad in ([(1, 2, 3)], [1, 2], [(1, -1)]):
+            with pytest.raises(ValueError):
+                update_stream(state, bad)
+        for bad in ((1,), (0, -2)):
+            with pytest.raises(ValueError):
+                update(state, bad)
+        assert update_stream(state, []) is state
 
 
 class TestMultiEstimate:
@@ -139,8 +159,8 @@ class TestMultiEstimate:
         base = Grid([2.0, 5.0])
         pg = ProductGrid(base, 2)
         w = np.zeros(4)
-        w[pg.tuple_to_index([0, 1])] = 1.0
-        g = MultiMixingWeights(pg, w)
+        w[oracles.tuple_to_index(pg, [0, 1])] = 1.0
+        g = MixingWeights(pg, w)
         for yv in [(0, 0), (4, 2)]:
             assert multi_estimate(g, yv, 0) == pytest.approx(2.0, rel=1e-10)
             assert multi_estimate(g, yv, 1) == pytest.approx(5.0, rel=1e-10)
@@ -152,7 +172,7 @@ class TestMultiEstimate:
         pg = ProductGrid(base, 2)
         w1 = rng.dirichlet(np.ones(4))
         w2 = rng.dirichlet(np.ones(4))
-        g = MultiMixingWeights(pg, np.outer(w1, w2).ravel())
+        g = MixingWeights(pg, np.outer(w1, w2).ravel())
         m1 = MixingWeights(base, w1)
         m2 = MixingWeights(base, w2)
         for yv in [(0, 0), (2, 5), (7, 1)]:
@@ -167,11 +187,14 @@ class TestMultiEstimate:
         base = Grid([0.5, 2.0, 4.0])
         pg = ProductGrid(base, 2)
         w = rng.dirichlet(np.ones(pg.size))
-        g = MultiMixingWeights(pg, w)
+        g = MixingWeights(pg, w)
         yv = (1, 3)
-        cols = pg.coordinate_columns()
+        cols = oracles.coordinate_columns(pg)
         k_vals = np.array(
-            [math.exp(multi_log_kernel(yv, pg.index_to_tuple(i))) for i in range(pg.size)]
+            [
+                math.exp(oracles.multi_log_kernel(yv, oracles.index_to_tuple(pg, i)))
+                for i in range(pg.size)
+            ]
         )
         post = k_vals * w / (k_vals * w).sum()
         for j in range(2):
@@ -182,7 +205,7 @@ class TestMultiEstimate:
     def test_estimates_stay_inside_the_base_grid(self, rng):
         base = Grid([0.5, 2.0, 4.0])
         pg = ProductGrid(base, 2)
-        g = MultiMixingWeights(pg, rng.dirichlet(np.ones(pg.size)))
+        g = MixingWeights(pg, rng.dirichlet(np.ones(pg.size)))
         for yv in [(0, 0), (3, 8), (12, 1)]:
             for j in range(2):
                 assert base.lo <= multi_estimate(g, yv, j) <= base.hi
@@ -193,7 +216,7 @@ class TestMultiVariance:
         base = Grid([0.5, 2.0, 4.0, 7.0])
         pg = ProductGrid(base, 1)
         w = rng.dirichlet(np.ones(4))
-        g = MultiMixingWeights(pg, w)
+        g = MixingWeights(pg, w)
         scalar = asymptotic_variance(MixingWeights(base, w), 2, 120)
         lattice = multi_asymptotic_variance(g, (2,), 120)
         assert lattice.shape == (1, 1)
@@ -204,17 +227,17 @@ class TestMultiVariance:
         pg = ProductGrid(base, 2)
         w = np.zeros(4)
         w[1] = 1.0
-        cov = multi_asymptotic_variance(MultiMixingWeights(pg, w), (1, 1), 60)
+        cov = multi_asymptotic_variance(MixingWeights(pg, w), (1, 1), 60)
         assert np.max(np.abs(cov)) < 1e-25
 
     def test_matches_brute_force_lattice_sum(self, rng):
         base = Grid([0.6, 1.8, 3.2])
         pg = ProductGrid(base, 2)
         w = rng.dirichlet(np.ones(9))
-        g = MultiMixingWeights(pg, w)
+        g = MixingWeights(pg, w)
         yv = (1, 2)
         y_max = 40
-        tuples = [pg.index_to_tuple(i) for i in range(9)]
+        tuples = [oracles.index_to_tuple(pg, i) for i in range(9)]
         p_y = multi_mixture_pmf(g, yv)
         brute = np.zeros((2, 2))
         contrasts = np.zeros((2, 9))
@@ -224,8 +247,8 @@ class TestMultiVariance:
             p_up = multi_mixture_pmf(g, bumped)
             theta_hat[j] = (yv[j] + 1) * p_up / p_y
             for i, th in enumerate(tuples):
-                k_up = math.exp(multi_log_kernel(bumped, th))
-                k_y = math.exp(multi_log_kernel(yv, th))
+                k_up = math.exp(oracles.multi_log_kernel(bumped, th))
+                k_y = math.exp(oracles.multi_log_kernel(yv, th))
                 contrasts[j, i] = k_up / p_up - k_y / p_y
         for z1 in range(y_max + 1):
             for z2 in range(y_max + 1):
@@ -234,7 +257,7 @@ class TestMultiVariance:
                 if p_z <= 0:
                     continue
                 post = np.array(
-                    [math.exp(multi_log_kernel(zv, th)) * wi for th, wi in zip(tuples, w)]
+                    [math.exp(oracles.multi_log_kernel(zv, th)) * wi for th, wi in zip(tuples, w)]
                 )
                 post /= post.sum()
                 b = contrasts @ post
@@ -246,32 +269,19 @@ class TestMultiVariance:
     def test_symmetric_positive_semidefinite(self, rng):
         base = Grid([0.5, 2.0, 4.0])
         pg = ProductGrid(base, 2)
-        g = MultiMixingWeights(pg, rng.dirichlet(np.ones(9)))
+        g = MixingWeights(pg, rng.dirichlet(np.ones(9)))
         cov = multi_asymptotic_variance(g, (1, 1), 60)
         assert np.max(np.abs(cov - cov.T)) < 1e-12
         assert np.linalg.eigvalsh(cov).min() >= -1e-9
-
-
-class TestMultiRegret:
-    def test_zero_against_itself_and_positive_otherwise(self, rng):
-        base = Grid([0.8, 2.5, 5.0])
-        pg = ProductGrid(base, 2)
-        w = rng.dirichlet(np.ones(9))
-        g = MultiMixingWeights(pg, w)
-        assert multi_regret(g, g, 25) == 0.0
-        other = MultiMixingWeights(pg, rng.dirichlet(np.ones(9)))
-        assert multi_regret(other, g, 25) > 0.0
 
 
 class TestMultiSerialization:
     def test_round_trip(self, rng):
         base = Grid([0.5, 2.0, 4.0])
         pg = ProductGrid(base, 2)
-        state = multi_init(pg, LearningRate(1.0, 0.9))
-        for yv in rng.integers(0, 8, size=(20, 2)):
-            state = multi_update(state, tuple(int(v) for v in yv))
-        back = multi_deserialize_state(multi_serialize_state(state))
+        state = update_stream(init(pg, LearningRate(1.0, 0.9)), rng.integers(0, 8, size=(20, 2)))
+        back = deserialize_state(serialize_state(state))
         assert back.n == 20
-        assert back.g.grid.k == 2
+        assert back.g.grid.same_points(pg)
         assert np.array_equal(back.g.weights, state.g.weights)
-        assert np.array_equal(back.g.grid.base.points, base.points)
+        assert (back.rate.alpha, back.rate.gamma) == (1.0, 0.9)
