@@ -15,6 +15,7 @@ import numpy as np
 
 from streameb.baselines import (
     VdmConfig,
+    baseline_grid,
     fit_gamma_hyperprior,
     fit_min_hellinger,
     fit_npmle,
@@ -32,16 +33,15 @@ from streameb.evaluation import (
     run_stream_experiment,
 )
 from streameb.inference import ratio_estimate
-from streameb.model import CountHistogram, Grid, KernelMatrixCache
+from streameb.model import CountHistogram, KernelMatrixCache
 from streameb.priors import parse_prior
 
 
 def baseline_rows(prior, prior_label, n, seed, grid_points):
     thetas, ys = generate_compound(prior, n, seed)
     h = CountHistogram.from_counts(ys)
-    hi = max(ys.max() + 3.0 * np.sqrt(ys.max() + 1.0), 1.0)
-    grid = Grid(np.linspace(1e-3, hi, grid_points))
-    cfg = VdmConfig(grid, max_iters=2000, tol=1e-7)
+    grid = baseline_grid(h, grid_points)
+    cfg = VdmConfig(grid)
     cache = KernelMatrixCache(grid)
     rows = []
 

@@ -3,10 +3,10 @@
 Four methods over a count histogram:
 
 * ``robbins_estimate``: the ratio of empirical frequencies, (y+1) n_{y+1}/n_y.
-* ``fit_npmle``: nonparametric ML mixing weights on a grid, by the vertex
-  direction method (repeatedly mix toward the atom with the steepest
-  directional derivative of the log likelihood).
-* ``fit_min_hellinger``: same scheme minimizing squared Hellinger distance
+* ``fit_npmle``: nonparametric ML mixing weights on a grid, by mix-SQP
+  (Kim, Carbonetto, Stephens & Anitescu 2020): sequential quadratic
+  programming whose subproblems an active-set method solves exactly.
+* ``fit_min_hellinger``: same solver minimizing squared Hellinger distance
   to the empirical pmf.
 * ``fit_gamma_hyperprior`` / ``gamma_posterior_mean``: parametric route; the
   marginal of a Gamma(shape, rate) prior is negative binomial, fitted by
@@ -16,10 +16,9 @@ Four methods over a count histogram:
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import minimize
 from scipy.special import digamma, gammaln
 
 from .inference import ratio_estimate
@@ -46,20 +45,17 @@ class GammaHyper:
 
 @dataclass(frozen=True, eq=False)
 class VdmConfig:
-    """Grid and stopping policy for the vertex direction solvers."""
+    """Grid and stopping policy for the NPMLE and minimum-Hellinger solvers."""
 
     grid: Grid
     max_iters: int = 500
     tol: float = 1e-8
-    step_rule: str = "exact-line-search"
 
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
         if not self.tol > 0:
             raise ValueError("tol must be positive")
-        if self.step_rule not in ("exact-line-search", "armijo"):
-            raise ValueError("step_rule must be exact-line-search or armijo")
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,6 +67,12 @@ class VdmResult:
     iterations: int
 
 
+def baseline_grid(h: CountHistogram, points: int = 1000, lo: float = 1e-3) -> Grid:
+    """Grid of ``streameb baseline``: max(lo, 1e-3) to max + 3 (sqrt(max) + 1)."""
+    top = h.max_count()
+    return Grid(np.linspace(max(lo, 1e-3), max(top + 3.0 * (top**0.5 + 1.0), 1.0), points))
+
+
 def robbins_estimate(h: CountHistogram, y: int) -> float:
     """(y+1) n_{y+1} / n_y from the raw histogram; 0 when y+1 was never seen."""
     n_y = h.entries.get(int(y), 0)
@@ -79,145 +81,141 @@ def robbins_estimate(h: CountHistogram, y: int) -> float:
     return (y + 1) * h.entries.get(int(y) + 1, 0) / n_y
 
 
-def _line_search_exact(phi_grad, lo=0.0, hi=1.0 - 1e-12):
-    """Maximize a concave 1-d function on [lo, hi] given its derivative.
+def _nonnegative_qp(a: np.ndarray, g: np.ndarray, x: np.ndarray, tol: float = 1e-10):
+    """argmin over y >= 0 of |a (y - x)|^2 / 2 + g . (y - x), by a primal active set.
 
-    The right endpoint stays just below 1 so every mixture keeps a sliver of
-    the incumbent weights and the pmf never collapses onto a single column.
+    Starts from an empty support and adds the free coordinate whose gradient
+    is below ``-tol`` and most negative.  Each Newton step on the support
+    solves ``a_S' a_S`` plus a 1e-10 ridge for the correction to the current
+    y, so the ridge damps the correction rather than pulling y toward zero;
+    when a coordinate reaches zero the step stops there and the coordinate
+    leaves the support.  ``a`` has one row per distinct count, so the d x d
+    Hessian ``a' a`` is never formed.
     """
-    g_lo = phi_grad(lo)
-    if g_lo <= 0:
-        return lo
-    if phi_grad(hi) >= 0:
-        return hi
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if phi_grad(mid) > 0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-15:
+    y = np.zeros(a.shape[1])
+    ax = a @ x
+    support: list = []
+    for _ in range(4 * a.shape[1] + 10):
+        grad = a.T @ (a[:, support] @ y[support] - ax) + g
+        grad[support] = 0.0
+        j = int(np.argmin(grad))
+        if grad[j] >= -tol:
             break
-    return 0.5 * (lo + hi)
+        support.append(j)
+        while True:
+            a_s, cur = a[:, support], y[support]
+            hess = a_s.T @ a_s + 1e-10 * np.eye(len(support))
+            z = cur - np.linalg.solve(hess, a_s.T @ (a_s @ cur - ax) + g[support])
+            if np.all(z > 0):
+                y[support] = z
+                break
+            hit = np.flatnonzero(z <= 0)
+            ratios = cur[hit] / (cur[hit] - z[hit])
+            moved = cur + ratios.min() * (z - cur)
+            moved[hit[np.argmin(ratios)]] = 0.0
+            y[support] = np.maximum(moved, 0.0)
+            support = [k for k in support if y[k] > 0]
+        if j not in support:  # the entering coordinate cannot move: no progress left
+            break
+    return y
 
 
-def _line_search_armijo(phi, phi_grad0, hi=1.0, shrink=0.5, slope=1e-4):
-    """Backtracking step on a concave objective; returns an improving eps."""
-    base = phi(0.0)
-    eps = hi
-    while eps > 1e-16:
-        if phi(eps) >= base + slope * eps * phi_grad0:
-            return eps
-        eps *= shrink
-    return 0.0
+# A step may shrink no pmf entry below this fraction of its current value, as
+# far as the quadratic model of log p (or sqrt p) is trusted.  Without it one
+# step can push a rare count's pmf to ~1e-30, which Newton steps only double.
+_PMF_FLOOR = 0.1
 
 
-def _run_vdm(h: CountHistogram, cfg: VdmConfig, objective):
-    """Vertex direction iterations for a concave objective over the simplex.
+def _run_sqp(h: CountHistogram, cfg: VdmConfig, objective, gain, lam: float, scale):
+    """mix-SQP for ``f(x) = lam sum(x) - phi(Kx)`` over x >= 0 (phi concave).
 
-    ``objective`` maps the pmf vector p (over the observed support) to
-    (value, per-count weight vector u) such that the directional derivative
-    of the objective toward vertex j is ``u . K[:, j] - u . p``.  The
-    stationarity certificate is ``max_j u . K[:, j] <= u . p`` at an optimum.
+    ``objective(p)`` gives ``(phi(p), u, c)`` at p = Kx, with u = phi'(p) and
+    c = -phi''(p): f has gradient ``lam - u K`` and Hessian ``K' diag(c) K``.
+    ``gain(p, dp)`` is ``phi(p + dp) - phi(p)`` without cancellation, for the
+    Armijo search on f.  ``scale(phi(p))`` is the multiple of a mixture on the
+    simplex that minimizes f along its ray; each step starts there and ends
+    back on the simplex, so the recorded objective improves strictly.  At a
+    stationary point ``max_j u . K[:, j] <= u . p``: that ratio certifies.
     """
     ys = h.support()
     kernel = np.exp(KernelMatrixCache(cfg.grid).log_table(int(ys.max()) + 1))[ys]
     if np.any(kernel.max(axis=1) <= 0.0):
         bad = int(ys[int(np.argmin(kernel.max(axis=1)))])
         raise ValueError(f"count y={bad} is unreachable from every grid atom")
-    d = len(cfg.grid)
-    w = np.full(d, 1.0 / d)
-    p = kernel @ w
-    path = []
-    converged = False
-    cert = np.inf
-    it = 0
+    x = np.full(len(cfg.grid), 1.0 / len(cfg.grid))
+    path, converged, cert, it = [], False, np.inf, 0
     for it in range(1, cfg.max_iters + 1):
-        value, u = objective(p)
+        p = kernel @ x
+        value, u, _ = objective(p)
         path.append(value)
-        scores = u @ kernel
-        bound = float(u @ p)
-        j = int(np.argmax(scores))
-        cert = float(scores[j] / bound)
-        if scores[j] <= bound * (1.0 + cfg.tol):
-            converged = True
+        cert = float((u @ kernel).max() / (u @ p))
+        converged = cert <= 1.0 + cfg.tol
+        if converged or it == cfg.max_iters:  # the result is the iterate just checked
             break
-        col = kernel[:, j]
-
-        def phi(eps):
-            return objective((1.0 - eps) * p + eps * col)[0]
-
-        def phi_grad(eps):
-            mix = (1.0 - eps) * p + eps * col
-            _, u_eps = objective(mix)
-            return float(u_eps @ (col - p))
-
-        if cfg.step_rule == "exact-line-search":
-            eps = _line_search_exact(phi_grad)
-        else:
-            eps = _line_search_armijo(phi, float(scores[j] - bound), hi=1.0 - 1e-12)
-        if eps <= 0.0:
-            converged = True
+        s = scale(value)
+        x, p = s * x, s * p
+        _, u, c = objective(p)
+        grad = lam - u @ kernel
+        a = np.sqrt(c)[:, None] * kernel
+        step = _nonnegative_qp(a, grad, x) - x
+        dp = kernel @ step
+        t = float(np.min((_PMF_FLOOR - 1.0) * p[dp < 0] / dp[dp < 0], initial=1.0))
+        slope, total = float(grad @ step), float(step.sum())
+        while t >= 1e-10 and lam * t * total - gain(p, t * dp) > 0.01 * t * slope:
+            t *= 0.5
+        if t < 1e-10:  # no decrease along the step
             break
-        w = (1.0 - eps) * w
-        w[j] += eps
-        p = (1.0 - eps) * p + eps * col
+        x = x + t * step
+        x /= x.sum()
     if not converged:
         warnings.warn(
-            f"vertex direction stopped at max_iters={cfg.max_iters} "
+            f"SQP stopped after {it} of max_iters={cfg.max_iters} iterations "
             f"with certificate {cert:.3e}; returning the best iterate"
         )
-    return VdmResult(
-        weights=MixingWeights(cfg.grid, w),
-        objective_path=np.asarray(path),
-        certificate=cert,
-        converged=converged,
-        iterations=it,
-    )
+    weights = MixingWeights(cfg.grid, x / x.sum())  # x is scaled if the search failed
+    return VdmResult(weights, np.asarray(path), cert, converged, it)
 
 
 def fit_npmle(h: CountHistogram, cfg: VdmConfig) -> VdmResult:
     """Maximize sum_y n_y log p_g(y) over mixing weights on the grid.
 
-    At a stationary point ``max_j sum_y (n_y/N) k(y|theta_j) / p_g(y)`` is
-    at most ``1 + tol``; that ratio is returned as the certificate.
+    Solved as min ``sum(x) - sum_y (n_y/N) log (Kx)_y`` over x >= 0, whose
+    minimizer lies on the simplex.  The certificate is ``max_j sum_y (n_y/N)
+    k(y|theta_j) / p_g(y)``, 1 at the optimum.
     """
-    counts = h.multiplicities()
+    freq = h.multiplicities() / h.total
 
     def objective(p):
-        if np.any(p <= 0):
-            return -np.inf, np.zeros_like(p)
-        return float(counts @ np.log(p)), counts / p
+        return float(freq @ np.log(p)), freq / p, freq / p**2
 
-    return _run_vdm(h, cfg, objective)
+    def gain(p, dp):
+        return float(freq @ np.log1p(dp / p))
+
+    res = _run_sqp(h, cfg, objective, gain, 1.0, lambda value: 1.0)
+    return replace(res, objective_path=h.total * res.objective_path)
 
 
 def fit_min_hellinger(h: CountHistogram, cfg: VdmConfig) -> VdmResult:
     """Minimize 1 - sum_y sqrt(p_hat(y) p_g(y)) over mixing weights.
 
     The empirical pmf lives on the observed support (an implicit tail cell
-    carries zero mass, so it never enters the affinity).  Internally the
-    affinity is maximized; ``objective_path`` reports the distance, so it is
-    non-increasing across iterations.
+    carries zero mass, so it never enters the affinity).  Solved as min
+    ``sum(x)/2 - sum_y sqrt(p_hat(y) (Kx)_y)`` over x >= 0: the affinity is
+    homogeneous of degree 1/2, so the minimizer is the best mixture times its
+    squared affinity.  ``objective_path`` reports the distance of the
+    normalized iterates, so it is non-increasing.
     """
-    p_hat = h.multiplicities() / h.total
-    root_hat = np.sqrt(p_hat)
+    root_hat = np.sqrt(h.multiplicities() / h.total)
 
     def objective(p):
-        root_p = np.sqrt(np.maximum(p, 0.0))
-        affinity = float(root_hat @ root_p)
-        with np.errstate(divide="ignore"):
-            u = np.where(p > 0, 0.5 * root_hat / np.maximum(root_p, 1e-300), 0.0)
-        return affinity, u
+        root_p = np.sqrt(p)
+        return float(root_hat @ root_p), 0.5 * root_hat / root_p, 0.25 * root_hat / (p * root_p)
 
-    res = _run_vdm(h, cfg, objective)
-    return VdmResult(
-        weights=res.weights,
-        objective_path=1.0 - res.objective_path,
-        certificate=res.certificate,
-        converged=res.converged,
-        iterations=res.iterations,
-    )
+    def gain(p, dp):
+        return float(root_hat @ (dp / (np.sqrt(p + dp) + np.sqrt(p))))
+
+    res = _run_sqp(h, cfg, objective, gain, 0.5, lambda affinity: affinity**2)
+    return replace(res, objective_path=1.0 - res.objective_path)
 
 
 # -- Gamma hyperprior (negative binomial marginal) ---------------------------
@@ -270,6 +268,8 @@ def fit_gamma_hyperprior(h: CountHistogram) -> GammaHyper:
         )
         return GammaHyper(shape_cap, shape_cap / max(mean, 1e-8))
     # Method-of-moments start: var = mean + mean^2/shape.
+    from scipy.optimize import minimize  # deferred: only this fit needs it
+
     shape0 = max(mean**2 / (var - mean), 1e-3)
     rate0 = max(shape0 / max(mean, 1e-8), 1e-6)
 

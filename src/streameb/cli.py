@@ -27,7 +27,7 @@ from . import baselines, engine, evaluation, inference
 from .baselines import VdmConfig
 from .engine import LearningRate
 from .gridding import GridInfeasibleError, GridSpec, build_equispaced_grid
-from .model import CountHistogram, DegenerateLikelihoodError, Grid
+from .model import CountHistogram, DegenerateLikelihoodError
 from .priors import parse_prior
 
 VALIDATION_EXIT = 2
@@ -215,8 +215,7 @@ def _cmd_baseline(args) -> int:
     h = ingest(args.input, _ingest_format(args))
     cfg = None
     if args.method in ("npmle", "npmd"):
-        hi = max(h.max_count() + 3.0 * (h.max_count() ** 0.5 + 1.0), 1.0)
-        grid = Grid(np.linspace(max(args.grid_lo, 1e-3), hi, args.grid_points))
+        grid = baselines.baseline_grid(h, args.grid_points, args.grid_lo)
         cfg = VdmConfig(grid=grid, max_iters=args.max_iters, tol=args.tol)
     rows, info = baselines.baseline_estimates(h, args.method, cfg)
     if args.markdown:

@@ -34,6 +34,7 @@ from .model import (
     MixingWeights,
     ProductGrid,
     posterior_table,
+    scalar_grid,
 )
 
 _MAGIC = b"EBSTREAM"
@@ -252,7 +253,7 @@ def martingale_residual(state: NewtonState, y_max: int) -> float:
     """
     g = state.g
     w = g.weights
-    pts = g.grid.points
+    pts = scalar_grid(g).points
     a = state.rate(state.n + 1)
     p, post = posterior_table(g, y_max, state.cache)    # (y_max+1, d)
     stepped = (1.0 - a) * w[None, :] + a * post         # update applied at each y

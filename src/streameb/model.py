@@ -299,9 +299,24 @@ def _log_weights(g: MixingWeights) -> np.ndarray:
         return np.log(g.weights)
 
 
+def scalar_grid(g: MixingWeights) -> Grid:
+    """``g.grid``, checked to be a scalar :class:`Grid`; lattice weights raise."""
+    if not isinstance(g.grid, Grid):
+        raise ValueError(
+            f"scalar inference needs weights on a Grid, not on a {type(g.grid).__name__} "
+            f"(k={g.grid.k})"
+        )
+    return g.grid
+
+
+def _log_kernel_row(g: MixingWeights, y: int, cache: KernelMatrixCache | None) -> np.ndarray:
+    grid = scalar_grid(g)
+    return cache.log_row(y) if cache is not None else log_poisson_kernel(y, grid.points)
+
+
 def log_mixture_pmf(g: MixingWeights, y: int, cache: KernelMatrixCache | None = None) -> float:
     """log p_g(y) by log-sum-exp over the active (positive-weight) atoms."""
-    row = cache.log_row(y) if cache is not None else log_poisson_kernel(y, g.grid.points)
+    row = _log_kernel_row(g, y, cache)
     active = g.support_mask()
     lw = _log_weights(g)
     return float(logsumexp(row[active] + lw[active]))
@@ -330,8 +345,9 @@ def posterior_table(g: MixingWeights, y_max: int, cache: KernelMatrixCache | Non
     Returns ``(p, post)``: ``p[z] = p_g(z)`` and ``post[z] = k(z|theta) g /
     p_g(z)``, shape (y_max+1, d).  Rows where p_g(z) underflows stay zero.
     """
+    grid = scalar_grid(g)
     if cache is None:
-        cache = KernelMatrixCache(g.grid)
+        cache = KernelMatrixCache(grid)
     post = np.exp(cache.log_table(y_max))
     p = post @ g.weights
     post *= g.weights[None, :]
@@ -343,7 +359,7 @@ def posterior_weights(
     g: MixingWeights, y: int, cache: KernelMatrixCache | None = None
 ) -> MixingWeights:
     """One-observation posterior k(y|theta_j) g_j / p_g(y), renormalized."""
-    row = cache.log_row(y) if cache is not None else log_poisson_kernel(y, g.grid.points)
+    row = _log_kernel_row(g, y, cache)
     scores = row + _log_weights(g)
     m = scores.max()
     if not np.isfinite(m):

@@ -7,6 +7,7 @@ from streameb.baselines import (
     UndefinedAtCountError,
     VdmConfig,
     baseline_estimates,
+    baseline_grid,
     estimates_to_csv,
     estimates_to_markdown,
     fit_gamma_hyperprior,
@@ -47,8 +48,12 @@ class TestVdmConfig:
             VdmConfig(grid, max_iters=0)
         with pytest.raises(ValueError):
             VdmConfig(grid, tol=0.0)
-        with pytest.raises(ValueError):
-            VdmConfig(grid, step_rule="newton")
+
+    def test_baseline_grid_rule(self):
+        grid = baseline_grid(CountHistogram.from_pairs([(0, 3), (16, 1)]), points=50, lo=0.0)
+        assert len(grid) == 50
+        assert grid.lo == 1e-3
+        assert grid.hi == pytest.approx(16 + 3 * (4 + 1))
 
 
 class TestNpmle:
@@ -66,6 +71,7 @@ class TestNpmle:
         filler = np.linspace(2, 8, 7)
         grid = Grid(np.sort(np.concatenate([[0.5, 10.0], filler])))
         res = fit_npmle(h, VdmConfig(grid, max_iters=4000, tol=1e-6))
+        assert res.converged
         w = res.weights.weights
         lo_mass = w[grid.points <= 1.0].sum()
         hi_mass = w[grid.points >= 9.0].sum()
@@ -90,6 +96,7 @@ class TestNpmle:
         h = CountHistogram.from_pairs([(0, 50), (2, 80), (7, 40)])
         grid = Grid(np.linspace(0.1, 12, 60))
         res = fit_npmle(h, VdmConfig(grid, max_iters=500, tol=1e-10))
+        assert res.converged
         assert np.all(np.diff(res.objective_path) >= -1e-9)
 
     def test_stationarity_certificate_at_convergence(self):
@@ -116,6 +123,22 @@ class TestNpmle:
         assert not res.converged
         assert res.iterations == 3
 
+    def test_insurance_fit_reaches_the_optimum_in_few_iterations(self, accident_histogram):
+        # 500 vertex-direction steps stop at -5342.50; the optimum is -5340.70
+        res = fit_npmle(accident_histogram, VdmConfig(baseline_grid(accident_histogram)))
+        assert res.converged
+        assert res.certificate <= 1 + 1e-8
+        assert res.iterations <= 20
+        kernel = np.array(
+            [
+                [oracles.poisson_pmf(int(y), t) for t in res.weights.grid.points]
+                for y in accident_histogram.support()
+            ]
+        )
+        loglik = accident_histogram.multiplicities() @ np.log(kernel @ res.weights.weights)
+        assert loglik >= -5340.71
+        assert res.objective_path[-1] == pytest.approx(loglik, rel=1e-12)
+
 
 class TestMinHellinger:
     def test_perfect_fit_reaches_zero_distance(self):
@@ -141,11 +164,17 @@ class TestMinHellinger:
         ys = rng.poisson(rng.choice([1.0, 7.0], size=2000), size=2000)
         h = CountHistogram.from_counts(ys)
         grid = Grid(np.linspace(0.1, 12, 80))
-        for rule in ("exact-line-search", "armijo"):
-            res = fit_min_hellinger(
-                h, VdmConfig(grid, max_iters=300, tol=1e-9, step_rule=rule)
-            )
-            assert np.all(np.diff(res.objective_path) <= 1e-12)
+        res = fit_min_hellinger(h, VdmConfig(grid, max_iters=300, tol=1e-9))
+        assert res.converged
+        assert np.all(np.diff(res.objective_path) <= 1e-12)
+
+    def test_insurance_fit_converges_below_the_vertex_direction_distance(
+        self, accident_histogram
+    ):
+        cfg = VdmConfig(baseline_grid(accident_histogram))
+        res = fit_min_hellinger(accident_histogram, cfg)
+        assert res.converged
+        assert res.objective_path[-1] < 8.6e-5  # 500 vertex-direction steps
 
 
 class TestGammaFit:
@@ -240,12 +269,8 @@ class TestEstimateTables:
         cfg = VdmConfig(grid, max_iters=400, tol=1e-7)
         out = {}
         for method in ("npmle", "npmd"):
-            with np.errstate(all="ignore"):
-                import warnings
-
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore")
-                    rows, info = baseline_estimates(accident_histogram, method, cfg)
+            rows, info = baseline_estimates(accident_histogram, method, cfg)
+            assert info["converged"]
             assert len(rows) == 8
             assert "objective" in info
             out[method] = rows

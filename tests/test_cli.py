@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import streameb
 from streameb.cli import IngestFormat, ingest, main
 from streameb.engine import LearningRate, deserialize_state, init, serialize_state
 from streameb.model import Grid, ProductGrid
@@ -91,6 +97,24 @@ class TestBaselineCommand:
     def test_missing_file_is_a_validation_error(self, capsys):
         code = main(["baseline", "--method", "robbins", "--input", "/nonexistent.csv"])
         assert code == 2
+
+    @pytest.mark.parametrize("method", ["npmle", "npmd"])
+    def test_grid_fits_converge_at_the_defaults(self, accident_csv, capsys, method):
+        code = main(["--no-meta", "baseline", "--method", method, "--input", accident_csv,
+                     "--verbose"])
+        assert code == 0
+        assert "'converged': True" in capsys.readouterr().err
+
+
+def test_importing_the_cli_leaves_scipy_optimize_unloaded():
+    # only the Gamma-hyperprior fit needs scipy.optimize; commands that never
+    # run it should not pay for importing it
+    src = str(Path(streameb.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, streameb.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "[]"
 
 
 class TestFitEstimateFlow:

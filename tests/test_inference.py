@@ -6,7 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtri, zeta
 
-from streameb.engine import KernelMatrixCache, LearningRate, NewtonState, init, update_stream
+from streameb.engine import (
+    KernelMatrixCache,
+    LearningRate,
+    NewtonState,
+    init,
+    martingale_residual,
+    update_stream,
+)
 from streameb.evaluation import generate_compound
 from streameb.gridding import GridSpec, build_equispaced_grid
 from streameb.inference import (
@@ -21,7 +28,15 @@ from streameb.inference import (
     truncation_tail_bound,
     validate_clt_schedule,
 )
-from streameb.model import Grid, MixingWeights, log_poisson_kernel, posterior_mean, posterior_table
+from streameb.model import (
+    Grid,
+    MixingWeights,
+    ProductGrid,
+    log_poisson_kernel,
+    posterior_mean,
+    posterior_table,
+    posterior_weights,
+)
 from streameb.priors import parse_prior
 
 from . import oracles
@@ -308,3 +323,28 @@ class TestCredibleInterval:
         assert int(parts[0]) == 3
         assert float(parts[1]) == 2.5
         assert EstimateReport.CSV_HEADER.count(",") == row.count(",")
+
+
+class TestLatticeWeightsRejected:
+    """Scalar entry points name the grid kind instead of failing inside numpy."""
+
+    @pytest.fixture
+    def lattice_state(self):
+        lattice = ProductGrid(Grid([1.0, 2.0, 3.0]), 2)
+        return update_stream(init(lattice, LearningRate(1.0, 0.99)), [(1, 2), (0, 3)])
+
+    def test_ratio_estimate(self, lattice_state):
+        with pytest.raises(ValueError, match="ProductGrid"):
+            ratio_estimate(lattice_state.g, 0, lattice_state.cache)
+
+    def test_credible_intervals(self, lattice_state):
+        with pytest.raises(ValueError, match="ProductGrid"):
+            credible_intervals(lattice_state, [0], 0.9)
+
+    def test_martingale_residual(self, lattice_state):
+        with pytest.raises(ValueError, match="ProductGrid"):
+            martingale_residual(lattice_state, 10)
+
+    def test_posterior_weights(self, lattice_state):
+        with pytest.raises(ValueError, match="ProductGrid"):
+            posterior_weights(lattice_state.g, 0, lattice_state.cache)
