@@ -181,8 +181,11 @@ def _cmd_fit(args) -> int:
         ys = read_count_stream(args.input)
         h = CountHistogram.from_counts(ys)
     else:
+        # a histogram has no order; its consistency results assume an
+        # exchangeable one, so stream a seeded shuffle, not the sorted counts
         h = ingest(args.input, fmt)
-        ys = [y for y in sorted(h.entries) for _ in range(h.entries[y])]
+        ascending = np.repeat(h.support(), h.multiplicities().astype(np.int64))
+        ys = np.random.default_rng(args.seed).permutation(ascending)
     if args.state_in:
         state = _read_scalar_state(args.state_in)
     else:
@@ -191,13 +194,15 @@ def _cmd_fit(args) -> int:
             raise ValueError("all counts are zero; supply --m2, a state, or richer data")
         grid = build_equispaced_grid(GridSpec(args.eta, 2, m2, d_cap=args.dcap))
         state = engine.init(grid, rate)
+    n_before = state.n
     state = engine.update_stream(state, ys, skip_degenerate=args.skip_degenerate)
+    if args.skip_degenerate:
+        print(f"# skipped {len(ys) - (state.n - n_before)} of {len(ys)} counts", file=sys.stderr)
     if args.state_out:
         with open(args.state_out, "wb") as handle:
             handle.write(engine.serialize_state(state))
-    rows = [
-        (y, inference.ratio_estimate(state.g, y, state.cache)) for y in sorted(h.entries)
-    ]
+    table = inference.estimate_table(state.g, h.max_count(), state.cache)[0].tolist()
+    rows = [(y, table[y]) for y in sorted(h.entries)]
     _emit(baselines.estimates_to_csv(rows, "stream"), args)
     return 0
 
@@ -252,10 +257,10 @@ def _cmd_regret(args) -> int:
     )
     res = evaluation.regret_decay_diagnostic(cfg, checkpoints)
     lines = ["seed,checkpoint,regret"]
-    for r, seed in enumerate(cfg.seeds):
-        for ci, c in enumerate(res.checkpoints):
-            lines.append(f"{seed},{c},{res.regrets[r, ci]!r}")
+    for seed, row in zip(cfg.seeds, res.regrets.tolist()):
+        lines += [f"{seed},{c},{value!r}" for c, value in zip(res.checkpoints, row)]
     lines.append(f"# median_log_log_slope,{res.median_slope!r}")
+    lines.append(f"# median_tv_final,{float(np.median(res.tv_final))!r}")
     _emit("\n".join(lines) + "\n", args)
     return 0
 

@@ -75,26 +75,27 @@ class LearningRate:
         return (self.alpha + ks) ** (-self.gamma)
 
 
-# Any non-increasing map n -> step in (0, 1) is accepted by the engine;
-# only LearningRate gets the closed-form tail-sum machinery and serialization.
-Schedule = Callable[[int], float]
-
-
 @dataclass(frozen=True, eq=False)
 class NewtonState:
     """Weights after n observations, plus the schedule and kernel cache.
 
     The grid is a :class:`Grid` for scalar counts or a :class:`ProductGrid`
     for vectors of k independent counts; the cache is over ``grid.base``.
+    The schedule must be a :class:`LearningRate`: the paper's guarantees,
+    the interval's ``b_n`` and serialization all rest on the power form.
     """
 
     g: MixingWeights
     n: int
-    rate: Schedule
+    rate: LearningRate
     cache: KernelMatrixCache
 
+    def __post_init__(self):
+        if not isinstance(self.rate, LearningRate):
+            raise TypeError(f"the schedule must be a LearningRate, not {type(self.rate).__name__}")
 
-def init(grid: Grid | ProductGrid, rate: Schedule, g0: MixingWeights | None = None) -> NewtonState:
+
+def init(grid: Grid | ProductGrid, rate: LearningRate, g0: MixingWeights | None = None) -> NewtonState:
     """Fresh state at n=0; ``g0`` defaults to uniform on the grid."""
     if g0 is None:
         g0 = MixingWeights.uniform(grid)
@@ -215,13 +216,8 @@ def update_stream(
     w[:] = state.g.weights
     q = _aligned_empty(len(w))
     rate = state.rate
-    n = state.n
-    n0 = n
-    if isinstance(rate, LearningRate):
-        planned = rate.steps(n, len(ys)).tolist()
-        step_at = planned.__getitem__  # indexed by successful updates, not stream position
-    else:
-        step_at = lambda _: rate(n + 1)  # noqa: E731 - n is read at call time
+    n = n0 = state.n
+    steps = rate.steps(n, len(ys)).tolist()  # indexed by successful updates, not stream position
     y_list = ys.tolist()
     mul, dasum, dscal, daxpy = np.multiply, _blas.dasum, _blas.dscal, _blas.daxpy
     for i, y in enumerate(y_list):
@@ -233,7 +229,7 @@ def update_stream(
             err = DegenerateLikelihoodError(y if ys.ndim == 1 else tuple(y), n)
             err.stream_index = i
             raise err
-        a = step_at(n - n0)
+        a = steps[n - n0]
         dscal(1.0 - a, w)
         daxpy(q, w, a=a / total)
         dscal(1.0 / dasum(w), w)
@@ -275,8 +271,6 @@ def martingale_residual(state: NewtonState, y_max: int) -> float:
 
 def serialize_state(state: NewtonState) -> bytes:
     rate, grid = state.rate, state.g.grid
-    if not isinstance(rate, LearningRate):
-        raise ValueError("only the power schedule serializes; custom schedules do not")
     head = _HEADER.pack(_MAGIC, _VERSION, grid.k, len(grid.base), state.n, rate.alpha, rate.gamma)
     body = head + grid.base.points.tobytes() + state.g.weights.tobytes()
     return body + struct.pack("<I", zlib.crc32(body))

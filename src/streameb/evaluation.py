@@ -1,15 +1,14 @@
 """Synthetic data generation, error metrics, regret, and timing harnesses.
 
-Regret compares two mixing distributions through their per-count estimates,
-weighted by an oracle count pmf:
+The paper's comparison protocol: RMSE/MAD of the streaming estimator and of
+each batch baseline on the same seeded compound draws, plus the decay of
+the regret along the stream.  Regret compares two mixing distributions on
+one grid through their per-count estimates, weighted by the oracle's pmf:
 
-    sum_y (est_a(y) - est_b(y))^2 * p_oracle(y)
+    sum_y (est_a(y) - est_b(y))^2 * p_{g_b}(y)
 
-truncated at ``y_max``.  When the oracle is supported on the grid the oracle
-pmf is exactly ``p_{g_b}``; for continuous oracles pass ``oracle_pmf``
-computed by quadrature (``PriorSpec.count_pmf``).  All truncations use the
-``grid.hi + 20 sqrt(grid.hi)`` policy; at that depth the neglected Poisson
-tail mass is far below 1e-8.
+truncated at ``y_max``, by default ``grid.hi + 20 sqrt(grid.hi)``; at that
+depth the neglected Poisson tail mass is far below 1e-8.
 """
 
 from __future__ import annotations
@@ -19,11 +18,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import engine
+from . import baselines, engine
 from .engine import LearningRate
 from .gridding import GridSpec, build_equispaced_grid
-from .inference import credible_intervals, default_y_max, ratio_estimate
-from .model import Grid, KernelMatrixCache, MixingWeights
+from .inference import credible_intervals, default_y_max, estimate_table, ratio_estimate
+from .model import CountHistogram, Grid, KernelMatrixCache, MixingWeights
 from .priors import PriorSpec
 
 
@@ -34,7 +33,6 @@ class ExperimentConfig:
     prior: PriorSpec
     n: int
     eta: float = 0.025
-    k: int = 2
     d_cap: int | None = 10_000
     rate: LearningRate = field(default_factory=lambda: LearningRate(1.0, 0.99))
     seeds: tuple = (0,)
@@ -89,35 +87,16 @@ def rmse_mad(thetas, estimates):
     return float(np.sqrt(np.mean(err**2))), float(np.mean(np.abs(err)))
 
 
-def _estimate_table(g: MixingWeights, y_max: int, cache=None) -> np.ndarray:
-    """Ratio estimates for every count 0..y_max in one pass."""
-    if cache is None:
-        cache = KernelMatrixCache(g.grid)
-    return np.array([ratio_estimate(g, int(y), cache) for y in range(y_max + 1)])
-
-
-def regret(
-    g_a: MixingWeights,
-    g_b: MixingWeights,
-    y_max: int | None = None,
-    oracle_pmf=None,
-) -> float:
+def regret(g_a: MixingWeights, g_b: MixingWeights, y_max: int | None = None) -> float:
     """Expected squared estimate gap between g_a and the oracle g_b."""
     if not g_a.grid.same_points(g_b.grid):
         raise ValueError("both weight vectors must live on the same grid")
     if y_max is None:
         y_max = default_y_max(g_a.grid)
     cache = KernelMatrixCache(g_a.grid)
-    kernel = np.exp(cache.log_table(y_max + 1))
-    p_a = kernel @ g_a.weights
-    p_b = kernel @ g_b.weights
-    if np.any(p_a[:-1] <= 0) or np.any(p_b[:-1] <= 0):
-        raise ValueError("estimates are undefined where the pmf vanishes")
-    ys = np.arange(y_max + 1)
-    est_a = (ys + 1) * p_a[1:] / p_a[:-1]
-    est_b = (ys + 1) * p_b[1:] / p_b[:-1]
-    weight = p_b[:-1] if oracle_pmf is None else np.asarray(oracle_pmf, float)[: y_max + 1]
-    return float(np.dot((est_a - est_b) ** 2, weight))
+    est_a, _ = estimate_table(g_a, y_max, cache)
+    est_b, p_b = estimate_table(g_b, y_max, cache)
+    return float(np.dot((est_a - est_b) ** 2, p_b))
 
 
 def batched_newton_stream(
@@ -172,13 +151,13 @@ def run_stream_experiment(
     m2 = float(np.mean(np.asarray(ys, float) ** 2))
     if m2 <= 0:
         raise ValueError("all counts are zero; the empirical moment bound is degenerate")
-    spec = GridSpec(eta=cfg.eta, k=cfg.k, m_k=m2, d_cap=cfg.d_cap)
+    spec = GridSpec(eta=cfg.eta, k=2, m_k=m2, d_cap=cfg.d_cap)
     grid = build_equispaced_grid(spec)
     state = engine.init(grid, cfg.rate)
     t0 = time.perf_counter()
     state = engine.update_stream(state, ys)
     elapsed_ms = (time.perf_counter() - t0) * 1000.0
-    table = _estimate_table(state.g, int(ys.max()), state.cache)
+    table, _ = estimate_table(state.g, int(ys.max()), state.cache)
     rmse, mad = rmse_mad(thetas, table[ys])
     return MetricRow(
         method=method,
@@ -192,6 +171,27 @@ def run_stream_experiment(
         mad=mad,
         cpu_per_update_ms=elapsed_ms / cfg.n if measure_time else float("nan"),
     )
+
+
+def baseline_rows(cfg: ExperimentConfig, seed: int, grid_points: int = 1000) -> list:
+    """One row per ``baselines.METHODS`` entry on the draws of ``run_stream_experiment``.
+
+    Each method fits the histogram of the same seeded counts the stream
+    sees, the grid methods on ``baselines.baseline_grid`` at the solver
+    defaults, and is scored against the latent rates.  The rows carry no
+    step-size fields and no timing, so they are deterministic under the seed.
+    """
+    thetas, ys = generate_compound(cfg.prior, cfg.n, seed)
+    h = CountHistogram.from_counts(ys)
+    vdm = baselines.VdmConfig(baselines.baseline_grid(h, grid_points))
+    nan = float("nan")
+    rows = []
+    for method in baselines.METHODS:
+        table = dict(baselines.baseline_estimates(h, method, vdm)[0])
+        rmse, mad = rmse_mad(thetas, [table[y] for y in ys.tolist()])
+        rows.append(MetricRow(method, cfg.prior.family, cfg.n, len(vdm.grid), nan, nan,
+                              seed, rmse, mad, nan))
+    return rows
 
 
 @dataclass(frozen=True, eq=False)

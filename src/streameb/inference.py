@@ -25,13 +25,14 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri, pdtrc, zeta
 
-from .engine import LearningRate, NewtonState, Schedule
+from .engine import LearningRate, NewtonState
 from .model import (
     DegenerateLikelihoodError,
     KernelMatrixCache,
     MixingWeights,
     log_mixture_pmf,
     posterior_table,
+    scalar_grid,
 )
 
 # Certified truncation: the neglected terms of V(y) are at most this
@@ -74,6 +75,26 @@ def ratio_estimate(g: MixingWeights, y: int, cache: KernelMatrixCache | None = N
     return float((y + 1) * math.exp(log_num - log_den))
 
 
+def estimate_table(g: MixingWeights, y_max: int, cache: KernelMatrixCache | None = None):
+    """Ratio estimates and mixture pmf for every count 0..y_max, from one pmf table.
+
+    Returns ``(theta_hat, p)`` with ``theta_hat[y] = ratio_estimate(g, y)``
+    and ``p[y] = p_g(y)``.  The table is ``log p_g`` for 0..y_max+1, each row
+    shifted by its largest ``log k + log g`` over the positive-weight atoms,
+    so an estimate is finite wherever ``ratio_estimate`` is, even where the
+    linear pmf underflows.
+    """
+    grid = scalar_grid(g)
+    if cache is None:
+        cache = KernelMatrixCache(grid)
+    active = g.support_mask()
+    scores = cache.log_table(y_max + 1)[:, active] + np.log(g.weights[active])
+    peak = scores.max(axis=1)
+    log_p = peak + np.log(np.exp(scores - peak[:, None]).sum(axis=1))
+    theta_hat = np.arange(1, y_max + 2) * np.exp(log_p[1:] - log_p[:-1])
+    return theta_hat, np.exp(log_p[:-1])
+
+
 def clt_scale(rate: LearningRate, n: int) -> float:
     """b_n = 1 / sum_{k >= n} step(k)^2 for the power schedule.
 
@@ -81,30 +102,9 @@ def clt_scale(rate: LearningRate, n: int) -> float:
     function zeta(2 gamma, alpha + n), evaluated in closed form.  Strictly
     increasing in n.
     """
-    if not isinstance(rate, LearningRate):
-        raise TypeError("closed-form tail sums exist only for the power schedule")
     if n < 1:
         raise ValueError("n must be at least 1")
     return 1.0 / float(zeta(2.0 * rate.gamma, rate.alpha + n))
-
-
-def validate_clt_schedule(rate: Schedule, probe: int = 4096) -> None:
-    """Check the interval-construction preconditions on a schedule.
-
-    For the power schedule this is an analytic certificate: steps are
-    non-increasing and ``sum_n (step_n^2 * b_n)^2`` converges because
-    ``step_n^2 * b_n`` decays like 1/n.  Other schedules get a finite probe
-    of monotonicity and range; a probe cannot certify the tail condition,
-    so they are rejected.
-    """
-    if isinstance(rate, LearningRate):
-        return  # gamma in (1/2, 1] was enforced at construction
-    steps = np.array([rate(n) for n in range(1, probe + 1)])
-    if np.any(steps <= 0) or np.any(steps >= 1) or np.any(np.diff(steps) > 0):
-        raise ValueError("schedule must be non-increasing with steps in (0, 1)")
-    raise ValueError(
-        "cannot certify the squared-step tail condition for a custom schedule"
-    )
 
 
 def _contrasts(g: MixingWeights, ys: np.ndarray, cache: KernelMatrixCache) -> np.ndarray:
@@ -211,14 +211,13 @@ def credible_intervals(
 
     One posterior table serves every count in ``ys``, and ``b_n`` and the
     normal quantile are computed once.  Valid for large n only; n must be at
-    least 1 and the schedule must be the power schedule (b_n needs a
-    convergent squared tail).
+    least 1.  The state's power schedule gives ``b_n`` a convergent squared
+    tail, and ``step_n^2 b_n`` decays like 1/n, as the interval requires.
     """
     if not 0.0 < level < 1.0:
         raise ValueError("level must be in (0, 1)")
     if state.n < 1:
         raise ValueError("interval requires at least one observation")
-    validate_clt_schedule(state.rate)
     ys = [int(y) for y in ys]
     if not ys:
         return []

@@ -145,12 +145,6 @@ class MixingWeights:
         d = len(grid)
         return cls(grid, np.full(d, 1.0 / d))
 
-    @classmethod
-    def point_mass(cls, grid: Grid, index: int) -> "MixingWeights":
-        w = np.zeros(len(grid))
-        w[index] = 1.0
-        return cls(grid, w)
-
     def support_mask(self) -> np.ndarray:
         return self.weights > 0.0
 

@@ -9,7 +9,7 @@ import pytest
 import streameb
 from streameb.cli import IngestFormat, ingest, main
 from streameb.engine import LearningRate, deserialize_state, init, serialize_state
-from streameb.model import Grid, ProductGrid
+from streameb.model import Grid, MixingWeights, ProductGrid
 
 from .conftest import ACCIDENT_PAIRS
 
@@ -211,6 +211,38 @@ class TestFitEstimateFlow:
         assert main(["fit", "--input", str(counts), "--state-in", str(lattice)]) == 2
         assert capsys.readouterr().err.count("expected a scalar state, found kdim=2") == 2
 
+    def test_histogram_input_streams_a_seeded_shuffle(self, accident_csv, tmp_path):
+        # the recursion is order-dependent: the sorted stream gives 0.131 at y = 0
+        h = ingest(accident_csv, IngestFormat("histogram-csv"))
+        ascending = np.repeat(h.support(), h.multiplicities().astype(np.int64))
+        shuffled = tmp_path / "shuffled.txt"
+        shuffled.write_text("\n".join(map(str, np.random.default_rng(0).permutation(ascending))))
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert main(["--out", str(a), "--no-meta", "fit", "--input", accident_csv,
+                     "--format", "histogram-csv", "--seed", "0"]) == 0
+        assert main(["--out", str(b), "--no-meta", "fit", "--input", str(shuffled)]) == 0
+        assert a.read_bytes() == b.read_bytes()
+        assert float(a.read_text().splitlines()[1].split(",")[2]) > 0.2
+
+    def test_skip_degenerate_reports_what_it_dropped(self, tmp_path, capsys):
+        # k(20000 | 0.5) underflows, and the atom at 20000 carries no weight
+        grid = Grid([0.5, 20000.0])
+        start = tmp_path / "start.bin"
+        start.write_bytes(serialize_state(
+            init(grid, LearningRate(1.0, 0.99), MixingWeights(grid, [1.0, 0.0]))
+        ))
+        counts = tmp_path / "counts.txt"
+        counts.write_text("0\n20000\n1\n")
+        end = tmp_path / "end.bin"
+        assert main(["--no-meta", "fit", "--input", str(counts), "--state-in", str(start),
+                     "--state-out", str(end), "--skip-degenerate"]) == 0
+        out, err = capsys.readouterr()
+        assert err == "# skipped 1 of 3 counts\n"
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        assert [y for y, _, _ in rows] == ["0", "1", "20000"]
+        assert [float(est) for _, _, est in rows] == pytest.approx([0.5] * 3, rel=1e-9)
+        assert deserialize_state(end.read_bytes()).n == 2
+
     def test_fit_without_prior_or_input_fails(self):
         assert main(["fit", "--eta", "0.1"]) == 2
 
@@ -238,6 +270,9 @@ class TestBenchAndRegret:
         text = out.read_text()
         assert text.startswith("seed,checkpoint,regret")
         assert "# median_log_log_slope," in text
+        assert "# median_tv_final," in text
+        rows = [line.split(",") for line in text.splitlines()[1:] if not line.startswith("#")]
+        assert len(rows) == 9 and all(float(value) > 0 for _, _, value in rows)
 
     def test_regret_rejects_continuous_prior(self):
         assert main(["regret", "--atoms", "weibull:5,3"]) == 2

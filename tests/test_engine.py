@@ -175,13 +175,12 @@ class TestUpdateStream:
             assert np.array_equal(seen[1].g.weights, update_stream(state, ys[:20]).g.weights)
             assert final.n == 25
 
-    def test_custom_schedule_is_accepted(self):
+    def test_only_the_power_schedule_is_accepted(self):
         grid = Grid([1.0, 2.0, 3.0])
-        state = init(grid, rate=lambda n: 0.5 / n)
-        out = update_stream(state, [1, 1])
-        expected = oracles.direct_newton_step(grid.points, [1 / 3] * 3, 1, 0.5)
-        expected = oracles.direct_newton_step(grid.points, expected, 1, 0.25)
-        assert np.allclose(out.g.weights, expected, atol=1e-14)
+        with pytest.raises(TypeError):
+            init(grid, rate=lambda n: 1.0 / n)
+        with pytest.raises(TypeError):
+            engine.NewtonState(MixingWeights.uniform(grid), 0, 0.5, engine.KernelMatrixCache(grid))
 
     def test_consistency_toward_a_grid_supported_truth(self):
         # Median over 20 seeds of the total-variation gap after 1e4 counts.
@@ -333,11 +332,6 @@ class TestSerialization:
             body = blob[:12] + struct.pack("<I", kdim) + blob[16:-4]
             with pytest.raises(StateFormatError):
                 deserialize_state(body + struct.pack("<I", zlib.crc32(body)))
-
-    def test_custom_schedule_does_not_serialize(self):
-        state = init(Grid([1.0, 2.0]), rate=lambda n: 1.0 / n)
-        with pytest.raises(ValueError):
-            serialize_state(state)
 
 
 class TestCost:

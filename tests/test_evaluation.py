@@ -91,17 +91,6 @@ class TestRegret:
         g_b = MixingWeights(grid, [0.1, 0.3, 0.6])
         assert regret(g_a, g_b, 80) != pytest.approx(regret(g_b, g_a, 80), rel=1e-6)
 
-    def test_custom_oracle_pmf_is_honored(self):
-        grid = Grid([1.0, 4.0])
-        g_a = MixingWeights(grid, [0.25, 0.75])
-        g_b = MixingWeights(grid, [0.4, 0.6])
-        pmf = np.zeros(61)
-        pmf[2] = 1.0
-        got = regret(g_a, g_b, 60, oracle_pmf=pmf)
-        est_a = oracles.direct_posterior_mean(grid.points, g_a.weights, 2)
-        est_b = oracles.direct_posterior_mean(grid.points, g_b.weights, 2)
-        assert got == pytest.approx((est_a - est_b) ** 2, rel=1e-10)
-
 
 class TestBatchedStream:
     def test_matches_the_engine_row_by_row(self):

@@ -23,16 +23,17 @@ from streameb.inference import (
     credible_interval,
     credible_intervals,
     default_y_max,
+    estimate_table,
     normal_quantile,
     ratio_estimate,
     truncation_tail_bound,
-    validate_clt_schedule,
 )
 from streameb.model import (
     Grid,
     MixingWeights,
     ProductGrid,
     log_poisson_kernel,
+    mixture_pmf,
     posterior_mean,
     posterior_table,
     posterior_weights,
@@ -71,6 +72,28 @@ class TestRatioEstimate:
         for c in (None, cache):
             with pytest.raises(ValueError):
                 ratio_estimate(g, -1, c)
+
+
+class TestEstimateTable:
+    def test_agrees_with_per_count_calls(self, rng):
+        paper = _paper_default_state().g
+        rough = random_weights(rng, np.sort(rng.uniform(0.1, 40.0, size=90)))
+        for g in (paper, rough):
+            cache = KernelMatrixCache(g.grid)
+            theta, p = estimate_table(g, 40, cache)
+            assert theta.shape == p.shape == (41,)
+            for y in range(41):
+                assert theta[y] == pytest.approx(ratio_estimate(g, y, cache), rel=1e-12)
+                assert p[y] == pytest.approx(mixture_pmf(g, y, cache), rel=1e-12)
+
+    def test_finite_where_the_linear_pmf_underflows(self):
+        # k(y | 0.5) underflows long before y = 20000; the zero-weight atom
+        # at 20000 must not enter the row shift
+        g = MixingWeights(Grid([0.5, 20000.0]), [1.0, 0.0])
+        theta, p = estimate_table(g, 20000)
+        assert np.all(np.isfinite(theta)) and p[-1] == 0.0
+        assert theta[20000] == pytest.approx(ratio_estimate(g, 20000), rel=1e-12)
+        assert np.allclose(theta, 0.5, rtol=1e-9)
 
 
 class TestCltScale:
@@ -112,15 +135,6 @@ class TestCltScale:
             LearningRate(1.0, 0.5)
 
 
-class TestScheduleValidator:
-    def test_power_schedule_passes(self):
-        validate_clt_schedule(LearningRate(1.0, 0.99))
-
-    def test_custom_schedules_are_rejected(self):
-        with pytest.raises(ValueError):
-            validate_clt_schedule(lambda n: 1.0 / n)
-
-
 class TestAsymptoticVariance:
     def test_point_mass_has_zero_variance(self):
         g = MixingWeights(Grid([3.0]), [1.0])
@@ -156,6 +170,14 @@ def _fitted_weights(grid, seed, n=500):
     """Weights after streaming Weibull(3,5) counts: mass where data put it."""
     _, ys = generate_compound(parse_prior("weibull:3,5"), n, seed)
     return update_stream(init(grid, LearningRate(1.0, 0.99)), ys).g
+
+
+def _paper_default_state():
+    """500 Weibull(3,5) counts (seed 7) on the paper's grid: d = 1e4, hi > 5e3."""
+    _, ys = generate_compound(parse_prior("weibull:3,5"), 500, 7)
+    m2 = float(np.mean(ys.astype(float) ** 2))
+    grid = build_equispaced_grid(GridSpec(0.025, 2, m2, d_cap=10_000))
+    return update_stream(init(grid, LearningRate(1.0, 0.99)), ys)
 
 
 def _truncation_cases(rng):
@@ -207,11 +229,8 @@ class TestCertifiedTruncation:
     def test_paper_default_state_stays_small(self):
         # The cap on this grid is over 1.2e4 rows of d = 1e4 (~1 GB per
         # table); the certified point stays within the first few dozen.
-        _, ys = generate_compound(parse_prior("weibull:3,5"), 500, 7)
-        m2 = float(np.mean(ys.astype(float) ** 2))
-        grid = build_equispaced_grid(GridSpec(0.025, 2, m2, d_cap=10_000))
-        assert len(grid) == 10_000 and grid.hi > 5_000
-        state = update_stream(init(grid, LearningRate(1.0, 0.99)), ys)
+        state = _paper_default_state()
+        assert len(state.g.grid) == 10_000 and state.g.grid.hi > 5_000
         reports = credible_intervals(state, range(8), 0.95)
         assert state.cache.max_y < 200
         assert all(r.variance > 0 and r.ci_low < r.theta_hat < r.ci_high for r in reports)
@@ -305,9 +324,8 @@ class TestCredibleInterval:
         fresh = init(grid, LearningRate(1.0, 0.99))
         with pytest.raises(ValueError):
             credible_interval(fresh, 0, 0.9)
-        state = update_stream(init(grid, rate=lambda n: 1.0 / n), [1])
-        with pytest.raises(ValueError):
-            credible_interval(state, 0, 0.9)
+        with pytest.raises(TypeError):  # b_n needs the power schedule
+            init(grid, rate=lambda n: 1.0 / n)
 
     def test_level_validation(self, rng):
         grid = Grid([1.0, 2.0])

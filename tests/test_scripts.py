@@ -1,0 +1,41 @@
+import importlib.util
+from pathlib import Path
+
+from streameb.baselines import METHODS
+from streameb.engine import LearningRate
+from streameb.evaluation import ExperimentConfig, MetricRow, baseline_rows
+from streameb.priors import parse_prior
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def _script(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_synthetic_benchmark_rows_come_from_the_shared_routine(tmp_path, capsys):
+    out = tmp_path / "rows.csv"
+    args = ["--n", "60", "--seeds", "1", "--eta", "0.1", "--dcap", "400",
+            "--grid-points", "100", "--out", str(out)]
+    assert _script("synthetic_benchmark").main(args) == 0
+    header, stream, *rest = out.read_text().splitlines()
+    assert header == MetricRow.CSV_HEADER
+    assert stream.startswith("stream,weibull,60,")
+    cfg = ExperimentConfig(prior=parse_prior("weibull:3,5"), n=60, eta=0.1, d_cap=400,
+                           rate=LearningRate(1.0, 0.99))
+    expected = baseline_rows(cfg, 0, 100)
+    assert [r.method for r in expected] == list(METHODS)
+    assert rest == [r.csv_row() for r in expected]
+    assert "| RMSE |" in capsys.readouterr().out
+
+
+def test_interval_coverage_runs(capsys):
+    args = ["--reps", "4", "--n-small", "200", "--n-big", "2000"]
+    assert _script("interval_coverage").main(args) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "y,coverage"
+    assert [line.split(",")[0] for line in lines[1:]] == ["0", "1", "2"]
+    assert all(0.0 <= float(line.split(",")[1]) <= 1.0 for line in lines[1:])
