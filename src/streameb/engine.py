@@ -115,12 +115,10 @@ def _counts(grid: Grid | ProductGrid, ys) -> np.ndarray:
     return ys
 
 
-def update(state: NewtonState, y, step_size: float | None = None) -> NewtonState:
+def update(state: NewtonState, y) -> NewtonState:
     """Consume one observation; returns the state after observation n+1.
 
     ``y`` is a count on a Grid and a vector of k counts on a ProductGrid.
-    ``step_size`` overrides the schedule (used to probe boundary behavior,
-    e.g. a unit step collapses the update to the pure posterior).
     Raises DegenerateLikelihoodError, leaving the state unchanged, when the
     mixture likelihood of ``y`` underflows.
     """
@@ -136,7 +134,7 @@ def update(state: NewtonState, y, step_size: float | None = None) -> NewtonState
     total = q.sum()
     if total <= 0.0 or not np.isfinite(total):
         raise DegenerateLikelihoodError(y, state.n)
-    a = state.rate(state.n + 1) if step_size is None else float(step_size)
+    a = state.rate(state.n + 1)
     new_w = (1.0 - a) * w + (a / total) * q
     new_w /= new_w.sum()
     return NewtonState(

@@ -135,17 +135,15 @@ def batched_newton_stream(
     return w, snaps
 
 
-def run_stream_experiment(
-    cfg: ExperimentConfig, seed: int, method: str = "stream", measure_time: bool = True
-) -> MetricRow:
+def run_stream_experiment(cfg: ExperimentConfig, seed: int, measure_time: bool = False) -> MetricRow:
     """One replication of the synthetic protocol.
 
     Draw (theta_i, Y_i) pairs, size the grid from the empirical second
     moment of the counts, stream the counts through the recursion from a
     uniform start, then score the per-count estimates against the latent
     rates.  All-zero samples have no usable moment bound and are an error.
-    With ``measure_time`` off, the timing field is NaN and the resulting
-    row is fully deterministic under the seed.
+    The stream is timed only with ``measure_time`` set; otherwise the
+    timing field is NaN and the row is fully deterministic under the seed.
     """
     thetas, ys = generate_compound(cfg.prior, cfg.n, seed)
     m2 = float(np.mean(np.asarray(ys, float) ** 2))
@@ -156,11 +154,11 @@ def run_stream_experiment(
     state = engine.init(grid, cfg.rate)
     t0 = time.perf_counter()
     state = engine.update_stream(state, ys)
-    elapsed_ms = (time.perf_counter() - t0) * 1000.0
+    ms_per_update = (time.perf_counter() - t0) * 1000.0 / cfg.n if measure_time else float("nan")
     table, _ = estimate_table(state.g, int(ys.max()), state.cache)
     rmse, mad = rmse_mad(thetas, table[ys])
     return MetricRow(
-        method=method,
+        method="stream",
         prior=cfg.prior.family,
         n=cfg.n,
         d=len(grid),
@@ -169,7 +167,7 @@ def run_stream_experiment(
         seed=seed,
         rmse=rmse,
         mad=mad,
-        cpu_per_update_ms=elapsed_ms / cfg.n if measure_time else float("nan"),
+        cpu_per_update_ms=ms_per_update,
     )
 
 
@@ -208,13 +206,14 @@ def regret_decay_diagnostic(cfg: ExperimentConfig, checkpoints) -> RegretDecayRe
 
     Runs one stream per seed, measures regret against the exact oracle
     weights at each checkpoint, and fits a log-log slope per seed.  Needs at
-    least three checkpoints for a meaningful line fit.
+    least three distinct checkpoints, each at least 1, for a meaningful line
+    fit.
     """
     if cfg.prior.family != "grid-atoms":
         raise ValueError("the oracle must be a grid-atoms prior (exact on its grid)")
-    checkpoints = tuple(sorted(int(c) for c in checkpoints))
-    if len(checkpoints) < 3:
-        raise ValueError("need at least three checkpoints for a slope fit")
+    checkpoints = tuple(sorted({int(c) for c in checkpoints}))
+    if len(checkpoints) < 3 or checkpoints[0] < 1:
+        raise ValueError("need at least three distinct checkpoints, each >= 1, for a slope fit")
     grid = Grid(cfg.prior.atoms)
     g_star = MixingWeights(grid, cfg.prior.probs)
     n_total = checkpoints[-1]

@@ -4,17 +4,23 @@ The point estimate is the plug-in posterior mean in ratio form,
 ``(y+1) p_g(y+1) / p_g(y)``.  Its uncertainty after n observations is
 asymptotically Gaussian with variance ``V(y) / b_n``, where ``V(y)`` is a
 predictive-expectation functional of the current weights and ``b_n`` is the
-inverse tail sum of squared step sizes.
+inverse tail sum of squared step sizes.  Every pmf and posterior here comes
+from ``model.log_mixture`` over ``model.log_kernel_rows``, so estimates
+and variances are finite wherever the log-space pmf is, and a count's
+estimate has the same bits whichever function computed it.
 
-``V(y)`` sums ``p(z) s(z)^2`` over future counts z.  Unless the caller fixes
-the truncation point, it is certified per query: by Jensen's inequality the
-terms beyond Z add at most ``sum_j g_j c_j^2 P(Y > Z | theta_j)`` (c the
-contrast below), an O(d) bound, and Z is the first point where that bound
-is within 1e-12 of the partial sum up to ``max(ys) + 1``, for every
-requested count; the terms kept only add to that sum.  ``default_y_max``
-(``grid.hi + 20 * sqrt(grid.hi)``) caps Z, so the result never differs from
-the fixed-cutoff value by more than the certificate allows and never costs
-more to compute.
+``V(y)`` sums ``p(z) s(z)^2`` over future counts z.  The same code serves
+count vectors on a ProductGrid, where one estimate per coordinate gives a
+k-by-k covariance (``multidim.multi_asymptotic_variance``).  Unless the
+caller fixes the truncation point, it is certified per query: by Jensen's
+inequality the terms beyond Z add at most ``sum_j g_j c_j^2 P(Y > Z |
+theta_j)`` (c the contrast below; on a lattice, the union bound ``sum_i
+P(Y_i > Z)`` over coordinates), an O(D) bound, and Z is the first point
+where that bound is within 1e-12 of the partial sum up to ``max(ys) + 1``,
+for every requested count; the terms kept only add to that sum.
+``default_y_max`` (``hi + 20 * sqrt(hi)`` of the base grid) caps Z, so the
+result never differs from the fixed-cutoff value by more than the
+certificate allows and never costs more to compute.
 """
 
 from __future__ import annotations
@@ -27,17 +33,20 @@ from scipy.special import ndtri, pdtrc, zeta
 
 from .engine import LearningRate, NewtonState
 from .model import (
-    DegenerateLikelihoodError,
     KernelMatrixCache,
     MixingWeights,
+    log_kernel_rows,
+    log_mixture,
     log_mixture_pmf,
-    posterior_table,
+    log_mixture_pmf_table,
     scalar_grid,
 )
 
 # Certified truncation: the neglected terms of V(y) are at most this
 # fraction of the terms kept.
 _TRUNCATION_RTOL = 1e-12
+# Entries of log-kernel rows built at once for the variance sums.
+_BLOCK_ENTRIES = 2_000_000
 
 
 def default_y_max(grid) -> int:
@@ -68,29 +77,16 @@ class EstimateReport:
 
 def ratio_estimate(g: MixingWeights, y: int, cache: KernelMatrixCache | None = None) -> float:
     """(y+1) p_g(y+1) / p_g(y); identical to the posterior mean at y."""
-    log_num = log_mixture_pmf(g, y + 1, cache)
-    log_den = log_mixture_pmf(g, y, cache)
-    if not np.isfinite(log_den):
-        raise DegenerateLikelihoodError(y)
-    return float((y + 1) * math.exp(log_num - log_den))
+    return float((y + 1) * np.exp(log_mixture_pmf(g, y + 1, cache) - log_mixture_pmf(g, y, cache)))
 
 
 def estimate_table(g: MixingWeights, y_max: int, cache: KernelMatrixCache | None = None):
     """Ratio estimates and mixture pmf for every count 0..y_max, from one pmf table.
 
-    Returns ``(theta_hat, p)`` with ``theta_hat[y] = ratio_estimate(g, y)``
-    and ``p[y] = p_g(y)``.  The table is ``log p_g`` for 0..y_max+1, each row
-    shifted by its largest ``log k + log g`` over the positive-weight atoms,
-    so an estimate is finite wherever ``ratio_estimate`` is, even where the
-    linear pmf underflows.
+    Returns ``(theta_hat, p)`` with ``theta_hat[y] = ratio_estimate(g, y)``,
+    bit for bit, and ``p[y] = p_g(y)``.
     """
-    grid = scalar_grid(g)
-    if cache is None:
-        cache = KernelMatrixCache(grid)
-    active = g.support_mask()
-    scores = cache.log_table(y_max + 1)[:, active] + np.log(g.weights[active])
-    peak = scores.max(axis=1)
-    log_p = peak + np.log(np.exp(scores - peak[:, None]).sum(axis=1))
+    log_p = log_mixture_pmf_table(g, y_max + 1, cache)
     theta_hat = np.arange(1, y_max + 2) * np.exp(log_p[1:] - log_p[:-1])
     return theta_hat, np.exp(log_p[:-1])
 
@@ -107,15 +103,32 @@ def clt_scale(rate: LearningRate, n: int) -> float:
     return 1.0 / float(zeta(2.0 * rate.gamma, rate.alpha + n))
 
 
-def _contrasts(g: MixingWeights, ys: np.ndarray, cache: KernelMatrixCache) -> np.ndarray:
-    """One row per requested count: k(y+1|theta)/p(y+1) - k(y|theta)/p(y)."""
-    log_k = cache.log_table(int(ys.max()) + 1)
-    k0, k1 = np.exp(log_k[ys]), np.exp(log_k[ys + 1])
-    p0, p1 = k0 @ g.weights, k1 @ g.weights
-    bad = (p0 <= 0) | (p1 <= 0)
-    if bad.any():
-        raise DegenerateLikelihoodError(int(ys[bad.argmax()]))
-    return k1 / p1[:, None] - k0 / p0[:, None]
+def _pair_estimates(g: MixingWeights, pairs, cache: KernelMatrixCache | None):
+    """Estimates and contrasts for pairs (y, j) of a count (vector) and the coordinate bumped.
+
+    ``theta[i] = (y_j + 1) p(y + e_j) / p(y)``, and ``contrasts[i] = k(y +
+    e_j|theta)/p(y + e_j) - k(y|theta)/p(y)`` is read off the same two
+    posterior rows as ``(post(y + e_j) - post(y)) / g``.
+    """
+    lo = np.array([np.atleast_1d(y) for y, _ in pairs], dtype=np.int64)  # (m, k)
+    m, bumped = len(lo), (np.arange(len(lo)), [j for _, j in pairs])
+    hi = lo.copy()
+    hi[bumped] += 1
+    log_p, post = log_mixture(log_kernel_rows(g.grid, np.concatenate([lo, hi]), cache), g.weights)
+    thetas = hi[bumped] * np.exp(log_p[m:] - log_p[:m])
+    active = g.support_mask()
+    contrasts = np.zeros((m, len(g.grid)))
+    contrasts[:, active] = (post[m:, active] - post[:m, active]) / g.weights[active]
+    return thetas, contrasts
+
+
+def _tail_mass(grid, atoms: np.ndarray, z: int) -> np.ndarray:
+    """``P(Y > z)`` at the given atoms; on a ProductGrid, ``sum_i P(Y_i > z)``."""
+    digits = np.unravel_index(atoms, (len(grid.base),) * grid.k)
+    used = np.unique(np.concatenate(digits))
+    tail = np.zeros(len(grid.base))
+    tail[used] = pdtrc(z, grid.base.points[used])
+    return sum(tail[digit] for digit in digits)
 
 
 def truncation_tail_bound(g: MixingWeights, contrasts: np.ndarray, z: int) -> np.ndarray:
@@ -123,13 +136,15 @@ def truncation_tail_bound(g: MixingWeights, contrasts: np.ndarray, z: int) -> np
 
     Jensen's inequality puts ``s(z')^2`` under the posterior mean of
     ``c^2``, and summing that over z' leaves ``sum_j g_j c_j^2 P(Y > z |
-    theta_j)``: O(d) to evaluate, with no truncation of its own.  Atoms
-    whose terms are exactly zero (the contrast underflows far from the
-    requested counts) are skipped.
+    theta_j)``: O(d) to evaluate, with no truncation of its own.  On a
+    ProductGrid the neglected count vectors are those with some coordinate
+    above z, and ``sum_i P(Y_i > z | theta_j)`` bounds their probability.
+    Atoms whose terms are exactly zero (the contrast underflows far from
+    the requested counts) are skipped.
     """
     weighted = contrasts**2 * g.weights
     cols = np.flatnonzero(weighted.any(axis=0))
-    return weighted[:, cols] @ pdtrc(z, g.grid.points[cols])
+    return weighted[:, cols] @ _tail_mass(g.grid, cols, z)
 
 
 def _certified_y_max(g, contrasts, partial, z_lo: int, cap: int) -> int:
@@ -158,30 +173,37 @@ def _certified_y_max(g, contrasts, partial, z_lo: int, cap: int) -> int:
     return hi
 
 
-def _estimates(g: MixingWeights, ys, y_max: int | None, cache: KernelMatrixCache | None):
-    """Point estimates and variance functionals for several counts at once.
+def _second_moments(g: MixingWeights, contrasts: np.ndarray, z: int, cache) -> np.ndarray:
+    """``sum p(z') s(z') s(z')^T`` over counts z' <= z in every coordinate, s = post(z') @ c."""
+    grid = g.grid
+    zs = np.indices((z + 1,) * grid.k).reshape(grid.k, -1).T  # lexicographic
+    step = max(1, _BLOCK_ENTRIES // len(grid))
+    out = np.zeros((len(contrasts), len(contrasts)))
+    for start in range(0, len(zs), step):
+        log_p, post = log_mixture(log_kernel_rows(grid, zs[start : start + step], cache), g.weights)
+        s = post @ contrasts.T
+        out += (np.exp(log_p)[:, None] * s).T @ s
+    return 0.5 * (out + out.T)
 
-    All of ``ys`` share one truncation point and one posterior table: at
-    ``y_max`` when given, else at the certified point, which is found from
-    a table up to ``max(ys) + 1`` and the O(d) tail bound.
+
+def _estimates(g: MixingWeights, pairs, y_max: int | None, cache: KernelMatrixCache | None):
+    """Estimates and their second-moment matrix for ``(counts, coordinate)`` pairs.
+
+    Returns ``(theta, V)``: ``V[i, i]`` is the variance functional of pair
+    i, and for the k pairs ``(y, j)`` of one count vector V is the
+    covariance of its coordinate estimates.  All pairs share one
+    truncation point: ``y_max`` when given, else the certified point, found
+    from the sums up to the largest bumped count and the O(D) tail bound.
     """
-    ys = np.asarray(ys, dtype=np.int64)
-    if ys.min() < 0:
-        raise ValueError("counts must be nonnegative")
     if cache is None:
-        cache = KernelMatrixCache(g.grid)
-    thetas = np.array([ratio_estimate(g, int(y), cache) for y in ys])
-    contrasts = _contrasts(g, ys, cache)
-
-    def partial_sums(z):
-        p, post = posterior_table(g, z, cache)
-        return p @ (post @ contrasts.T) ** 2
-
+        cache = KernelMatrixCache(g.grid.base)
+    thetas, contrasts = _pair_estimates(g, pairs, cache)
     if y_max is None:
-        cap = default_y_max(g.grid)
-        z_lo = min(int(ys.max()) + 1, cap)
-        y_max = _certified_y_max(g, contrasts, partial_sums(z_lo), z_lo, cap)
-    return thetas, thetas**2 * partial_sums(y_max)
+        cap = default_y_max(g.grid.base)
+        z_lo = min(max(int(np.max(y)) for y, _ in pairs) + 1, cap)
+        partial = np.diag(_second_moments(g, contrasts, z_lo, cache))
+        y_max = _certified_y_max(g, contrasts, partial, z_lo, cap)
+    return thetas, np.outer(thetas, thetas) * _second_moments(g, contrasts, y_max, cache)
 
 
 def asymptotic_variance(
@@ -194,7 +216,8 @@ def asymptotic_variance(
     with Z summed up to ``y_max``, or to the certified truncation point
     when ``y_max`` is None.  Zero exactly for a point mass.
     """
-    return float(_estimates(g, [y], y_max, cache)[1][0])
+    scalar_grid(g)
+    return float(_estimates(g, [(y, 0)], y_max, cache)[1][0, 0])
 
 
 def normal_quantile(p: float) -> float:
@@ -221,7 +244,9 @@ def credible_intervals(
     ys = [int(y) for y in ys]
     if not ys:
         return []
-    thetas, variances = _estimates(state.g, ys, y_max, state.cache)
+    scalar_grid(state.g)
+    thetas, moments = _estimates(state.g, [(y, 0) for y in ys], y_max, state.cache)
+    variances = np.diag(moments)
     b_n = clt_scale(state.rate, state.n)
     z = normal_quantile(0.5 * (1.0 + level))
     reports = []

@@ -2,9 +2,13 @@
 
 Everything downstream (the streaming engine, interval construction, the
 classical baselines) works with a discrete mixing distribution over an
-ascending grid of positive rates.  Kernel evaluations are done in log space
-because practical grids extend to rates in the thousands, where the linear
-Poisson pmf underflows.
+ascending grid of positive rates, or over a product lattice of them.
+Kernel evaluations are done in log space because practical grids extend to
+rates in the thousands, where the linear Poisson pmf underflows.
+
+Outside the recursion every mixture computation, on either grid kind, is
+``log_mixture`` (a block of log-kernel rows to ``(log p_g, posterior)``)
+over rows from ``log_kernel_rows``.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ import threading
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
+from scipy.special import gammaln
 
 # Weight vectors are renormalized after every arithmetic step; construction
 # rejects anything farther than this from the simplex.
@@ -232,10 +236,8 @@ class KernelMatrixCache:
                 rows = y + 1 if lo == 0 else max(y + 1, 2 * capacity)
                 self._buffers = tuple(_grown(buf, rows, lo) for buf in self._buffers)
             log, row_max, scaled = self._buffers
-            ys = np.arange(lo, y + 1, dtype=float)[:, None]
-            pts = self.grid.points[None, :]
             block = log[lo : y + 1]
-            block[:] = -pts + ys * np.log(pts) - gammaln(ys + 1.0)
+            block[:] = _log_kernel(self.grid.points, np.arange(lo, y + 1))
             block.max(axis=1, out=row_max[lo : y + 1])
             np.exp(block - row_max[lo : y + 1, None], out=scaled[lo : y + 1])
             self._tables = (log[: y + 1], row_max[: y + 1], scaled[: y + 1])
@@ -274,6 +276,12 @@ def _grown(buf: np.ndarray, rows: int, keep: int) -> np.ndarray:
     return out
 
 
+def _log_kernel(points: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Rows ``log k(y | points)`` for each count in ``ys``, shape (len(ys), d)."""
+    ys = np.asarray(ys, dtype=float)[:, None]
+    return -points[None, :] + ys * np.log(points[None, :]) - gammaln(ys + 1.0)
+
+
 def log_poisson_kernel(y: int, theta) -> float:
     """log of e^(-theta) theta^y / y!, via log-gamma.
 
@@ -288,11 +296,6 @@ def log_poisson_kernel(y: int, theta) -> float:
     return float(out) if out.ndim == 0 else out
 
 
-def _log_weights(g: MixingWeights) -> np.ndarray:
-    with np.errstate(divide="ignore"):
-        return np.log(g.weights)
-
-
 def scalar_grid(g: MixingWeights) -> Grid:
     """``g.grid``, checked to be a scalar :class:`Grid`; lattice weights raise."""
     if not isinstance(g.grid, Grid):
@@ -303,17 +306,59 @@ def scalar_grid(g: MixingWeights) -> Grid:
     return g.grid
 
 
-def _log_kernel_row(g: MixingWeights, y: int, cache: KernelMatrixCache | None) -> np.ndarray:
-    grid = scalar_grid(g)
-    return cache.log_row(y) if cache is not None else log_poisson_kernel(y, grid.points)
+def log_kernel_rows(
+    grid: Grid | ProductGrid, counts, cache: KernelMatrixCache | None = None
+) -> np.ndarray:
+    """Log-kernel rows, shape (n, len(grid)), one per count or count vector.
+
+    ``counts`` has shape (n,) or (n, 1) on a Grid and (n, k) on a
+    ProductGrid.  A lattice row is the outer sum of its k base rows,
+    flattened in the lattice's lexicographic order.  Base rows come from
+    ``cache`` (over ``grid.base``) when given, else are computed directly,
+    bit for bit the same.
+    """
+    counts = np.asarray(counts, dtype=np.int64)
+    if counts.size and counts.min() < 0:
+        raise ValueError("counts must be nonnegative")
+    if cache is None:
+        needed, inverse = np.unique(counts, return_inverse=True)
+        table, counts = _log_kernel(grid.base.points, needed), inverse.reshape(counts.shape)
+    else:
+        table = cache.log_table(int(counts.max()))
+    first, *rest = counts.reshape(len(counts), -1).T  # one column of counts per coordinate
+    rows = table[first]
+    for col in rest:
+        rows = (rows[:, :, None] + table[col][:, None, :]).reshape(len(counts), -1)
+    return rows
+
+
+def log_mixture(log_rows: np.ndarray, weights: np.ndarray):
+    """``(log p, post)`` for a block of log-kernel rows against mixing weights.
+
+    ``log p[i] = log sum_j exp(log_rows[i, j]) weights[j]`` and ``post[i]``
+    is row i's posterior, ``exp(log_rows[i]) * weights / p[i]`` (zero where
+    the weight is).  Each row is shifted by its largest ``log k + log w``
+    over the positive weights before exponentiating, so both are finite even
+    where the linear pmf underflows.  The rows are reduced in C order, so a
+    row gets the same bits whichever block it comes in.
+    """
+    active = weights > 0
+    every = bool(active.all())
+    scores = np.add(log_rows if every else log_rows[:, active], np.log(weights[active]), order="C")
+    peak = scores.max(axis=1)
+    scores -= peak[:, None]
+    np.exp(scores, out=scores)
+    total = scores.sum(axis=1)
+    scores /= total[:, None]
+    post = scores if every else np.zeros(log_rows.shape)
+    if not every:
+        post[:, active] = scores
+    return peak + np.log(total), post
 
 
 def log_mixture_pmf(g: MixingWeights, y: int, cache: KernelMatrixCache | None = None) -> float:
-    """log p_g(y) by log-sum-exp over the active (positive-weight) atoms."""
-    row = _log_kernel_row(g, y, cache)
-    active = g.support_mask()
-    lw = _log_weights(g)
-    return float(logsumexp(row[active] + lw[active]))
+    """log p_g(y), by ``log_mixture`` over the positive-weight atoms."""
+    return float(log_mixture(log_kernel_rows(scalar_grid(g), [y], cache), g.weights)[0][0])
 
 
 def mixture_pmf(g: MixingWeights, y: int, cache: KernelMatrixCache | None = None) -> float:
@@ -325,47 +370,30 @@ def log_mixture_pmf_table(
     g: MixingWeights, y_max: int, cache: KernelMatrixCache | None = None
 ) -> np.ndarray:
     """Vector of log p_g(y) for y = 0..y_max."""
-    if cache is None:
-        cache = KernelMatrixCache(g.grid)
-    table = cache.log_table(y_max)
-    active = g.support_mask()
-    lw = _log_weights(g)
-    return logsumexp(table[:, active] + lw[active][None, :], axis=1)
+    rows = log_kernel_rows(scalar_grid(g), np.arange(y_max + 1), cache)
+    return log_mixture(rows, g.weights)[0]
 
 
 def posterior_table(g: MixingWeights, y_max: int, cache: KernelMatrixCache | None = None):
     """Rows z = 0..y_max of the mixture pmf and the posterior weights given z.
 
     Returns ``(p, post)``: ``p[z] = p_g(z)`` and ``post[z] = k(z|theta) g /
-    p_g(z)``, shape (y_max+1, d).  Rows where p_g(z) underflows stay zero.
+    p_g(z)``, shape (y_max+1, d).  A posterior row is exact even where
+    p_g(z) underflows to zero.
     """
-    grid = scalar_grid(g)
-    if cache is None:
-        cache = KernelMatrixCache(grid)
-    post = np.exp(cache.log_table(y_max))
-    p = post @ g.weights
-    post *= g.weights[None, :]
-    np.divide(post, p[:, None], out=post, where=(p > 0)[:, None])
-    return p, post
+    rows = log_kernel_rows(scalar_grid(g), np.arange(y_max + 1), cache)
+    log_p, post = log_mixture(rows, g.weights)
+    return np.exp(log_p), post
 
 
 def posterior_weights(
     g: MixingWeights, y: int, cache: KernelMatrixCache | None = None
 ) -> MixingWeights:
-    """One-observation posterior k(y|theta_j) g_j / p_g(y), renormalized."""
-    row = _log_kernel_row(g, y, cache)
-    scores = row + _log_weights(g)
-    m = scores.max()
-    if not np.isfinite(m):
-        raise DegenerateLikelihoodError(y)
-    unnorm = np.exp(scores - m)
-    total = unnorm.sum()
-    if total <= 0.0 or not np.isfinite(total):
-        raise DegenerateLikelihoodError(y)
-    return MixingWeights(g.grid, unnorm / total)
+    """One-observation posterior k(y|theta_j) g_j / p_g(y)."""
+    post = log_mixture(log_kernel_rows(scalar_grid(g), [y], cache), g.weights)[1][0]
+    return MixingWeights(g.grid, post)
 
 
 def posterior_mean(g: MixingWeights, y: int, cache: KernelMatrixCache | None = None) -> float:
     """E[theta | Y=y] under g; always inside [grid.lo, grid.hi]."""
-    post = posterior_weights(g, y, cache)
-    return float(np.dot(g.grid.points, post.weights))
+    return float(np.dot(g.grid.points, posterior_weights(g, y, cache).weights))

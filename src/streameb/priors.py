@@ -15,6 +15,8 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import erf, gammainc, gammaln, roots_legendre
 
+from .model import log_mixture
+
 FAMILIES = ("weibull", "uniform", "half-gaussian", "grid-atoms", "gamma")
 
 # Gauss-Legendre node count for integrating the Poisson kernel against a
@@ -205,7 +207,7 @@ class PriorSpec:
             + ys[:, None] * np.log(theta[None, :])
             - gammaln(ys + 1.0)[:, None]
         )
-        return np.exp(log_k) @ w
+        return np.exp(log_mixture(log_k, w)[0])
 
 
 def weibull_prior(shape: float, scale: float) -> PriorSpec:

@@ -196,6 +196,24 @@ class TestFitEstimateFlow:
         row = lines[1].split(",")
         assert float(row[4]) <= float(row[1]) <= float(row[5])
 
+    def test_fit_and_estimate_print_the_same_estimates(self, tmp_path, capsys):
+        # the paper-default state: 500 Weibull(3,5) counts at seed 7, d = 10,000
+        from streameb.evaluation import generate_compound
+        from streameb.priors import parse_prior
+
+        counts, state = tmp_path / "counts.txt", tmp_path / "s.bin"
+        ys = generate_compound(parse_prior("weibull:3,5"), 500, 7)[1]
+        counts.write_text("\n".join(str(int(y)) for y in ys) + "\n")
+        assert main(["--no-meta", "fit", "--input", str(counts), "--eta", "0.025",
+                     "--dcap", "10000", "--state-out", str(state)]) == 0
+        fitted = {y: est for y, _, est in
+                  (line.split(",") for line in capsys.readouterr().out.splitlines()[1:])}
+        assert main(["--no-meta", "estimate", "--state", str(state), "--y", "0..15"]) == 0
+        estimated = {line.split(",")[0]: line.split(",")[1]
+                     for line in capsys.readouterr().out.splitlines()[1:]}
+        assert len(fitted) == 16
+        assert {y: estimated[y] for y in fitted} == fitted
+
     def test_estimate_rejects_corrupt_state(self, tmp_path, capsys):
         bad = tmp_path / "bad.bin"
         bad.write_bytes(b"garbage")
@@ -276,6 +294,12 @@ class TestBenchAndRegret:
 
     def test_regret_rejects_continuous_prior(self):
         assert main(["regret", "--atoms", "weibull:5,3"]) == 2
+
+    def test_regret_rejects_unusable_checkpoints(self, capsys):
+        for checkpoints in ("0,100,200", "200,200,200"):
+            args = ["regret", "--atoms", "grid-atoms:1@0.5,5@0.5", "--checkpoints", checkpoints]
+            assert main(args) == 2
+        assert capsys.readouterr().err.count("three distinct checkpoints") == 2
 
     def test_unknown_subcommand_exits_2(self):
         assert main(["frobnicate"]) == 2

@@ -67,13 +67,6 @@ class TestInit:
 
 
 class TestUpdate:
-    def test_unit_step_collapses_to_posterior(self):
-        grid = Grid([1.0, 2.0, 3.0])
-        state = init(grid, LearningRate(1.0, 0.99))
-        stepped = update(state, 2, step_size=1.0)
-        expected = oracles.direct_posterior_weights(grid.points, state.g.weights, 2)
-        assert np.allclose(stepped.g.weights, expected, atol=1e-15)
-
     def test_point_mass_is_a_fixed_point(self):
         grid = Grid([2.0])
         state = init(grid, LearningRate(1.0, 0.99))

@@ -116,7 +116,7 @@ class TestRunStreamExperiment:
             d_cap=2000,
             rate=LearningRate(1.0, 0.99),
         )
-        row = run_stream_experiment(cfg, seed=0)
+        row = run_stream_experiment(cfg, seed=0, measure_time=True)
         assert row.n == 200 and row.d == 2000
         assert 0.0 < row.rmse < 3.0
         assert 0.0 < row.mad <= row.rmse + 1e-12
@@ -144,6 +144,10 @@ class TestRegretDecay:
         cfg = ExperimentConfig(prior=prior, n=100, rate=LearningRate(1.0, 0.75))
         with pytest.raises(ValueError):
             regret_decay_diagnostic(cfg, [10, 100])
+        with pytest.raises(ValueError):  # no snapshot exists at 0
+            regret_decay_diagnostic(cfg, [0, 50, 100])
+        with pytest.raises(ValueError):  # one distinct point, a rank-1 design
+            regret_decay_diagnostic(cfg, [100, 100, 100])
         cfg2 = ExperimentConfig(prior=uniform_prior(0, 3), n=100)
         with pytest.raises(ValueError):
             regret_decay_diagnostic(cfg2, [10, 50, 100])

@@ -86,6 +86,18 @@ class TestEstimateTable:
                 assert theta[y] == pytest.approx(ratio_estimate(g, y, cache), rel=1e-12)
                 assert p[y] == pytest.approx(mixture_pmf(g, y, cache), rel=1e-12)
 
+    def test_every_path_gives_the_same_bits_on_the_paper_default_state(self):
+        # one mixture routine reduces every row in the same order, so a
+        # count's estimate does not depend on which function asked for it
+        state = _paper_default_state()
+        ys = list(range(16))
+        batched = [r.theta_hat for r in credible_intervals(state, ys, 0.95)]
+        single = [credible_interval(state, y, 0.95).theta_hat for y in ys]
+        ratio = [ratio_estimate(state.g, y, state.cache) for y in ys]
+        table = estimate_table(state.g, 15, state.cache)[0].tolist()
+        uncached = [ratio_estimate(state.g, y) for y in ys]
+        assert batched == single == ratio == table == uncached
+
     def test_finite_where_the_linear_pmf_underflows(self):
         # k(y | 0.5) underflows long before y = 20000; the zero-weight atom
         # at 20000 must not enter the row shift
@@ -239,6 +251,19 @@ class TestCertifiedTruncation:
         g = MixingWeights(Grid([1.0, 2.0]), [0.5, 0.5])
         with pytest.raises(ValueError):
             asymptotic_variance(g, -1)
+
+    def test_interval_where_the_linear_pmf_underflows(self):
+        # every rate is at least 760, so p_g(0) and p_g(1) are below 1e-330:
+        # the contrasts and the estimate come from the log-space rows
+        grid = Grid(np.linspace(760.0, 900.0, 200))
+        rng = np.random.default_rng(0)
+        state = update_stream(init(grid, LearningRate(1.0, 0.99)), rng.poisson(800, 2000))
+        assert mixture_pmf(state.g, 0) == 0.0
+        rep = credible_interval(state, 0, 0.95)
+        assert rep.theta_hat == estimate_table(state.g, 0)[0][0]
+        assert rep.theta_hat == pytest.approx(760.7637, abs=1e-4)
+        assert np.isfinite(rep.variance) and rep.variance > 0
+        assert rep.ci_low < rep.theta_hat < rep.ci_high
 
 
 class TestWeightCovariance:

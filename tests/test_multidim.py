@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from streameb import engine, multidim
+from streameb import engine, inference, multidim
 from streameb.engine import (
     LearningRate,
     deserialize_state,
@@ -12,7 +12,7 @@ from streameb.engine import (
     update,
     update_stream,
 )
-from streameb.inference import asymptotic_variance
+from streameb.inference import asymptotic_variance, default_y_max
 from streameb.model import DegenerateLikelihoodError, Grid, MixingWeights, ProductGrid
 from streameb.multidim import multi_asymptotic_variance, multi_estimate, multi_mixture_pmf
 
@@ -104,24 +104,25 @@ class TestMultiUpdate:
             state = update(state, yv)
             assert state.g.weights[oracles.tuple_to_index(pg, [0, 1])] == 1.0
 
-    def test_unit_step_preserves_factorized_weights(self, rng):
-        # A pure posterior step (unit step size) maps a product of marginals
-        # to the product of the coordinate posteriors.  Note the blended
-        # update does not share this property: a convex combination of two
-        # product measures is not a product measure.
+    def test_step_from_factorized_weights_uses_the_product_row(self, rng):
+        # From product weights w1 x w2 the lattice posterior of (y1, y2) is the
+        # product of the coordinate posteriors exactly when the lattice row is
+        # the product of the coordinate rows, so one scheduled step must be
+        # (1-a) w + a outer(post1, post2).
         base = Grid([0.5, 2.0, 6.0])
         pg = ProductGrid(base, 2)
         rate = LearningRate(1.0, 0.9)
-        mstate = init(pg, rate)
-        s1 = init(base, rate)
-        s2 = init(base, rate)
-        for _ in range(40):
+        for _ in range(20):
+            w1, w2 = rng.dirichlet(np.ones(3)), rng.dirichlet(np.ones(3))
+            state = init(pg, rate, MixingWeights(pg, np.outer(w1, w2).ravel()))
             y1, y2 = int(rng.poisson(2.0)), int(rng.poisson(4.0))
-            mstate = update(mstate, (y1, y2), step_size=1.0)
-            s1 = update(s1, y1, step_size=1.0)
-            s2 = update(s2, y2, step_size=1.0)
-        tensor = np.outer(s1.g.weights, s2.g.weights).ravel()
-        assert np.max(np.abs(mstate.g.weights - tensor)) < 1e-10
+            post = np.outer(
+                oracles.direct_posterior_weights(base.points, w1, y1),
+                oracles.direct_posterior_weights(base.points, w2, y2),
+            ).ravel()
+            a = rate(1)
+            expected = (1.0 - a) * state.g.weights + a * post
+            assert np.max(np.abs(update(state, (y1, y2)).g.weights - expected)) < 1e-14
 
     def test_degenerate_count_vector_raises(self):
         base = Grid([0.5, 30000.0])
@@ -273,6 +274,29 @@ class TestMultiVariance:
         cov = multi_asymptotic_variance(g, (1, 1), 60)
         assert np.max(np.abs(cov - cov.T)) < 1e-12
         assert np.linalg.eigvalsh(cov).min() >= -1e-9
+
+    def test_certified_truncation_matches_the_capped_sum(self, rng, monkeypatch):
+        # k = 2 at D = 10^4, the largest lattice the covariance accepts, and
+        # k = 3; the certified sum visits a small corner of the capped box
+        built = []
+        rows = inference.log_kernel_rows
+        monkeypatch.setattr(inference, "log_kernel_rows",
+                            lambda grid, counts, cache=None: built.append(len(counts))
+                            or rows(grid, counts, cache))
+        for base, k, yv in [
+            (Grid(np.linspace(0.2, 12.0, 100)), 2, (3, 5)),
+            (Grid(np.linspace(0.3, 3.0, 8)), 3, (0, 2, 1)),
+        ]:
+            pg = ProductGrid(base, k)
+            g = MixingWeights(pg, rng.dirichlet(np.ones(pg.size)))
+            built.clear()
+            certified = multi_asymptotic_variance(g, yv)
+            visited = sum(built)
+            built.clear()
+            capped = multi_asymptotic_variance(g, yv, default_y_max(base))
+            assert visited < sum(built) / 3
+            assert np.all(np.linalg.eigvalsh(certified) > 0)
+            assert np.max(np.abs(certified - capped) / np.abs(capped)) < 1e-12
 
 
 class TestMultiSerialization:

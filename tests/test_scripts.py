@@ -17,10 +17,11 @@ def _script(name):
 
 
 def test_synthetic_benchmark_rows_come_from_the_shared_routine(tmp_path, capsys):
-    out = tmp_path / "rows.csv"
-    args = ["--n", "60", "--seeds", "1", "--eta", "0.1", "--dcap", "400",
-            "--grid-points", "100", "--out", str(out)]
-    assert _script("synthetic_benchmark").main(args) == 0
+    out, again = tmp_path / "rows.csv", tmp_path / "again.csv"
+    args = ["--n", "60", "--seeds", "1", "--eta", "0.1", "--dcap", "400", "--grid-points", "100"]
+    for path in (out, again):
+        assert _script("synthetic_benchmark").main(args + ["--out", str(path)]) == 0
+    assert out.read_bytes() == again.read_bytes()
     header, stream, *rest = out.read_text().splitlines()
     assert header == MetricRow.CSV_HEADER
     assert stream.startswith("stream,weibull,60,")
