@@ -8,7 +8,11 @@ posterior by a step size from a decaying schedule:
 An observation is a count on a :class:`Grid`, or a vector of k independent
 counts on a :class:`ProductGrid` of D = d^k rate vectors, whose kernel row
 is the outer product of k per-coordinate rows.  That row is the only step
-that depends on the grid kind; the recursion is shared.
+that depends on the grid kind; the recursion is shared.  It has two loop
+bodies with the same arithmetic: ``_fold`` (BLAS level-1 calls on one
+weight vector) behind ``update`` and ``update_stream``, and
+``_fold_lockstep`` (numpy calls on a weight matrix) behind
+``evaluation.batched_newton_stream``.
 
 States are immutable; ``update`` returns a fresh state sharing the kernel
 cache, so a held reference is already a consistent snapshot.  Updates are
@@ -18,6 +22,7 @@ O(d), or O(D) on a lattice, independent of how many observations came before.
 
 from __future__ import annotations
 
+import math
 import struct
 import zlib
 from dataclasses import dataclass
@@ -52,7 +57,8 @@ class LearningRate:
     """Power step-size schedule a_n = (alpha + n)^(-gamma).
 
     Requires alpha > 0 and gamma in (1/2, 1]: steps then lie in (0, 1),
-    their sum diverges, and the sum of squares converges.
+    their sum diverges, and the sum of squares converges.  An alpha so small
+    that the first step rounds to 1 is rejected too.
     """
 
     alpha: float
@@ -63,16 +69,13 @@ class LearningRate:
             raise ValueError("alpha must be positive")
         if not 0.5 < self.gamma <= 1.0:
             raise ValueError("gamma must lie in (1/2, 1]")
+        if not self(1) < 1.0:
+            raise ValueError(f"alpha={self.alpha!r} is so small that the first step rounds to 1")
 
     def __call__(self, n: int) -> float:
         if n < 1:
             raise ValueError("step index starts at 1")
         return (self.alpha + n) ** (-self.gamma)
-
-    def steps(self, n_start: int, count: int) -> np.ndarray:
-        """Vector of step sizes for observations n_start+1 .. n_start+count."""
-        ks = np.arange(n_start + 1, n_start + count + 1, dtype=float)
-        return (self.alpha + ks) ** (-self.gamma)
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,27 +125,45 @@ def update(state: NewtonState, y) -> NewtonState:
     Raises DegenerateLikelihoodError, leaving the state unchanged, when the
     mixture likelihood of ``y`` underflows.
     """
-    grid = state.g.grid
-    if isinstance(grid, ProductGrid):
-        y = tuple(_counts(grid, [y])[0].tolist())
-        scaled = _LatticeRows(grid, state.cache.scaled_table(max(y)))[y]
-    else:
-        y = int(y)
-        _, scaled = state.cache.scaled_row(y)
-    w = state.g.weights
-    q = scaled * w
-    total = q.sum()
-    if total <= 0.0 or not np.isfinite(total):
-        raise DegenerateLikelihoodError(y, state.n)
-    a = state.rate(state.n + 1)
-    new_w = (1.0 - a) * w + (a / total) * q
-    new_w /= new_w.sum()
-    return NewtonState(
-        g=MixingWeights(grid, new_w),
-        n=state.n + 1,
-        rate=state.rate,
-        cache=state.cache,
-    )
+    if isinstance(state.g.grid, ProductGrid):
+        y = tuple(_counts(state.g.grid, [y])[0].tolist())
+        return _fold(state, [y], max(y))
+    y = int(y)
+    if y < 0:
+        raise ValueError("counts must be nonnegative")
+    return _fold(state, [y], y)
+
+
+def update_stream(
+    state: NewtonState,
+    ys,
+    snapshot_every: int | None = None,
+    on_snapshot: Callable[[NewtonState], None] | None = None,
+    skip_degenerate: bool = False,
+) -> NewtonState:
+    """Fold the one-observation update over a sequence, with a low-overhead loop.
+
+    ``ys`` holds counts on a Grid and rows of k counts on a ProductGrid.
+    Semantically a repeated ``update``: the weights agree with folded
+    ``update`` calls within 1e-13 on a scalar grid and 1e-12 on a lattice
+    (the loop normalizes less often, see ``_fold``).  The caller's state is
+    untouched if anything raises.  Results are bit-reproducible: identical
+    inputs give bit-identical weights, wherever the allocator places the
+    caller's arrays.  The first degenerate observation aborts with its
+    stream index attached to the raised error; with ``skip_degenerate``
+    set, offending observations are skipped instead (this biases the fit
+    and is opt-in for that reason).  When ``snapshot_every`` is set,
+    ``on_snapshot`` receives an immutable state snapshot every that many
+    observations.
+    """
+    if len(ys) == 0:
+        return state
+    ys = _counts(state.g.grid, ys)
+    return _fold(state, ys.tolist(), int(ys.max()), snapshot_every, on_snapshot, skip_degenerate)
+
+
+# The scaled weights are folded back to the simplex when S passes this.
+_RESCALE_AT = 1e100
 
 
 def _aligned_empty(size: int) -> np.ndarray:
@@ -162,15 +183,15 @@ class _LatticeRows:
     """Scaled kernel rows of a ProductGrid, indexed by count vector.
 
     Row ``yvec`` is the flattened outer product of the per-coordinate rows
-    ``scaled[y_1], ..., scaled[y_k]``, written into one aligned scratch
-    buffer that every lookup overwrites.  Indexing mirrors ``scaled[y]`` on
+    ``scaled[y_1], ..., scaled[y_k]``, written into the scratch vector
+    ``row`` that every lookup overwrites.  Indexing mirrors ``scaled[y]`` on
     a Grid, so the recursion reads rows the same way for both grid kinds.
     """
 
-    def __init__(self, grid: ProductGrid, scaled: np.ndarray):
+    def __init__(self, grid: ProductGrid, scaled: np.ndarray, row: np.ndarray):
         self.scaled = scaled
-        self.row = _aligned_empty(len(grid))
-        self.last = self.row.reshape(-1, len(grid.base))  # (d^(k-1), d)
+        self.row = row
+        self.last = row.reshape(-1, len(grid.base))  # (d^(k-1), d)
 
     def __getitem__(self, yvec) -> np.ndarray:
         scaled = self.scaled
@@ -181,60 +202,112 @@ class _LatticeRows:
         return self.row
 
 
-def update_stream(
-    state: NewtonState,
-    ys,
-    snapshot_every: int | None = None,
-    on_snapshot: Callable[[NewtonState], None] | None = None,
-    skip_degenerate: bool = False,
-) -> NewtonState:
-    """Fold the one-observation update over a sequence, with a low-overhead loop.
+def _fold(state, ys, top, snapshot_every=None, on_snapshot=None, skip_degenerate=False):
+    """The recursion over validated observations ``ys`` (a list; ``top`` is their largest count).
 
-    ``ys`` holds counts on a Grid and rows of k counts on a ProductGrid.
-    Semantically a repeated ``update`` (same arithmetic via BLAS, so results
-    agree to rounding); the loop mutates a private scratch copy of the
-    weights, and the caller's state is untouched if anything raises.
-    Results are bit-reproducible: identical inputs give bit-identical
-    weights, wherever the allocator places the caller's arrays.  The
-    first degenerate observation aborts with its stream index attached to
-    the raised error; with ``skip_degenerate`` set, offending observations
-    are skipped instead (this biases the fit and is opt-in for that
-    reason).  When ``snapshot_every`` is set, ``on_snapshot`` receives an
-    immutable state snapshot every that many observations.
+    The weights are kept unnormalized, as ``v = S w`` with one running
+    scalar S, so an observation with scaled kernel row ``r`` and step ``a``
+    costs three passes over the weights:
+
+        q = r * v;   T = sum(q);   v += beta q,  beta = a S / ((1 - a) T);
+
+    then ``S <- S / (1 - a)``.  In exact arithmetic ``v / S`` is then
+    ``(1 - a) w + a (r * w) / (r . w)``.  ``v`` is normalized only for a
+    result (the end of the call and each snapshot) and when S passes
+    ``_RESCALE_AT``.  An observation is degenerate when T is not positive
+    or beta overflows; it never reaches the weights.
     """
-    if len(ys) == 0:
-        return state
-    grid = state.g.grid
-    ys = _counts(grid, ys)
-    cache = state.cache
-    rows = cache.scaled_table(int(ys.max()))
-    if isinstance(grid, ProductGrid):  # the one grid-dependent step: rows[y]
-        rows = _LatticeRows(grid, rows)
-    w = _aligned_empty(len(state.g.weights))
-    w[:] = state.g.weights
-    q = _aligned_empty(len(w))
-    rate = state.rate
-    n = n0 = state.n
-    steps = rate.steps(n, len(ys)).tolist()  # indexed by successful updates, not stream position
-    y_list = ys.tolist()
-    mul, dasum, dscal, daxpy = np.multiply, _blas.dasum, _blas.dscal, _blas.daxpy
-    for i, y in enumerate(y_list):
-        mul(rows[y], w, q)
-        total = dasum(q)
-        if not total > 0.0:  # catches underflow to zero (and NaN, defensively)
+    grid, rate, cache = state.g.grid, state.rate, state.cache
+    d = len(grid)
+    stride = -(-d // 8) * 8  # each scratch vector starts on a 64-byte line
+    lattice = isinstance(grid, ProductGrid)
+    scratch = _aligned_empty(stride * (3 if lattice else 2))
+    v, q = scratch[:d], scratch[stride : stride + d]
+    v[:] = state.g.weights
+    rows = cache.scaled_table(top)
+    if len(ys) > len(rows):  # a list of row views is faster to index than the table
+        rows = list(rows)
+    if lattice:  # the one grid-dependent step: rows[y]
+        rows = _LatticeRows(grid, rows, scratch[2 * stride : 2 * stride + d])
+    alpha, neg_gamma = rate.alpha, -rate.gamma
+    n, s = state.n, 1.0
+    snap = snapshot_every if on_snapshot else 0
+    mul, dasum, daxpy = np.multiply, _blas.dasum, _blas.daxpy
+    for i, y in enumerate(ys):
+        mul(rows[y], v, q)
+        t = dasum(q)
+        a = (alpha + (n + 1)) ** neg_gamma
+        keep = 1.0 - a
+        beta = a / keep * s / t if t > 0.0 else math.inf  # also inf on overflow; NaN fails too
+        if not beta < math.inf:
             if skip_degenerate:
                 continue
-            err = DegenerateLikelihoodError(y if ys.ndim == 1 else tuple(y), n)
+            err = DegenerateLikelihoodError(tuple(y) if lattice else y, n)
             err.stream_index = i
             raise err
-        a = steps[n - n0]
-        dscal(1.0 - a, w)
-        daxpy(q, w, a=a / total)
-        dscal(1.0 / dasum(w), w)
+        daxpy(q, v, a=beta)
+        s /= keep
         n += 1
-        if snapshot_every and n % snapshot_every == 0 and on_snapshot:
-            on_snapshot(NewtonState(MixingWeights(grid, w.copy()), n, rate, cache))
-    return NewtonState(g=MixingWeights(grid, w), n=n, rate=rate, cache=cache)
+        if s > _RESCALE_AT:
+            v /= dasum(v)
+            s = 1.0
+        if snap and n % snap == 0:
+            on_snapshot(NewtonState(MixingWeights._normalized(grid, v, dasum(v)), n, rate, cache))
+    if n == state.n:
+        return state
+    return NewtonState(MixingWeights._normalized(grid, v, dasum(v)), n, rate, cache)
+
+
+# The lockstep loop gathers the kernel rows of a block of steps at once,
+# at most this many floats, so memory stays bounded for any count matrix.
+_LOCKSTEP_BLOCK_FLOATS = 1 << 20
+
+
+def _fold_lockstep(grid: Grid, rate: LearningRate, y_matrix: np.ndarray, w0: np.ndarray, checkpoints):
+    """``_fold``'s recursion for many replications of a scalar stream in lockstep.
+
+    Row r of ``y_matrix`` is replication r's stream, and column m is step m+1
+    of every replication.  The weights are a (d, reps) matrix ``V = S W``
+    with one S for all replications, since its update does not depend on
+    the data; beta has one entry per replication.  Counts and kernel rows
+    are gathered one block of columns at a time, so the count matrix is
+    never copied whole.  A degenerate step raises.  Returns ``(final,
+    {n: weights at n for n in checkpoints})``, one weight row per replication.
+    """
+    reps, n_steps = y_matrix.shape
+    if y_matrix.min() < 0:  # np.take would read a negative count's row from the end
+        raise ValueError("counts must be nonnegative")
+    d = len(grid)
+    table = np.ascontiguousarray(KernelMatrixCache(grid).scaled_table(int(y_matrix.max())).T)
+    v = np.repeat(np.asarray(w0, dtype=float)[:, None], reps, axis=1)
+    q, t, beta = np.empty_like(v), np.empty(reps), np.empty(reps)
+    alpha, neg_gamma = rate.alpha, -rate.gamma
+    n, s = 0, 1.0
+    wanted, snaps = {int(c) for c in checkpoints}, {}
+    block = max(1, _LOCKSTEP_BLOCK_FLOATS // (d * reps))
+    with np.errstate(divide="ignore", over="ignore"):
+        for lo in range(0, n_steps, block):
+            counts = y_matrix[:, lo : lo + block].T  # (steps, reps) view
+            rows = np.take(table, counts, axis=1)  # (d, steps, reps)
+            for j in range(counts.shape[0]):
+                np.multiply(rows[:, j], v, out=q)
+                q.sum(axis=0, out=t)
+                a = (alpha + (n + 1)) ** neg_gamma
+                keep = 1.0 - a
+                np.divide(a / keep * s, t, out=beta)
+                if not beta.max() < math.inf:
+                    bad = int(np.argmin(beta < math.inf))
+                    raise DegenerateLikelihoodError(int(counts[j, bad]), n)
+                q *= beta
+                v += q
+                s /= keep
+                n += 1
+                if s > _RESCALE_AT:
+                    v /= v.sum(axis=0)
+                    s = 1.0
+                if n in wanted:
+                    snaps[n] = (v / v.sum(axis=0)).T.copy()
+    return (v / v.sum(axis=0)).T.copy(), snaps
 
 
 def martingale_residual(state: NewtonState, y_max: int) -> float:

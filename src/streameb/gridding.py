@@ -20,7 +20,7 @@ from .model import Grid, MixingWeights, log_mixture_pmf_table
 from .priors import PriorSpec
 
 _SCAN_CAP = 10**9
-_SCAN_BLOCK = 1 << 20
+_SCAN_BLOCK = 1 << 15  # 256 kB temporaries: cache-sized, and no 8 MB peak per grid build
 
 
 class GridInfeasibleError(RuntimeError):

@@ -13,14 +13,14 @@ over rows from ``log_kernel_rows``.
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammaln
 
-# Weight vectors are renormalized after every arithmetic step; construction
-# rejects anything farther than this from the simplex.
+# Construction rejects weight vectors farther than this from the simplex.
 SIMPLEX_TOL = 1e-9
 # Largest product grid accepted: D = d^k weights, and kernel rows of that length.
 LATTICE_CAP = 10**6
@@ -145,6 +145,23 @@ class MixingWeights:
         object.__setattr__(self, "weights", _frozen(w))
 
     @classmethod
+    def _normalized(cls, grid, v: np.ndarray, total: float) -> "MixingWeights":
+        """Weights ``v / total`` without the O(d) checks, for the engine.
+
+        The caller guarantees ``v >= 0`` entrywise and ``total == sum(v)``, so
+        a finite, positive ``total`` bounds every entry.  The result is a
+        fresh read-only vector.
+        """
+        if not 0.0 < total < math.inf:
+            raise ValueError(f"weights sum to {total!r}")
+        w = np.divide(v, total)
+        w.flags.writeable = False
+        g = object.__new__(cls)
+        object.__setattr__(g, "grid", grid)
+        object.__setattr__(g, "weights", w)
+        return g
+
+    @classmethod
     def uniform(cls, grid: Grid) -> "MixingWeights":
         d = len(grid)
         return cls(grid, np.full(d, 1.0 / d))
@@ -252,11 +269,8 @@ class KernelMatrixCache:
             tables = self._tables
         return tables
 
-    def log_row(self, y: int) -> np.ndarray:
-        return self._tables_through(y)[0][y]
-
     def scaled_row(self, y: int):
-        """Return ``(m, exp(log_row - m))`` with ``m`` the row maximum."""
+        """Return ``(m, exp(log k(y | theta) - m))`` with ``m`` the row maximum."""
         _, row_max, scaled = self._tables_through(y)
         return row_max[y], scaled[y]
 

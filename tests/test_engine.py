@@ -19,6 +19,7 @@ from streameb.engine import (
     update,
     update_stream,
 )
+from streameb.evaluation import batched_newton_stream
 from streameb.model import DegenerateLikelihoodError, Grid, MixingWeights, ProductGrid
 
 from . import oracles
@@ -36,15 +37,10 @@ class TestLearningRate:
 
     def test_steps_lie_in_unit_interval_and_decrease(self):
         rate = LearningRate(1.0, 0.99)
-        steps = rate.steps(0, 1000)
+        steps = np.array([rate(n) for n in range(1, 1001)])
         assert np.all(steps > 0) and np.all(steps < 1)
         assert np.all(np.diff(steps) < 0)
         assert steps[0] == pytest.approx(2.0**-0.99)
-
-    def test_steps_vector_matches_scalar_calls(self):
-        rate = LearningRate(2.0, 0.7)
-        vec = rate.steps(10, 5)
-        assert np.allclose(vec, [rate(n) for n in range(11, 16)], rtol=0, atol=0)
 
 
 class TestInit:
@@ -131,6 +127,45 @@ class TestUpdateStream:
             streamed = update_stream(init(grid, rate), ys)
             assert streamed.n == folded.n == 200
             assert np.max(np.abs(streamed.g.weights - folded.g.weights)) < tol
+
+    def test_stream_matches_folded_updates_across_a_rescale(self, rng):
+        # Steps (1e-9 + n)^-0.51 multiply the scale S of the unnormalized
+        # weights past the rescale point within 12,361 counts; the stream
+        # must fold it back without a trace.
+        rate = LearningRate(1e-9, 0.51)
+        n = 13_000
+        assert sum(-math.log1p(-rate(k)) for k in range(1, n + 1)) > math.log(engine._RESCALE_AT)
+        cases = [
+            (Grid(np.linspace(0.3, 10, 40)), rng.poisson(3.0, n), 1e-13),
+            (ProductGrid(Grid(np.linspace(0.3, 10, 6)), 2), rng.poisson(3.0, (n, 2)), 1e-12),
+        ]
+        for grid, ys, tol in cases:
+            folded = init(grid, rate)
+            for y in ys:
+                folded = update(folded, y)
+            streamed = update_stream(init(grid, rate), ys)
+            assert streamed.n == folded.n == n
+            assert np.max(np.abs(streamed.g.weights - folded.g.weights)) < tol
+
+    def test_overflowing_step_counts_as_degenerate(self):
+        # At y = 152 the kernel row at 0.5 is e^-717.5 of its maximum: a
+        # positive, subnormal mixture total whose step coefficient overflows.
+        grid = Grid([0.5, 152.0])
+        row = engine.KernelMatrixCache(grid).scaled_table(152)[152]
+        assert 0.0 < row[0] < 1e-300
+        state = init(grid, LearningRate(1.0, 0.99), g0=MixingWeights(grid, [1.0, 0.0]))
+        with pytest.raises(DegenerateLikelihoodError) as err:
+            update(state, 152)
+        with pytest.raises(DegenerateLikelihoodError) as err:
+            update_stream(state, [0, 152, 1])
+        assert err.value.stream_index == 1
+        out = update_stream(state, [0, 152, 1], skip_degenerate=True)
+        assert out.n == 2
+        assert np.array_equal(out.g.weights, update_stream(state, [0, 1]).g.weights)
+
+    def test_first_step_of_one_is_rejected(self):
+        with pytest.raises(ValueError):
+            LearningRate(1e-17, 1.0)
 
     def test_abort_carries_stream_index(self):
         grid = Grid([0.5, 20000.0])
@@ -230,6 +265,19 @@ class TestUpdateStream:
                 finals.append(update_stream(state, ys).g.weights)
             for offset, w in zip(range(0, 64, 8), finals):
                 assert np.array_equal(w, finals[0]), f"offset {offset} differs"
+        # The lockstep path, with its start weights at each offset and the
+        # heap shifted by a live allocation of a different size each time.
+        grid, ys = cases[0][0], rng.poisson(3.0, (3, 200))
+        finals = []
+        for offset in range(0, 64, 8):
+            shift = np.empty(offset + 1)
+            g0 = at_offset(init(grid, rate).g.weights, offset)
+            final, snaps = batched_newton_stream(grid, rate, ys, g0=g0, checkpoints=(100,))
+            finals.append((final, snaps[100]))
+            del shift
+        for offset, (final, mid) in zip(range(0, 64, 8), finals):
+            assert np.array_equal(final, finals[0][0]), f"lockstep offset {offset} differs"
+            assert np.array_equal(mid, finals[0][1]), f"lockstep offset {offset} differs"
 
 
 class TestStreamInvariants:

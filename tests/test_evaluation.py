@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from streameb import engine
 from streameb.engine import LearningRate, init, update_stream
 from streameb.evaluation import (
     ExperimentConfig,
@@ -17,7 +18,7 @@ from streameb.evaluation import (
     run_stream_experiment,
     timing_harness,
 )
-from streameb.model import Grid, MixingWeights
+from streameb.model import DegenerateLikelihoodError, Grid, MixingWeights
 from streameb.priors import grid_atoms_prior, uniform_prior, weibull_prior
 
 from . import oracles
@@ -105,6 +106,34 @@ class TestBatchedStream:
             assert np.max(np.abs(final[r] - state.g.weights)) < 1e-12
             mid = update_stream(init(grid, rate), ys[r, :100])
             assert np.max(np.abs(snaps[100][r] - mid.g.weights)) < 1e-12
+
+
+    @pytest.mark.parametrize(
+        "rate, n_steps", [(LearningRate(1.0, 0.8), 300), (LearningRate(1e-9, 0.51), 13_000)]
+    )
+    def test_matches_row_streams_across_block_boundaries(self, monkeypatch, rate, n_steps):
+        # Blocks of 64 steps for 4 replications on 3 atoms, checkpoints on
+        # both sides of two block boundaries; the second schedule also
+        # takes the shared scale S past its rescale point.
+        monkeypatch.setattr(engine, "_LOCKSTEP_BLOCK_FLOATS", 64 * 4 * 3)
+        grid = Grid([0.5, 2.0, 5.0])
+        ys = np.random.default_rng(5).poisson(2.0, size=(4, n_steps))
+        checkpoints = (63, 64, 65, 128, 129)
+        final, snaps = batched_newton_stream(grid, rate, ys, checkpoints=checkpoints)
+        assert sorted(snaps) == list(checkpoints)
+        for r in range(4):
+            for n, got in [(n_steps, final[r])] + [(c, snaps[c][r]) for c in checkpoints]:
+                want = update_stream(init(grid, rate), ys[r, :n]).g.weights
+                assert np.max(np.abs(got - want)) < 1e-12, (r, n)
+
+    def test_degenerate_step_and_negative_count_raise(self):
+        grid = Grid([0.5, 152.0])
+        ys = np.array([[0, 1, 2], [0, 152, 1]])
+        with pytest.raises(DegenerateLikelihoodError) as err:
+            batched_newton_stream(grid, LearningRate(1.0, 0.99), ys, g0=np.array([1.0, 0.0]))
+        assert (err.value.y, err.value.n) == (152, 1)
+        with pytest.raises(ValueError, match="nonnegative"):
+            batched_newton_stream(grid, LearningRate(1.0, 0.99), np.array([[-1, 2]]))
 
 
 class TestRunStreamExperiment:

@@ -56,6 +56,36 @@ class TestKlGridSize:
             assert scan_condition(d, spec.eta, spec.k, spec.m_k)
             assert not scan_condition(d - 1, spec.eta, spec.k, spec.m_k)
 
+    def test_block_size_does_not_change_the_size(self):
+        # The scan runs in cache-sized blocks; the sizes must equal those of
+        # a scan in blocks of 1 << 20, the block it used before.  Specs
+        # share (eta, k) pairs so that the wide-block reference computes
+        # n^(1-k) log(n eta) once per pair and block; m_k is set to reach
+        # sizes spread log-uniformly from 2/eta to 1e6.
+        rng = np.random.default_rng(20)
+        wide = 1 << 20
+        checked = 0
+        for eta in np.exp(rng.uniform(np.log(0.01), np.log(0.5), size=20)):
+            k = int(rng.integers(2, 5))
+            start = math.floor(1.0 / eta) + 1
+            d = np.exp(rng.uniform(np.log(2.0 / eta), np.log(1e6), size=20))
+            m_ks = eta**k * d ** (k - 1) / np.log(d * eta)
+            want = {}
+            lo = start
+            while len(want) < len(m_ks):
+                ns = np.arange(lo, lo + wide, dtype=float)
+                base = ns ** (1.0 - k) * np.log(ns * eta)
+                for m_k in set(m_ks) - set(want):
+                    ok = base * m_k <= eta**k
+                    first = int(ok.argmax())
+                    if ok[first]:
+                        want[m_k] = lo + first
+                lo += wide
+            for m_k in m_ks:
+                assert kl_grid_size(GridSpec(eta=eta, k=k, m_k=m_k)) == want[m_k]
+                checked += 1
+        assert checked == 400
+
     def test_vanishing_moment_gives_minimal_grid(self):
         assert kl_grid_size(GridSpec(eta=1.0, k=2, m_k=1e-12)) == 2
 

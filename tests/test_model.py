@@ -114,7 +114,7 @@ class TestKernelCache:
         g = Grid([0.5, 2.0, 7.0])
         cache = KernelMatrixCache(g)
         for y in (0, 3, 11):
-            row = cache.log_row(y)
+            row = cache.log_table(y)[y]
             for j, t in enumerate(g.points):
                 assert math.exp(row[j]) == pytest.approx(
                     oracles.poisson_pmf(y, t), rel=1e-12
@@ -123,9 +123,9 @@ class TestKernelCache:
     def test_lazy_extension_preserves_rows(self):
         g = Grid([1.0, 4.0])
         cache = KernelMatrixCache(g)
-        first = cache.log_row(2).copy()
+        first = cache.log_table(2)[2].copy()
         cache.ensure(40)
-        assert np.array_equal(cache.log_row(2), first)
+        assert np.array_equal(cache.log_table(2)[2], first)
         assert cache.max_y == 40
 
     def test_scaled_rows_shift_by_max(self):
@@ -133,7 +133,7 @@ class TestKernelCache:
         cache = KernelMatrixCache(g)
         m, scaled = cache.scaled_row(5)
         assert scaled.max() == pytest.approx(1.0)
-        assert np.allclose(np.log(scaled[scaled > 0]) + m, cache.log_row(5)[scaled > 0])
+        assert np.allclose(np.log(scaled[scaled > 0]) + m, cache.log_table(5)[5][scaled > 0])
 
     def test_growing_row_by_row_matches_one_extension(self):
         g = Grid(np.linspace(0.5, 30, 40))
@@ -149,7 +149,7 @@ class TestKernelCache:
         g = MixingWeights(Grid([1.0, 4.0]), [0.5, 0.5])
         cache = KernelMatrixCache(g.grid)
         cache.ensure(30)
-        for read in (cache.log_row, cache.scaled_row, cache.log_table, cache.scaled_table):
+        for read in (cache.scaled_row, cache.log_table, cache.scaled_table):
             with pytest.raises(ValueError):
                 read(-1)
         with pytest.raises(ValueError):
