@@ -34,6 +34,8 @@ class TestLearningRate:
             LearningRate(1.0, 0.5)
         with pytest.raises(ValueError):
             LearningRate(1.0, 1.01)
+        with pytest.raises(ValueError):  # the first step (1 + 1e-17)^-1 rounds to 1
+            LearningRate(1e-17, 1.0)
 
     def test_steps_lie_in_unit_interval_and_decrease(self):
         rate = LearningRate(1.0, 0.99)
@@ -162,10 +164,6 @@ class TestUpdateStream:
         out = update_stream(state, [0, 152, 1], skip_degenerate=True)
         assert out.n == 2
         assert np.array_equal(out.g.weights, update_stream(state, [0, 1]).g.weights)
-
-    def test_first_step_of_one_is_rejected(self):
-        with pytest.raises(ValueError):
-            LearningRate(1e-17, 1.0)
 
     def test_abort_carries_stream_index(self):
         grid = Grid([0.5, 20000.0])
