@@ -10,7 +10,7 @@ from .engine import (
     update,
     update_stream,
 )
-from .gridding import GridSpec, binned_discretization, build_equispaced_grid, kl_grid_size
+from .gridding import GridSpec, build_equispaced_grid, kl_grid_size
 from .inference import (
     EstimateReport,
     asymptotic_variance,
@@ -44,7 +44,6 @@ __all__ = [
     "NewtonState",
     "PriorSpec",
     "asymptotic_variance",
-    "binned_discretization",
     "build_equispaced_grid",
     "clt_scale",
     "credible_interval",

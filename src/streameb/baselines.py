@@ -10,7 +10,8 @@ Four methods over a count histogram:
   to the empirical pmf.
 * ``fit_gamma_hyperprior`` / ``gamma_posterior_mean``: parametric route; the
   marginal of a Gamma(shape, rate) prior is negative binomial, fitted by
-  maximum likelihood, after which the posterior mean is (y+shape)/(1+rate).
+  maximum likelihood (a profile likelihood in the shape), after which the
+  posterior mean is (y+shape)/(1+rate).
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import digamma, gammaln
+from scipy.special import gammaln
 
 # ratio_estimate stays importable here: perfbench/tracing.py patches it.
 from .inference import estimate_table, ratio_estimate  # noqa: F401
@@ -236,24 +237,17 @@ def nb_log_likelihood(h: CountHistogram, shape: float, rate: float) -> float:
     return float(n @ terms)
 
 
-def nb_log_likelihood_grad(h: CountHistogram, shape: float, rate: float):
-    """Gradient of ``nb_log_likelihood`` in (shape, rate)."""
-    ys = h.support().astype(float)
-    n = h.multiplicities()
-    d_shape = float(n @ (digamma(ys + shape) - digamma(shape) + np.log(rate / (1.0 + rate))))
-    d_rate = float(n @ (shape / rate - (shape + ys) / (1.0 + rate)))
-    return d_shape, d_rate
-
-
 _BOUNDARY_LOG = np.log(1e8)
 
 
 def fit_gamma_hyperprior(h: CountHistogram) -> GammaHyper:
     """Maximum-likelihood (shape, rate) for the negative binomial marginal.
 
-    Optimizes over log parameters with L-BFGS-B, so positivity is built in.
-    Data with no overdispersion push shape and rate to infinity together; a
-    finite safeguard is returned with a warning in that case.
+    The likelihood's score in the rate vanishes where ``shape / rate`` is the
+    sample mean, so the fit maximizes the profile likelihood of log shape
+    alone over a bounded interval, with ``rate = shape / mean``.  Data with
+    no overdispersion push shape and rate to infinity together; a finite
+    safeguard is returned with a warning in that case.
     """
     if len(h.entries) < 2:
         warnings.warn("degenerate data (single distinct count); boundary fit returned")
@@ -268,22 +262,17 @@ def fit_gamma_hyperprior(h: CountHistogram) -> GammaHyper:
             "boundary (shape, rate -> inf); returning the safeguarded fit"
         )
         return GammaHyper(shape_cap, shape_cap / max(mean, 1e-8))
-    # Method-of-moments start: var = mean + mean^2/shape.
-    from scipy.optimize import minimize  # deferred: only this fit needs it
+    from scipy.optimize import minimize_scalar  # deferred: only this fit needs it
 
-    shape0 = max(mean**2 / (var - mean), 1e-3)
-    rate0 = max(shape0 / max(mean, 1e-8), 1e-6)
+    def neg(log_shape):
+        shape = np.exp(log_shape)
+        return -nb_log_likelihood(h, shape, shape / mean)
 
-    def neg(u):
-        shape, rate = np.exp(u)
-        val = nb_log_likelihood(h, shape, rate)
-        ds, dr = nb_log_likelihood_grad(h, shape, rate)
-        return -val, -np.array([ds * shape, dr * rate])
-
-    bounds = [(-_BOUNDARY_LOG, _BOUNDARY_LOG)] * 2
-    res = minimize(neg, np.log([shape0, rate0]), jac=True, method="L-BFGS-B", bounds=bounds)
-    log_shape, log_rate = res.x
-    near_boundary = max(log_shape, log_rate) >= _BOUNDARY_LOG - 1e-3
+    # The default tolerance (1e-5 in log shape) can stop short of the maximum.
+    bounds = (-_BOUNDARY_LOG, _BOUNDARY_LOG)
+    res = minimize_scalar(neg, bounds=bounds, method="bounded", options={"xatol": 1e-8})
+    log_shape = float(res.x)
+    near_boundary = max(log_shape, log_shape - np.log(mean)) >= _BOUNDARY_LOG - 1e-3
     if not res.success and not near_boundary:
         raise ConvergenceError(f"negative binomial fit failed: {res.message}")
     if near_boundary:
@@ -291,7 +280,8 @@ def fit_gamma_hyperprior(h: CountHistogram) -> GammaHyper:
             "marginal likelihood is maximized toward the equidispersed "
             "boundary (shape, rate -> inf); returning the safeguarded fit"
         )
-    return GammaHyper(float(np.exp(log_shape)), float(np.exp(log_rate)))
+    shape = float(np.exp(log_shape))
+    return GammaHyper(shape, shape / mean)
 
 
 def gamma_posterior_mean(hyper: GammaHyper, y: int) -> float:

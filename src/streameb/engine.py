@@ -30,7 +30,7 @@ from typing import Callable
 
 import numpy as np
 from scipy.linalg import blas as _blas
-from scipy.special import gammaincc
+from scipy.special import pdtrc
 
 from .model import (
     DegenerateLikelihoodError,
@@ -326,7 +326,7 @@ def martingale_residual(state: NewtonState, y_max: int) -> float:
     stepped = (1.0 - a) * w[None, :] + a * post         # update applied at each y
     expected = (p[:, None] * stepped).sum(axis=0)
     # Poisson tail beyond y_max, exact: P(Y > y_max | theta_j)
-    tail_k = 1.0 - gammaincc(y_max + 1.0, pts)
+    tail_k = pdtrc(y_max, pts)
     tail_p = float(np.dot(w, tail_k))
     expected += (1.0 - a) * w * tail_p + a * w * tail_k
     return float(np.max(np.abs(expected - w)))

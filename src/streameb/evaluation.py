@@ -224,6 +224,33 @@ def regret_decay_diagnostic(cfg: ExperimentConfig, checkpoints) -> RegretDecayRe
     )
 
 
+_DRAW_BLOCK = 1 << 22  # draws per block of rows: 32 MB float temporaries
+
+
+def atom_count_matrix(atoms, probs, reps: int, n: int, rng) -> np.ndarray:
+    """``(reps, n)`` Poisson counts at rates drawn from a grid-atoms prior.
+
+    The same draws as ``rng.poisson(rng.choice(atoms, size=(reps, n), p=probs))``,
+    made in blocks of rows: first every atom index, then every count.  Both
+    are kept in the narrowest unsigned type that holds them; the count
+    matrix is widened when a block's largest count overflows it.
+    """
+    atoms = np.asarray(atoms, dtype=float)
+    rows = max(1, _DRAW_BLOCK // n)
+    blocks = [slice(lo, lo + rows) for lo in range(0, reps, rows)]
+    idx = np.empty((reps, n), dtype=np.min_scalar_type(len(atoms) - 1))
+    for b in blocks:
+        idx[b] = rng.choice(len(atoms), size=idx[b].shape, p=probs)
+    ys = np.empty((reps, n), dtype=np.uint8)
+    for b in blocks:
+        counts = rng.poisson(atoms[idx[b]])
+        top = int(counts.max())
+        if top > np.iinfo(ys.dtype).max:
+            ys = ys.astype(np.min_scalar_type(top))
+        ys[b] = counts
+    return ys
+
+
 def interval_coverage(atoms, probs, rate, level, ys, reps, n_small, n_big, seed) -> dict:
     """``{y: share of streams whose interval at n_small covers their n_big estimate}``.
 
@@ -231,9 +258,7 @@ def interval_coverage(atoms, probs, rate, level, ys, reps, n_small, n_big, seed)
     (``atoms`` with ``probs``) run in lockstep on the atoms' grid.
     """
     grid = Grid(atoms)
-    rng = np.random.default_rng(seed)
-    thetas = rng.choice(atoms, size=(reps, n_big), p=probs)
-    y_matrix = rng.poisson(thetas)
+    y_matrix = atom_count_matrix(atoms, probs, reps, n_big, np.random.default_rng(seed))
     final, snaps = batched_newton_stream(grid, rate, y_matrix, checkpoints=(n_small,))
     cache = KernelMatrixCache(grid)
     hits = dict.fromkeys(ys, 0)

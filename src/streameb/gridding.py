@@ -1,23 +1,20 @@
-"""Construction of the equispaced support grid and its KL discretization.
+"""Grid sizing: the equispaced support grid for a spacing and a moment bound.
 
 The grid size is the smallest integer ``n`` with ``n > 1/eta`` and
 ``n^(1-k) log(n eta) m_k <= eta^k``, where ``m_k`` bounds the k-th moment of
 the count distribution.  Binning a prior onto that grid keeps the truncated
 Kullback-Leibler divergence between the exact and discretized count
-distributions below ``2 eta``; ``kl_discretization_gap`` verifies this
-numerically.
+distributions below ``2 eta``; the acceptance tests check this numerically.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Grid, MixingWeights, log_mixture_pmf_table
-from .priors import PriorSpec
+from .model import Grid
 
 _SCAN_CAP = 10**9
 _SCAN_BLOCK = 1 << 15  # 256 kB temporaries: cache-sized, and no 8 MB peak per grid build
@@ -84,42 +81,3 @@ def build_equispaced_grid(spec: GridSpec) -> Grid:
         points = np.linspace(spec.eta, d_full * spec.eta, spec.d_cap)
     return Grid(points)
 
-
-def binned_discretization(prior: PriorSpec, grid: Grid) -> MixingWeights:
-    """Push a prior onto the grid by CDF differences over the bins.
-
-    Bin i collects the prior mass on (theta_{i-1}, theta_i] (with theta_0=0);
-    the last atom also absorbs the upper tail.  Any prior mass exactly at 0
-    lands on the first atom, with a warning.
-    """
-    pts = grid.points
-    gaps = np.diff(pts)
-    if gaps.size and not np.allclose(gaps, gaps[0], rtol=1e-9, atol=0.0):
-        raise ValueError("binned discretization expects an equispaced grid")
-    cdf_at = np.asarray(prior.cdf(pts), dtype=float)
-    mass_at_zero = float(prior.cdf(0.0))
-    if mass_at_zero > 0:
-        warnings.warn("prior has mass at 0; assigning it to the first grid atom")
-    w = np.empty(len(grid))
-    w[0] = cdf_at[0]
-    w[1:] = np.diff(cdf_at)
-    w[-1] += 1.0 - cdf_at[-1]
-    w = np.clip(w, 0.0, None)
-    return MixingWeights(grid, w / w.sum())
-
-
-def kl_discretization_gap(prior: PriorSpec, g: MixingWeights, y_max: int) -> float:
-    """Truncated KL(p_prior || p_g) summed over counts 0..y_max.
-
-    Returns ``inf`` when the discretized pmf vanishes somewhere the exact
-    pmf does not.  Nonnegative up to quadrature and truncation error.
-    """
-    ys = np.arange(y_max + 1)
-    p_exact = prior.count_pmf(ys)
-    log_p_g = log_mixture_pmf_table(g, y_max)
-    live = p_exact > 0
-    degenerate = ~np.isfinite(log_p_g) | (np.exp(log_p_g) == 0.0)
-    if np.any(live & degenerate):
-        return math.inf
-    terms = p_exact[live] * (np.log(p_exact[live]) - log_p_g[live])
-    return float(terms.sum())

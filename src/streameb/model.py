@@ -223,8 +223,8 @@ class KernelMatrixCache:
     Alongside the log table the cache keeps each row shifted by its maximum
     and exponentiated, which is what the streaming update consumes.
 
-    The three tables are published together as one tuple of views, so a
-    reader always sees rows that exist in all of them.  Their backing
+    The two tables are published together as one tuple of views, so a
+    reader always sees rows that exist in both.  Their backing
     buffers are sized exactly on the first request and grow geometrically
     after that, so a rising maximum count costs amortized O(d) per row.
     """
@@ -233,13 +233,13 @@ class KernelMatrixCache:
         self.grid = grid
         self._lock = threading.Lock()
         d = len(grid)
-        empty = (np.empty((0, d)), np.empty(0), np.empty((0, d)))
+        empty = (np.empty((0, d)), np.empty((0, d)))
         self._buffers = empty  # full capacity; touched only under the lock
-        self._tables = empty  # (log, row_max, scaled), rows 0..max_y
+        self._tables = empty  # (log, scaled), rows 0..max_y
 
     @property
     def max_y(self) -> int:
-        return self._tables[1].shape[0] - 1
+        return self._tables[0].shape[0] - 1
 
     def ensure(self, y: int) -> None:
         if y <= self.max_y:
@@ -248,31 +248,25 @@ class KernelMatrixCache:
             lo = self.max_y + 1
             if y < lo:
                 return
-            capacity = self._buffers[1].shape[0]
+            capacity = self._buffers[0].shape[0]
             if y >= capacity:
                 rows = y + 1 if lo == 0 else max(y + 1, 2 * capacity)
                 self._buffers = tuple(_grown(buf, rows, lo) for buf in self._buffers)
-            log, row_max, scaled = self._buffers
+            log, scaled = self._buffers
             block = log[lo : y + 1]
             block[:] = _log_kernel(self.grid.points, np.arange(lo, y + 1))
-            block.max(axis=1, out=row_max[lo : y + 1])
-            np.exp(block - row_max[lo : y + 1, None], out=scaled[lo : y + 1])
-            self._tables = (log[: y + 1], row_max[: y + 1], scaled[: y + 1])
+            np.exp(block - block.max(axis=1, keepdims=True), out=scaled[lo : y + 1])
+            self._tables = (log[: y + 1], scaled[: y + 1])
 
     def _tables_through(self, y: int):
         """The published tables, extended first if they stop before row y."""
         if y < 0:  # a negative index would silently read a cached row from the end
             raise ValueError("counts must be nonnegative")
         tables = self._tables
-        if y >= tables[1].shape[0]:
+        if y >= tables[0].shape[0]:
             self.ensure(y)
             tables = self._tables
         return tables
-
-    def scaled_row(self, y: int):
-        """Return ``(m, exp(log k(y | theta) - m))`` with ``m`` the row maximum."""
-        _, row_max, scaled = self._tables_through(y)
-        return row_max[y], scaled[y]
 
     def log_table(self, y_max: int) -> np.ndarray:
         """Rows 0..y_max of the log-kernel table, shape (y_max+1, d)."""
@@ -280,7 +274,7 @@ class KernelMatrixCache:
 
     def scaled_table(self, y_max: int) -> np.ndarray:
         """Rows 0..y_max of the row-max-shifted kernel, shape (y_max+1, d)."""
-        return self._tables_through(y_max)[2][: y_max + 1]
+        return self._tables_through(y_max)[1][: y_max + 1]
 
 
 def _grown(buf: np.ndarray, rows: int, keep: int) -> np.ndarray:

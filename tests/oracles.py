@@ -7,14 +7,21 @@ trustworthy to be checked against.
 """
 
 import math
+import warnings
+from functools import cache
 
 import numpy as np
-from scipy.stats import poisson
+from scipy.special import roots_legendre
+from scipy.stats import poisson, rv_discrete
 
 from streameb.inference import default_y_max
-from streameb.model import log_poisson_kernel
+from streameb.model import MixingWeights, log_mixture_pmf_table, log_poisson_kernel
 
 COVARIANCE_MAX_D = 200
+
+# Gauss-Legendre node count for integrating the Poisson kernel against a
+# continuous prior; the integrands are smooth so this is far more than enough.
+QUADRATURE_NODES = 10_000
 
 
 def poisson_pmf(y, theta):
@@ -112,6 +119,75 @@ def posterior_weight_covariance(g, y_max=None):
     full = post.T @ (p[:, None] * post) - np.outer(weights, weights)
     full = 0.5 * (full + full.T)
     return full[: d - 1, : d - 1]
+
+
+# -- priors as scipy.stats distributions: frozen continuous ones, or
+# rv_discrete(values=(atoms, probs)) for a prior on finitely many atoms
+
+
+@cache
+def _legendre_nodes():
+    return roots_legendre(QUADRATURE_NODES)
+
+
+def count_second_moment(dist):
+    """E[Y^2] for Y ~ Poisson(theta), theta ~ dist: E[theta] + E[theta^2]."""
+    return float(dist.mean() + dist.moment(2))
+
+
+def count_pmf(dist, ys):
+    """p(y) = integral of the Poisson kernel against the prior.
+
+    Continuous priors use Gauss-Legendre quadrature with ``QUADRATURE_NODES``
+    points over [0, dist.isf(1e-16)]; discrete priors are summed exactly.
+    """
+    ys = np.asarray(ys, dtype=int)
+    if isinstance(dist, rv_discrete):
+        theta, w = dist.xk, dist.pk
+    else:
+        x, gw = _legendre_nodes()
+        hi = float(dist.isf(1e-16))
+        theta = 0.5 * hi * (x + 1.0)
+        w = 0.5 * hi * gw * dist.pdf(theta)
+    return poisson.pmf(ys[:, None], theta[None, :]) @ w
+
+
+def binned_discretization(dist, grid):
+    """Push a prior onto an equispaced grid by CDF differences over the bins.
+
+    Bin i collects the prior mass on (theta_{i-1}, theta_i] (with theta_0=0);
+    the last atom also absorbs the upper tail.  Any prior mass exactly at 0
+    lands on the first atom, with a warning.
+    """
+    pts = grid.points
+    gaps = np.diff(pts)
+    if gaps.size and not np.allclose(gaps, gaps[0], rtol=1e-9, atol=0.0):
+        raise ValueError("binned discretization expects an equispaced grid")
+    cdf_at = np.asarray(dist.cdf(pts), dtype=float)
+    if float(dist.cdf(0.0)) > 0:
+        warnings.warn("prior has mass at 0; assigning it to the first grid atom")
+    w = np.empty(len(grid))
+    w[0] = cdf_at[0]
+    w[1:] = np.diff(cdf_at)
+    w[-1] += 1.0 - cdf_at[-1]
+    w = np.clip(w, 0.0, None)
+    return MixingWeights(grid, w / w.sum())
+
+
+def kl_discretization_gap(dist, g, y_max):
+    """Truncated KL(p_prior || p_g) summed over counts 0..y_max.
+
+    Returns ``inf`` when the discretized pmf vanishes somewhere the exact
+    pmf does not.  Nonnegative up to quadrature and truncation error.
+    """
+    p_exact = count_pmf(dist, np.arange(y_max + 1))
+    log_p_g = log_mixture_pmf_table(g, y_max)
+    live = p_exact > 0
+    degenerate = ~np.isfinite(log_p_g) | (np.exp(log_p_g) == 0.0)
+    if np.any(live & degenerate):
+        return math.inf
+    terms = p_exact[live] * (np.log(p_exact[live]) - log_p_g[live])
+    return float(terms.sum())
 
 
 # -- product grids: lexicographic lattice indexing, first coordinate most significant

@@ -10,6 +10,7 @@ import time
 
 import numpy as np
 import pytest
+from scipy.stats import halfnorm, uniform, weibull_min
 
 import streameb.engine as engine
 from streameb.baselines import VdmConfig, fit_npmle, robbins_estimate
@@ -23,7 +24,7 @@ from streameb.evaluation import (
     run_stream_experiment,
     timing_harness,
 )
-from streameb.gridding import GridSpec, binned_discretization, build_equispaced_grid, kl_discretization_gap
+from streameb.gridding import GridSpec, build_equispaced_grid
 from streameb.inference import (
     asymptotic_variance,
     clt_scale,
@@ -40,12 +41,7 @@ from streameb.model import (
     posterior_mean,
 )
 from streameb.multidim import multi_estimate
-from streameb.priors import (
-    grid_atoms_prior,
-    half_gaussian_prior,
-    uniform_prior,
-    weibull_prior,
-)
+from streameb.priors import grid_atoms_prior, parse_prior
 
 from . import oracles
 from .conftest import ACCIDENT_PAIRS, random_weights
@@ -114,21 +110,22 @@ def test_martingale_property_of_the_update():
 def test_discretization_divergence_bound():
     t0 = time.perf_counter()
     priors = [
-        ("weibull(5,3)", weibull_prior(5, 3)),
-        ("uniform[0,3]", uniform_prior(0, 3)),
-        ("half-gaussian", half_gaussian_prior(1.0)),
+        ("weibull(5,3)", weibull_min(5, scale=3)),
+        ("uniform[0,3]", uniform(0, 3)),
+        ("half-gaussian", halfnorm(scale=1.0)),
     ]
     results = []
     ok = True
     for label, prior in priors:
         for eta in (0.05, 0.1):
             grid = build_equispaced_grid(
-                GridSpec(eta=eta, k=2, m_k=prior.count_second_moment())
+                GridSpec(eta=eta, k=2, m_k=oracles.count_second_moment(prior))
             )
-            g = binned_discretization(prior, grid)
+            g = oracles.binned_discretization(prior, grid)
             # Counts above this carry < 1e-20 of the prior's predictive mass.
-            y_max = int(prior.support_hi() + 25 * math.sqrt(prior.support_hi()) + 25)
-            gap = kl_discretization_gap(prior, g, y_max)
+            hi = prior.isf(1e-16)
+            y_max = int(hi + 25 * math.sqrt(hi) + 25)
+            gap = oracles.kl_discretization_gap(prior, g, y_max)
             results.append(f"{label} eta={eta}: {gap:.3e}")
             ok = ok and 0.0 <= gap < 2 * eta
     elapsed = time.perf_counter() - t0
@@ -194,7 +191,7 @@ def test_synthetic_benchmark_ballpark():
     # also matches the published grid sizes for this setup.
     t0 = time.perf_counter()
     cfg = ExperimentConfig(
-        prior=weibull_prior(3, 5),
+        prior=parse_prior("weibull:3,5"),
         n=500,
         eta=0.025,
         d_cap=10_000,

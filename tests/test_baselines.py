@@ -15,12 +15,11 @@ from streameb.baselines import (
     fit_npmle,
     gamma_posterior_mean,
     nb_log_likelihood,
-    nb_log_likelihood_grad,
     robbins_estimate,
 )
 from streameb.evaluation import generate_compound
 from streameb.model import CountHistogram, Grid
-from streameb.priors import gamma_prior, grid_atoms_prior
+from streameb.priors import PriorSpec, grid_atoms_prior
 
 from . import oracles
 
@@ -181,14 +180,14 @@ class TestMinHellinger:
 
 class TestGammaFit:
     def test_recovers_simulated_hyperparameters(self):
-        _, ys = generate_compound(gamma_prior(2.0, 1.0), 100_000, 3)
+        _, ys = generate_compound(PriorSpec("gamma", (2.0, 1.0)), 100_000, 3)
         h = CountHistogram.from_counts(ys)
         hyper = fit_gamma_hyperprior(h)
         assert hyper.shape == pytest.approx(2.0, rel=0.1)
         assert hyper.rate == pytest.approx(1.0, rel=0.1)
 
     def test_likelihood_at_fit_beats_truth(self):
-        _, ys = generate_compound(gamma_prior(2.0, 1.0), 50_000, 9)
+        _, ys = generate_compound(PriorSpec("gamma", (2.0, 1.0)), 50_000, 9)
         h = CountHistogram.from_counts(ys)
         hyper = fit_gamma_hyperprior(h)
         assert nb_log_likelihood(h, hyper.shape, hyper.rate) >= nb_log_likelihood(
@@ -209,24 +208,16 @@ class TestGammaFit:
         with pytest.warns(UserWarning):
             fit_gamma_hyperprior(CountHistogram.from_pairs([(3, 100)]))
 
-    def test_gradient_matches_finite_differences(self, rng):
-        _, ys = generate_compound(gamma_prior(1.5, 0.7), 5000, 21)
+    def test_fit_is_a_likelihood_maximum(self):
+        # At the maximum the rate's score equation gives shape / rate = mean.
+        _, ys = generate_compound(PriorSpec("gamma", (2.0, 1.0)), 100_000, 3)
         h = CountHistogram.from_counts(ys)
-        eps = 1e-6
-        for _ in range(10):
-            shape = float(rng.uniform(0.3, 5.0))
-            rate = float(rng.uniform(0.2, 3.0))
-            ds, dr = nb_log_likelihood_grad(h, shape, rate)
-            fd_s = (
-                nb_log_likelihood(h, shape + eps, rate)
-                - nb_log_likelihood(h, shape - eps, rate)
-            ) / (2 * eps)
-            fd_r = (
-                nb_log_likelihood(h, shape, rate + eps)
-                - nb_log_likelihood(h, shape, rate - eps)
-            ) / (2 * eps)
-            assert ds == pytest.approx(fd_s, rel=1e-5)
-            assert dr == pytest.approx(fd_r, rel=1e-5)
+        hyper = fit_gamma_hyperprior(h)
+        assert hyper.shape / hyper.rate == pytest.approx(ys.mean(), rel=1e-12)
+        best = nb_log_likelihood(h, hyper.shape, hyper.rate)
+        for s, r in ((1.01, 1), (1 / 1.01, 1), (1, 1.01), (1, 1 / 1.01)):
+            stepped = nb_log_likelihood(h, hyper.shape * s, hyper.rate * r)
+            assert stepped <= best + 1e-9 * abs(best)
 
 
 class TestGammaPosteriorMean:
@@ -238,7 +229,7 @@ class TestGammaPosteriorMean:
         assert gamma_posterior_mean(hyper, 7) == pytest.approx(9.0, rel=1e-9)
 
     def test_matches_oracle_posterior_means_on_simulated_data(self):
-        thetas, ys = generate_compound(gamma_prior(2.0, 1.0), 200_000, 5)
+        thetas, ys = generate_compound(PriorSpec("gamma", (2.0, 1.0)), 200_000, 5)
         h = CountHistogram.from_counts(ys)
         hyper = fit_gamma_hyperprior(h)
         for y in range(6):

@@ -3,11 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from streameb import engine
+from streameb import engine, evaluation
 from streameb.engine import LearningRate, init, update_stream
 from streameb.evaluation import (
     ExperimentConfig,
     MetricRow,
+    atom_count_matrix,
     batched_newton_stream,
     generate_compound,
     metrics_to_csv,
@@ -19,7 +20,7 @@ from streameb.evaluation import (
     timing_harness,
 )
 from streameb.model import DegenerateLikelihoodError, Grid, MixingWeights
-from streameb.priors import grid_atoms_prior, uniform_prior, weibull_prior
+from streameb.priors import PriorSpec, grid_atoms_prior
 
 from . import oracles
 
@@ -33,17 +34,28 @@ class TestGenerateCompound:
         assert abs(ys.mean() - 4.0) < band
 
     def test_uniform_prior_moment_band(self):
-        prior = uniform_prior(0.0, 3.0)
+        prior = PriorSpec("uniform", (0.0, 3.0))
         _, ys = generate_compound(prior, 100_000, 1)
         # E[Y] = 1.5; Var(Y) = E[theta] + Var(theta) = 1.5 + 0.75
         band = 3 * np.sqrt(2.25 / 100_000)
         assert abs(ys.mean() - 1.5) < band
 
     def test_deterministic_under_seed(self):
-        prior = weibull_prior(5, 3)
+        prior = PriorSpec("weibull", (5, 3))
         a = generate_compound(prior, 500, 7)
         b = generate_compound(prior, 500, 7)
         assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
+
+    @pytest.mark.parametrize("atoms", [[0.5, 2.0, 4.5, 8.0, 13.0], [0.5, 2.0, 4.5, 8.0, 300.0]])
+    def test_atom_count_blocks_match_one_draw(self, monkeypatch, atoms):
+        # 8-row blocks; the second prior's counts overflow uint8 and widen.
+        monkeypatch.setattr(evaluation, "_DRAW_BLOCK", 8 * 5003)
+        probs = [0.15, 0.25, 0.25, 0.2, 0.15]
+        got = atom_count_matrix(atoms, probs, 37, 5003, np.random.default_rng(42))
+        rng = np.random.default_rng(42)
+        want = rng.poisson(rng.choice(atoms, size=(37, 5003), p=probs))
+        assert np.array_equal(got, want)
+        assert got.dtype == (np.uint8 if atoms[-1] < 100 else np.uint16)
 
 
 class TestRmseMad:
@@ -139,7 +151,7 @@ class TestBatchedStream:
 class TestRunStreamExperiment:
     def test_produces_sane_metrics(self):
         cfg = ExperimentConfig(
-            prior=uniform_prior(0.0, 3.0),
+            prior=PriorSpec("uniform", (0.0, 3.0)),
             n=200,
             eta=0.05,
             d_cap=2000,
@@ -153,7 +165,7 @@ class TestRunStreamExperiment:
 
     def test_reproducible_under_seed(self):
         cfg = ExperimentConfig(
-            prior=weibull_prior(5, 3), n=100, eta=0.1, d_cap=500,
+            prior=PriorSpec("weibull", (5, 3)), n=100, eta=0.1, d_cap=500,
             rate=LearningRate(1.0, 0.99),
         )
         a = run_stream_experiment(cfg, seed=3)
@@ -177,7 +189,7 @@ class TestRegretDecay:
             regret_decay_diagnostic(cfg, [0, 50, 100])
         with pytest.raises(ValueError):  # one distinct point, a rank-1 design
             regret_decay_diagnostic(cfg, [100, 100, 100])
-        cfg2 = ExperimentConfig(prior=uniform_prior(0, 3), n=100)
+        cfg2 = ExperimentConfig(prior=PriorSpec("uniform", (0, 3)), n=100)
         with pytest.raises(ValueError):
             regret_decay_diagnostic(cfg2, [10, 50, 100])
 

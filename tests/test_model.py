@@ -131,9 +131,9 @@ class TestKernelCache:
     def test_scaled_rows_shift_by_max(self):
         g = Grid(np.linspace(0.5, 30, 40))
         cache = KernelMatrixCache(g)
-        m, scaled = cache.scaled_row(5)
+        scaled, log = cache.scaled_table(5)[5], cache.log_table(5)[5]
         assert scaled.max() == pytest.approx(1.0)
-        assert np.allclose(np.log(scaled[scaled > 0]) + m, cache.log_table(5)[5][scaled > 0])
+        assert np.allclose(np.log(scaled[scaled > 0]) + log.max(), log[scaled > 0])
 
     def test_growing_row_by_row_matches_one_extension(self):
         g = Grid(np.linspace(0.5, 30, 40))
@@ -149,7 +149,7 @@ class TestKernelCache:
         g = MixingWeights(Grid([1.0, 4.0]), [0.5, 0.5])
         cache = KernelMatrixCache(g.grid)
         cache.ensure(30)
-        for read in (cache.scaled_row, cache.log_table, cache.scaled_table):
+        for read in (cache.log_table, cache.scaled_table):
             with pytest.raises(ValueError):
                 read(-1)
         with pytest.raises(ValueError):
@@ -170,7 +170,8 @@ class TestKernelCache:
                 def read():
                     try:
                         while not stop.is_set():
-                            cache.scaled_row(cache.max_y)
+                            y = cache.max_y
+                            cache.scaled_table(y)[y]
                     except IndexError as exc:
                         errors.append(exc)
 
