@@ -20,6 +20,7 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.linalg.lapack import dgesv
 from scipy.special import gammaln
 
 # ratio_estimate stays importable here: perfbench/tracing.py patches it.
@@ -46,7 +47,7 @@ class GammaHyper:
 
 
 @dataclass(frozen=True, eq=False)
-class VdmConfig:
+class SolverConfig:
     """Grid and stopping policy for the NPMLE and minimum-Hellinger solvers."""
 
     grid: Grid
@@ -60,13 +61,18 @@ class VdmConfig:
             raise ValueError("tol must be positive")
 
 
+# The vertex-direction era's name; perfbench/workloads.py still imports it.
+VdmConfig = SolverConfig
+
+
 @dataclass(frozen=True, eq=False)
-class VdmResult:
+class SolverResult:
     weights: MixingWeights
     objective_path: np.ndarray     # maximized objective value per iteration
     certificate: float             # max_j directional score / its bound at exit
     converged: bool
     iterations: int
+    qp_solves: int                 # linear systems solved across all QP subproblems
 
 
 def baseline_grid(h: CountHistogram, points: int = 1000, lo: float = 1e-3) -> Grid:
@@ -83,32 +89,37 @@ def robbins_estimate(h: CountHistogram, y: int) -> float:
     return (y + 1) * h.entries.get(int(y) + 1, 0) / n_y
 
 
-def _nonnegative_qp(a: np.ndarray, g: np.ndarray, x: np.ndarray, tol: float = 1e-10):
+def _nonnegative_qp(
+    a: np.ndarray, g: np.ndarray, x: np.ndarray, start: np.ndarray | None = None, tol: float = 1e-10
+):
     """argmin over y >= 0 of |a (y - x)|^2 / 2 + g . (y - x), by a primal active set.
 
-    Starts from an empty support and adds the free coordinate whose gradient
-    is below ``-tol`` and most negative.  Each Newton step on the support
-    solves ``a_S' a_S`` plus a 1e-10 ridge for the correction to the current
-    y, so the ridge damps the correction rather than pulling y toward zero;
-    when a coordinate reaches zero the step stops there and the coordinate
-    leaves the support.  ``a`` has one row per distinct count, so the d x d
-    Hessian ``a' a`` is never formed.
+    Starts from the support of ``start``, a feasible point (the previous
+    subproblem's solution; the empty support when it is None), and solves on
+    that support first.  Then it adds the free coordinate whose gradient is
+    below ``-tol`` and most negative, and solves again.  Each Newton step on
+    the support solves ``a_S' a_S`` plus a 1e-10 ridge for the correction to
+    the current y, so the ridge damps the correction rather than pulling y
+    toward zero; when a coordinate reaches zero the step stops there and the
+    coordinate leaves the support.  ``a`` has one row per distinct count, so
+    the d x d Hessian ``a' a`` is never formed.  Returns y and the number of
+    linear systems solved.
     """
-    y = np.zeros(a.shape[1])
+    y = np.zeros(a.shape[1]) if start is None else start.copy()
     ax = a @ x
-    support: list = []
+    support = np.flatnonzero(y).tolist()
+    solves, entering = 0, None
     for _ in range(4 * a.shape[1] + 10):
-        grad = a.T @ (a[:, support] @ y[support] - ax) + g
-        grad[support] = 0.0
-        j = int(np.argmin(grad))
-        if grad[j] >= -tol:
-            break
-        support.append(j)
-        while True:
+        while support:
             a_s, cur = a[:, support], y[support]
-            hess = a_s.T @ a_s + 1e-10 * np.eye(len(support))
-            z = cur - np.linalg.solve(hess, a_s.T @ (a_s @ cur - ax) + g[support])
-            if np.all(z > 0):
+            hess = a_s.T @ a_s
+            hess.flat[:: len(support) + 1] += 1e-10
+            _, _, delta, info = dgesv(hess, a_s.T @ (a_s @ cur - ax) + g[support])
+            solves += 1
+            if info != 0:
+                raise np.linalg.LinAlgError("Singular matrix")
+            z = cur - delta
+            if z.min() > 0:
                 y[support] = z
                 break
             hit = np.flatnonzero(z <= 0)
@@ -117,9 +128,15 @@ def _nonnegative_qp(a: np.ndarray, g: np.ndarray, x: np.ndarray, tol: float = 1e
             moved[hit[np.argmin(ratios)]] = 0.0
             y[support] = np.maximum(moved, 0.0)
             support = [k for k in support if y[k] > 0]
-        if j not in support:  # the entering coordinate cannot move: no progress left
+        if entering is not None and entering not in support:
+            break  # the entering coordinate cannot move: no progress left
+        grad = a.T @ (a[:, support] @ y[support] - ax) + g
+        grad[support] = 0.0
+        entering = int(np.argmin(grad))
+        if grad[entering] >= -tol:
             break
-    return y
+        support.append(entering)
+    return y, solves
 
 
 # A step may shrink no pmf entry below this fraction of its current value, as
@@ -128,7 +145,7 @@ def _nonnegative_qp(a: np.ndarray, g: np.ndarray, x: np.ndarray, tol: float = 1e
 _PMF_FLOOR = 0.1
 
 
-def _run_sqp(h: CountHistogram, cfg: VdmConfig, objective, gain, lam: float, scale):
+def _run_sqp(h: CountHistogram, cfg: SolverConfig, objective, gain, lam: float, scale):
     """mix-SQP for ``f(x) = lam sum(x) - phi(Kx)`` over x >= 0 (phi concave).
 
     ``objective(p)`` gives ``(phi(p), u, c)`` at p = Kx, with u = phi'(p) and
@@ -146,6 +163,7 @@ def _run_sqp(h: CountHistogram, cfg: VdmConfig, objective, gain, lam: float, sca
         raise ValueError(f"count y={bad} is unreachable from every grid atom")
     x = np.full(len(cfg.grid), 1.0 / len(cfg.grid))
     path, converged, cert, it = [], False, np.inf, 0
+    y, qp_solves = None, 0  # y: the last subproblem's solution, the next one's start
     for it in range(1, cfg.max_iters + 1):
         p = kernel @ x
         value, u, _ = objective(p)
@@ -159,7 +177,9 @@ def _run_sqp(h: CountHistogram, cfg: VdmConfig, objective, gain, lam: float, sca
         _, u, c = objective(p)
         grad = lam - u @ kernel
         a = np.sqrt(c)[:, None] * kernel
-        step = _nonnegative_qp(a, grad, x) - x
+        y, solves = _nonnegative_qp(a, grad, x, y)
+        qp_solves += solves
+        step = y - x
         dp = kernel @ step
         t = float(np.min((_PMF_FLOOR - 1.0) * p[dp < 0] / dp[dp < 0], initial=1.0))
         slope, total = float(grad @ step), float(step.sum())
@@ -175,10 +195,10 @@ def _run_sqp(h: CountHistogram, cfg: VdmConfig, objective, gain, lam: float, sca
             f"with certificate {cert:.3e}; returning the best iterate"
         )
     weights = MixingWeights(cfg.grid, x / x.sum())  # x is scaled if the search failed
-    return VdmResult(weights, np.asarray(path), cert, converged, it)
+    return SolverResult(weights, np.asarray(path), cert, converged, it, qp_solves)
 
 
-def fit_npmle(h: CountHistogram, cfg: VdmConfig) -> VdmResult:
+def fit_npmle(h: CountHistogram, cfg: SolverConfig) -> SolverResult:
     """Maximize sum_y n_y log p_g(y) over mixing weights on the grid.
 
     Solved as min ``sum(x) - sum_y (n_y/N) log (Kx)_y`` over x >= 0, whose
@@ -197,7 +217,7 @@ def fit_npmle(h: CountHistogram, cfg: VdmConfig) -> VdmResult:
     return replace(res, objective_path=h.total * res.objective_path)
 
 
-def fit_min_hellinger(h: CountHistogram, cfg: VdmConfig) -> VdmResult:
+def fit_min_hellinger(h: CountHistogram, cfg: SolverConfig) -> SolverResult:
     """Minimize 1 - sum_y sqrt(p_hat(y) p_g(y)) over mixing weights.
 
     The empirical pmf lives on the observed support (an implicit tail cell
@@ -294,7 +314,7 @@ def gamma_posterior_mean(hyper: GammaHyper, y: int) -> float:
 METHODS = ("robbins", "npmle", "npmd", "peb")
 
 
-def baseline_estimates(h: CountHistogram, method: str, cfg: VdmConfig | None = None):
+def baseline_estimates(h: CountHistogram, method: str, cfg: SolverConfig | None = None):
     """Estimate table {observed y -> estimate} for one method.
 
     Returns ``(rows, info)`` where rows is a list of (y, estimate) over the
@@ -307,7 +327,7 @@ def baseline_estimates(h: CountHistogram, method: str, cfg: VdmConfig | None = N
         rows = [(y, robbins_estimate(h, y)) for y in ys]
     elif method in ("npmle", "npmd"):
         if cfg is None:
-            raise ValueError(f"{method} needs a VdmConfig")
+            raise ValueError(f"{method} needs a SolverConfig")
         res = fit_npmle(h, cfg) if method == "npmle" else fit_min_hellinger(h, cfg)
         table = estimate_table(res.weights, ys[-1])[0].tolist()
         rows = [(y, table[y]) for y in ys]
@@ -316,6 +336,7 @@ def baseline_estimates(h: CountHistogram, method: str, cfg: VdmConfig | None = N
             certificate=res.certificate,
             converged=res.converged,
             iterations=res.iterations,
+            qp_solves=res.qp_solves,
         )
     elif method == "peb":
         hyper = fit_gamma_hyperprior(h)

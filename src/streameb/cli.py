@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import baselines, engine, evaluation, inference
-from .baselines import VdmConfig
+from .baselines import SolverConfig
 from .engine import LearningRate
 from .gridding import GridInfeasibleError, GridSpec, build_equispaced_grid
 from .model import CountHistogram, DegenerateLikelihoodError
@@ -221,7 +221,7 @@ def _cmd_baseline(args) -> int:
     cfg = None
     if args.method in ("npmle", "npmd"):
         grid = baselines.baseline_grid(h, args.grid_points, args.grid_lo)
-        cfg = VdmConfig(grid=grid, max_iters=args.max_iters, tol=args.tol)
+        cfg = SolverConfig(grid=grid, max_iters=args.max_iters, tol=args.tol)
     rows, info = baselines.baseline_estimates(h, args.method, cfg)
     if args.markdown:
         _emit(baselines.estimates_to_markdown({args.method: rows}), args)

@@ -164,13 +164,13 @@ def baseline_rows(cfg: ExperimentConfig, seed: int, grid_points: int = 1000) -> 
     """
     thetas, ys = generate_compound(cfg.prior, cfg.n, seed)
     h = CountHistogram.from_counts(ys)
-    vdm = baselines.VdmConfig(baselines.baseline_grid(h, grid_points))
+    solver = baselines.SolverConfig(baselines.baseline_grid(h, grid_points))
     nan = float("nan")
     rows = []
     for method in baselines.METHODS:
-        table = dict(baselines.baseline_estimates(h, method, vdm)[0])
+        table = dict(baselines.baseline_estimates(h, method, solver)[0])
         rmse, mad = rmse_mad(thetas, [table[y] for y in ys.tolist()])
-        rows.append(MetricRow(method, cfg.prior.family, cfg.n, len(vdm.grid), nan, nan,
+        rows.append(MetricRow(method, cfg.prior.family, cfg.n, len(solver.grid), nan, nan,
                               seed, rmse, mad, nan))
     return rows
 

@@ -13,7 +13,7 @@ import pytest
 from scipy.stats import halfnorm, uniform, weibull_min
 
 import streameb.engine as engine
-from streameb.baselines import VdmConfig, fit_npmle, robbins_estimate
+from streameb.baselines import SolverConfig, fit_npmle, robbins_estimate
 from streameb.engine import LearningRate, init, update, update_stream
 from streameb.evaluation import (
     ExperimentConfig,
@@ -298,7 +298,7 @@ def test_npmle_stationarity_certificates():
     all_monotone = True
     all_converged = True
     for h, grid in histograms:
-        res = fit_npmle(h, VdmConfig(grid, max_iters=20_000, tol=1e-6))
+        res = fit_npmle(h, SolverConfig(grid, max_iters=20_000, tol=1e-6))
         all_converged = all_converged and res.converged
         all_monotone = all_monotone and bool(
             np.all(np.diff(res.objective_path) >= -1e-9)

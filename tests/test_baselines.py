@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from scipy.stats import poisson
 
 from streameb.baselines import (
     ConvergenceError,
     GammaHyper,
+    SolverConfig,
     UndefinedAtCountError,
-    VdmConfig,
+    _nonnegative_qp,
     baseline_estimates,
     baseline_grid,
     estimates_to_csv,
@@ -19,7 +21,7 @@ from streameb.baselines import (
 )
 from streameb.evaluation import generate_compound
 from streameb.model import CountHistogram, Grid
-from streameb.priors import PriorSpec, grid_atoms_prior
+from streameb.priors import PriorSpec, grid_atoms_prior, parse_prior
 
 from . import oracles
 
@@ -40,13 +42,13 @@ class TestRobbins:
             robbins_estimate(accident_histogram, 9)
 
 
-class TestVdmConfig:
+class TestSolverConfig:
     def test_validation(self):
         grid = Grid([1.0, 2.0])
         with pytest.raises(ValueError):
-            VdmConfig(grid, max_iters=0)
+            SolverConfig(grid, max_iters=0)
         with pytest.raises(ValueError):
-            VdmConfig(grid, tol=0.0)
+            SolverConfig(grid, tol=0.0)
 
     def test_baseline_grid_rule(self):
         grid = baseline_grid(CountHistogram.from_pairs([(0, 3), (16, 1)]), points=50, lo=0.0)
@@ -59,7 +61,7 @@ class TestNpmle:
     def test_single_value_data_concentrates_nearby(self):
         h = CountHistogram.from_pairs([(3, 400)])
         grid = Grid(np.linspace(0.05, 12, 240))
-        res = fit_npmle(h, VdmConfig(grid, max_iters=2000, tol=1e-8))
+        res = fit_npmle(h, SolverConfig(grid, max_iters=2000, tol=1e-8))
         assert res.converged
         peak = grid.points[int(np.argmax(res.weights.weights))]
         assert abs(peak - 3.0) < 0.06  # nearest grid atom to the sample mean
@@ -69,7 +71,7 @@ class TestNpmle:
         h = CountHistogram.from_pairs([(0, 500), (10, 500)])
         filler = np.linspace(2, 8, 7)
         grid = Grid(np.sort(np.concatenate([[0.5, 10.0], filler])))
-        res = fit_npmle(h, VdmConfig(grid, max_iters=4000, tol=1e-6))
+        res = fit_npmle(h, SolverConfig(grid, max_iters=4000, tol=1e-6))
         assert res.converged
         w = res.weights.weights
         lo_mass = w[grid.points <= 1.0].sum()
@@ -83,7 +85,7 @@ class TestNpmle:
         _, ys = generate_compound(grid_atoms_prior(atoms, probs), 100_000, 11)
         h = CountHistogram.from_counts(ys)
         grid = Grid(atoms)
-        res = fit_npmle(h, VdmConfig(grid, max_iters=3000, tol=1e-8))
+        res = fit_npmle(h, SolverConfig(grid, max_iters=3000, tol=1e-8))
         counts = h.multiplicities()
         kernel = np.array(
             [[oracles.poisson_pmf(y, t) for t in atoms] for y in h.support()]
@@ -94,7 +96,7 @@ class TestNpmle:
     def test_objective_is_monotone(self):
         h = CountHistogram.from_pairs([(0, 50), (2, 80), (7, 40)])
         grid = Grid(np.linspace(0.1, 12, 60))
-        res = fit_npmle(h, VdmConfig(grid, max_iters=500, tol=1e-10))
+        res = fit_npmle(h, SolverConfig(grid, max_iters=500, tol=1e-10))
         assert res.converged
         assert np.all(np.diff(res.objective_path) >= -1e-9)
 
@@ -103,7 +105,7 @@ class TestNpmle:
         ys = rng.poisson(rng.choice([1.0, 6.0], size=3000, p=[0.5, 0.5]))
         h = CountHistogram.from_counts(ys)
         grid = Grid([1.0, 6.0])
-        res = fit_npmle(h, VdmConfig(grid, max_iters=3000, tol=1e-8))
+        res = fit_npmle(h, SolverConfig(grid, max_iters=3000, tol=1e-8))
         assert res.converged
         # certificate recomputed from scratch
         counts, support = h.multiplicities(), h.support()
@@ -117,16 +119,16 @@ class TestNpmle:
     def test_non_convergence_warns_and_returns_best_iterate(self, accident_histogram):
         grid = baseline_grid(accident_histogram)
         # the input needs more than three iterations, not QP rounding, to converge
-        assert fit_npmle(accident_histogram, VdmConfig(grid, tol=1e-8)).iterations >= 6
+        assert fit_npmle(accident_histogram, SolverConfig(grid, tol=1e-8)).iterations >= 6
         with pytest.warns(UserWarning):
-            res = fit_npmle(accident_histogram, VdmConfig(grid, max_iters=3, tol=1e-8))
+            res = fit_npmle(accident_histogram, SolverConfig(grid, max_iters=3, tol=1e-8))
         assert not res.converged
         assert res.iterations == 3
         assert res.objective_path[-1] == res.objective_path.max()
 
     def test_insurance_fit_reaches_the_optimum_in_few_iterations(self, accident_histogram):
         # 500 vertex-direction steps stop at -5342.50; the optimum is -5340.70
-        res = fit_npmle(accident_histogram, VdmConfig(baseline_grid(accident_histogram)))
+        res = fit_npmle(accident_histogram, SolverConfig(baseline_grid(accident_histogram)))
         assert res.converged
         assert res.certificate <= 1 + 1e-8
         assert res.iterations <= 20
@@ -141,6 +143,50 @@ class TestNpmle:
         assert res.objective_path[-1] == pytest.approx(loglik, rel=1e-12)
 
 
+class TestNonnegativeQp:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_cold_and_warm_solutions_satisfy_kkt(self, seed):
+        # Few rows, many highly correlated columns: a fine Poisson kernel with
+        # the SQP's sqrt(c) row scaling and an NPMLE-shaped gradient.
+        rng = np.random.default_rng(seed)
+        theta = np.linspace(0.05, 15.0, 400)
+        kernel = poisson.pmf(np.arange(12)[:, None], theta[None, :])
+        x = rng.dirichlet(np.ones(len(theta)))
+        p = kernel @ x
+        freq = rng.dirichlet(np.ones(12))
+        a = np.sqrt(freq / p**2)[:, None] * kernel
+        g = 1.0 - (freq / p) @ kernel
+        cold, _ = _nonnegative_qp(a, g, x)
+        earlier, _ = _nonnegative_qp(a, g + 0.05 * rng.normal(size=len(g)), x)
+        warm, _ = _nonnegative_qp(a, g, x, earlier * rng.uniform(0.5, 1.5, len(earlier)))
+        objective = lambda y: 0.5 * np.sum((a @ (y - x)) ** 2) + g @ (y - x)
+        for y in (cold, warm):
+            assert y.min() >= 0.0
+            grad = a.T @ (a @ (y - x)) + g
+            on = y > 0
+            assert np.abs(grad[on]).max() <= 1e-8
+            assert grad[~on].min() >= -1e-9
+        assert objective(warm) == pytest.approx(objective(cold), rel=1e-12)
+
+    def test_random_histogram_fits_converge_monotonically(self):
+        # A few draws of each hard kind: heavy tails, wide supports, near-zero
+        # atoms, a handful of counts, coarse and fine grids.
+        priors = ["weibull:3,5", "gamma:0.5,0.1", "grid-atoms:1@0.3,5@0.4,15@0.3",
+                  "uniform:0,300", "grid-atoms:0.01@0.3,1@0.4,2@0.3"]
+        for i, prior in enumerate(priors):
+            for n in (5, 50, 500):
+                _, ys = generate_compound(parse_prior(prior), n, 40 + 3 * i + n % 7)
+                h = CountHistogram.from_counts(ys)
+                for points in (20, 200):
+                    cfg = SolverConfig(baseline_grid(h, points))
+                    for fit, sign in ((fit_npmle, 1.0), (fit_min_hellinger, -1.0)):
+                        res = fit(h, cfg)
+                        assert res.converged, (prior, n, points, fit.__name__)
+                        assert res.certificate <= 1.0 + cfg.tol
+                        path = sign * res.objective_path
+                        assert np.all(np.diff(path) >= -1e-12 * np.abs(path[:-1]))
+
+
 class TestMinHellinger:
     def test_perfect_fit_reaches_zero_distance(self):
         # empirical pmf equal to the mixture of a one-atom grid
@@ -149,13 +195,13 @@ class TestMinHellinger:
         scale = 10_000_000
         pairs = [(y, max(1, round(p * scale))) for y, p in enumerate(pmf) if p * scale >= 1]
         h = CountHistogram.from_pairs(pairs)
-        res = fit_min_hellinger(h, VdmConfig(Grid(atoms), max_iters=50, tol=1e-9))
+        res = fit_min_hellinger(h, SolverConfig(Grid(atoms), max_iters=50, tol=1e-9))
         assert res.objective_path[-1] < 1e-3
 
     def test_single_value_data_concentrates_nearby(self):
         h = CountHistogram.from_pairs([(3, 400)])
         grid = Grid(np.linspace(0.05, 12, 240))
-        res = fit_min_hellinger(h, VdmConfig(grid, max_iters=2000, tol=1e-8))
+        res = fit_min_hellinger(h, SolverConfig(grid, max_iters=2000, tol=1e-8))
         assert res.converged
         peak = grid.points[int(np.argmax(res.weights.weights))]
         assert abs(peak - 3.0) < 0.6
@@ -165,14 +211,14 @@ class TestMinHellinger:
         ys = rng.poisson(rng.choice([1.0, 7.0], size=2000), size=2000)
         h = CountHistogram.from_counts(ys)
         grid = Grid(np.linspace(0.1, 12, 80))
-        res = fit_min_hellinger(h, VdmConfig(grid, max_iters=300, tol=1e-9))
+        res = fit_min_hellinger(h, SolverConfig(grid, max_iters=300, tol=1e-9))
         assert res.converged
         assert np.all(np.diff(res.objective_path) <= 1e-12)
 
     def test_insurance_fit_converges_below_the_vertex_direction_distance(
         self, accident_histogram
     ):
-        cfg = VdmConfig(baseline_grid(accident_histogram))
+        cfg = SolverConfig(baseline_grid(accident_histogram))
         res = fit_min_hellinger(accident_histogram, cfg)
         assert res.converged
         assert res.objective_path[-1] < 8.6e-5  # 500 vertex-direction steps
@@ -259,13 +305,14 @@ class TestEstimateTables:
 
     def test_grid_methods_report_objectives(self, accident_histogram):
         grid = Grid(np.linspace(0.02, 12, 300))
-        cfg = VdmConfig(grid, max_iters=400, tol=1e-7)
+        cfg = SolverConfig(grid, max_iters=400, tol=1e-7)
         out = {}
         for method in ("npmle", "npmd"):
             rows, info = baseline_estimates(accident_histogram, method, cfg)
             assert info["converged"]
             assert len(rows) == 8
             assert "objective" in info
+            assert info["qp_solves"] >= info["iterations"] - 1
             out[method] = rows
         assert out["npmle"] != out["npmd"]
 

@@ -103,7 +103,8 @@ class TestBaselineCommand:
         code = main(["--no-meta", "baseline", "--method", method, "--input", accident_csv,
                      "--verbose"])
         assert code == 0
-        assert "'converged': True" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "'converged': True" in err and "'qp_solves': " in err
 
 
 def test_importing_the_cli_leaves_scipy_optimize_unloaded():
