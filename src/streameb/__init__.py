@@ -5,7 +5,6 @@ from .engine import (
     NewtonState,
     deserialize_state,
     init,
-    martingale_residual,
     serialize_state,
     update,
     update_stream,
@@ -25,10 +24,7 @@ from .model import (
     Grid,
     KernelMatrixCache,
     MixingWeights,
-    log_poisson_kernel,
     mixture_pmf,
-    posterior_mean,
-    posterior_weights,
 )
 from .priors import PriorSpec, parse_prior
 
@@ -51,12 +47,8 @@ __all__ = [
     "deserialize_state",
     "init",
     "kl_grid_size",
-    "log_poisson_kernel",
-    "martingale_residual",
     "mixture_pmf",
     "parse_prior",
-    "posterior_mean",
-    "posterior_weights",
     "ratio_estimate",
     "serialize_state",
     "update",

@@ -30,7 +30,6 @@ from typing import Callable
 
 import numpy as np
 from scipy.linalg import blas as _blas
-from scipy.special import pdtrc
 
 from .model import (
     DegenerateLikelihoodError,
@@ -38,8 +37,7 @@ from .model import (
     KernelMatrixCache,
     MixingWeights,
     ProductGrid,
-    posterior_table,
-    scalar_grid,
+    _counts,
 )
 
 _MAGIC = b"EBSTREAM"
@@ -107,31 +105,21 @@ def init(grid: Grid | ProductGrid, rate: LearningRate, g0: MixingWeights | None 
     return NewtonState(g=g0, n=0, rate=rate, cache=KernelMatrixCache(grid.base))
 
 
-def _counts(grid: Grid | ProductGrid, ys) -> np.ndarray:
-    """Validated counts: shape (n,) on a Grid, (n, k) on a ProductGrid."""
-    ys = np.asarray(ys, dtype=np.int64)
-    row = (grid.k,) if isinstance(grid, ProductGrid) else ()
-    if ys.ndim == 0 or ys.shape[1:] != row:
-        raise ValueError(f"expected observations of shape {row}, got an array of shape {ys.shape}")
-    if ys.min() < 0:
-        raise ValueError("counts must be nonnegative")
-    return ys
-
-
 def update(state: NewtonState, y) -> NewtonState:
     """Consume one observation; returns the state after observation n+1.
 
-    ``y`` is a count on a Grid and a vector of k counts on a ProductGrid.
-    Raises DegenerateLikelihoodError, leaving the state unchanged, when the
+    ``y`` is a count on a Grid and a vector of k counts on a ProductGrid;
+    a count that is not an integer raises ValueError.  Raises
+    DegenerateLikelihoodError, leaving the state unchanged, when the
     mixture likelihood of ``y`` underflows.
     """
     if isinstance(state.g.grid, ProductGrid):
         y = tuple(_counts(state.g.grid, [y])[0].tolist())
         return _fold(state, [y], max(y))
-    y = int(y)
-    if y < 0:
-        raise ValueError("counts must be nonnegative")
-    return _fold(state, [y], y)
+    count = int(y)  # not _counts: no array round trip on the single-count write path
+    if count != y or count < 0:
+        raise ValueError(f"counts must be nonnegative integers, got {y!r}")
+    return _fold(state, [count], count)
 
 
 def update_stream(
@@ -308,28 +296,6 @@ def _fold_lockstep(grid: Grid, rate: LearningRate, y_matrix: np.ndarray, w0: np.
                 if n in wanted:
                     snaps[n] = (v / v.sum(axis=0)).T.copy()
     return (v / v.sum(axis=0)).T.copy(), snaps
-
-
-def martingale_residual(state: NewtonState, y_max: int) -> float:
-    """How far the next update is from mean-preserving, per atom.
-
-    Averages the actual one-step update over counts y <= y_max drawn from
-    the current predictive pmf, adds the analytically known contribution of
-    the truncated tail, and returns the largest absolute gap to the current
-    weights.  Zero up to truncation and rounding.
-    """
-    g = state.g
-    w = g.weights
-    pts = scalar_grid(g).points
-    a = state.rate(state.n + 1)
-    p, post = posterior_table(g, y_max, state.cache)    # (y_max+1, d)
-    stepped = (1.0 - a) * w[None, :] + a * post         # update applied at each y
-    expected = (p[:, None] * stepped).sum(axis=0)
-    # Poisson tail beyond y_max, exact: P(Y > y_max | theta_j)
-    tail_k = pdtrc(y_max, pts)
-    tail_p = float(np.dot(w, tail_k))
-    expected += (1.0 - a) * w * tail_p + a * w * tail_k
-    return float(np.max(np.abs(expected - w)))
 
 
 # -- serialization ----------------------------------------------------------

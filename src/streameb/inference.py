@@ -9,10 +9,13 @@ from ``model.log_mixture`` over ``model.log_kernel_rows``, so estimates
 and variances are finite wherever the log-space pmf is, and a count's
 estimate has the same bits whichever function computed it.
 
-``V(y)`` sums ``p(z) s(z)^2`` over future counts z.  The same code serves
-count vectors on a ProductGrid, where one estimate per coordinate gives a
-k-by-k covariance (``multidim.multi_asymptotic_variance``).  Unless the
-caller fixes the truncation point, it is certified per query: by Jensen's
+Estimates and variances take a count on a Grid or a count vector on a
+ProductGrid: on a lattice the estimate is one ratio per coordinate,
+``(y_j + 1) p_g(y + e_j) / p_g(y)``, and the variance is the k-by-k
+covariance of those estimates.
+
+``V(y)`` sums ``p(z) s(z)^2`` over future counts z.  Unless the caller
+fixes the truncation point, it is certified per query: by Jensen's
 inequality the terms beyond Z add at most ``sum_j g_j c_j^2 P(Y > Z |
 theta_j)`` (c the contrast below; on a lattice, the union bound ``sum_i
 P(Y_i > Z)`` over coordinates), an O(D) bound, and Z is the first point
@@ -32,14 +35,15 @@ import numpy as np
 from scipy.special import ndtri, pdtrc, zeta
 
 from .engine import LearningRate, NewtonState
-from .model import (
+# log_mixture_pmf stays importable here: perfbench/tracing.py patches it.
+from .model import (  # noqa: F401
     KernelMatrixCache,
     MixingWeights,
+    ProductGrid,
+    _counts,
     log_kernel_rows,
     log_mixture,
     log_mixture_pmf,
-    log_mixture_pmf_table,
-    scalar_grid,
 )
 
 # Certified truncation: the neglected terms of V(y) are at most this
@@ -47,6 +51,8 @@ from .model import (
 _TRUNCATION_RTOL = 1e-12
 # Entries of log-kernel rows built at once for the variance sums.
 _BLOCK_ENTRIES = 2_000_000
+# Largest lattice whose covariance is computed.
+_COVARIANCE_MAX_D = 10**4
 
 
 def default_y_max(grid) -> int:
@@ -75,18 +81,23 @@ class EstimateReport:
         )
 
 
-def ratio_estimate(g: MixingWeights, y: int, cache: KernelMatrixCache | None = None) -> float:
-    """(y+1) p_g(y+1) / p_g(y); identical to the posterior mean at y."""
-    return float((y + 1) * np.exp(log_mixture_pmf(g, y + 1, cache) - log_mixture_pmf(g, y, cache)))
+def ratio_estimate(g: MixingWeights, y, cache: KernelMatrixCache | None = None) -> float | np.ndarray:
+    """(y+1) p_g(y+1) / p_g(y), the posterior mean at y.
+
+    On a ProductGrid ``y`` is a count vector and the result is the array of
+    its k coordinate estimates ``(y_j + 1) p_g(y + e_j) / p_g(y)``.
+    """
+    thetas = _pair_estimates(g, _counts(g.grid, [y]), cache)[0]
+    return thetas if isinstance(g.grid, ProductGrid) else float(thetas[0])
 
 
 def estimate_table(g: MixingWeights, y_max: int, cache: KernelMatrixCache | None = None):
     """Ratio estimates and mixture pmf for every count 0..y_max, from one pmf table.
 
     Returns ``(theta_hat, p)`` with ``theta_hat[y] = ratio_estimate(g, y)``,
-    bit for bit, and ``p[y] = p_g(y)``.
+    bit for bit, and ``p[y] = p_g(y)``.  Scalar grids only.
     """
-    log_p = log_mixture_pmf_table(g, y_max + 1, cache)
+    log_p = log_mixture(log_kernel_rows(g.grid, np.arange(y_max + 2), cache), g.weights)[0]
     theta_hat = np.arange(1, y_max + 2) * np.exp(log_p[1:] - log_p[:-1])
     return theta_hat, np.exp(log_p[:-1])
 
@@ -103,18 +114,21 @@ def clt_scale(rate: LearningRate, n: int) -> float:
     return 1.0 / float(zeta(2.0 * rate.gamma, rate.alpha + n))
 
 
-def _pair_estimates(g: MixingWeights, pairs, cache: KernelMatrixCache | None):
-    """Estimates and contrasts for pairs (y, j) of a count (vector) and the coordinate bumped.
+def _pair_estimates(g: MixingWeights, ys: np.ndarray, cache: KernelMatrixCache | None):
+    """Estimates and contrasts for every coordinate j of every validated count y in ``ys``.
 
-    ``theta[i] = (y_j + 1) p(y + e_j) / p(y)``, and ``contrasts[i] = k(y +
+    Pair i is count ``i // k`` with coordinate ``i % k`` bumped: ``theta[i]
+    = (y_j + 1) p(y + e_j) / p(y)``, and ``contrasts[i] = k(y +
     e_j|theta)/p(y + e_j) - k(y|theta)/p(y)`` is read off the same two
     posterior rows as ``(post(y + e_j) - post(y)) / g``.
     """
-    lo = np.array([np.atleast_1d(y) for y, _ in pairs], dtype=np.int64)  # (m, k)
-    m, bumped = len(lo), (np.arange(len(lo)), [j for _, j in pairs])
+    k = g.grid.k
+    lo = np.repeat(ys.reshape(len(ys), k), k, axis=0)  # (m, k), m = len(ys) * k
+    m, bumped = len(lo), (np.arange(len(lo)), np.tile(np.arange(k), len(ys)))
     hi = lo.copy()
     hi[bumped] += 1
-    log_p, post = log_mixture(log_kernel_rows(g.grid, np.concatenate([lo, hi]), cache), g.weights)
+    both = np.concatenate([lo, hi]).reshape((2 * m,) + ys.shape[1:])
+    log_p, post = log_mixture(log_kernel_rows(g.grid, both, cache), g.weights)
     thetas = hi[bumped] * np.exp(log_p[m:] - log_p[:m])
     active = g.support_mask()
     contrasts = np.zeros((m, len(g.grid)))
@@ -177,6 +191,8 @@ def _second_moments(g: MixingWeights, contrasts: np.ndarray, z: int, cache) -> n
     """``sum p(z') s(z') s(z')^T`` over counts z' <= z in every coordinate, s = post(z') @ c."""
     grid = g.grid
     zs = np.indices((z + 1,) * grid.k).reshape(grid.k, -1).T  # lexicographic
+    if not isinstance(grid, ProductGrid):
+        zs = zs[:, 0]
     step = max(1, _BLOCK_ENTRIES // len(grid))
     out = np.zeros((len(contrasts), len(contrasts)))
     for start in range(0, len(zs), step):
@@ -186,45 +202,46 @@ def _second_moments(g: MixingWeights, contrasts: np.ndarray, z: int, cache) -> n
     return 0.5 * (out + out.T)
 
 
-def _estimates(g: MixingWeights, pairs, y_max: int | None, cache: KernelMatrixCache | None):
-    """Estimates and their second-moment matrix for ``(counts, coordinate)`` pairs.
+def _estimates(g: MixingWeights, ys: np.ndarray, y_max: int | None, cache: KernelMatrixCache | None):
+    """Estimates and their second-moment matrix for validated counts ``ys``.
 
-    Returns ``(theta, V)``: ``V[i, i]`` is the variance functional of pair
-    i, and for the k pairs ``(y, j)`` of one count vector V is the
-    covariance of its coordinate estimates.  All pairs share one
-    truncation point: ``y_max`` when given, else the certified point, found
-    from the sums up to the largest bumped count and the O(D) tail bound.
+    Returns ``(theta, V)`` over the pairs of ``_pair_estimates``: ``V[i,
+    i]`` is the variance functional of pair i, and the k pairs of one count
+    vector span the covariance of its coordinate estimates.  All pairs
+    share one truncation point: ``y_max`` when given, else the certified
+    point, found from the sums up to the largest bumped count and the O(D)
+    tail bound.
     """
     if cache is None:
         cache = KernelMatrixCache(g.grid.base)
-    thetas, contrasts = _pair_estimates(g, pairs, cache)
+    thetas, contrasts = _pair_estimates(g, ys, cache)
     if y_max is None:
         cap = default_y_max(g.grid.base)
-        z_lo = min(max(int(np.max(y)) for y, _ in pairs) + 1, cap)
+        z_lo = min(int(ys.max()) + 1, cap)
         partial = np.diag(_second_moments(g, contrasts, z_lo, cache))
         y_max = _certified_y_max(g, contrasts, partial, z_lo, cap)
     return thetas, np.outer(thetas, thetas) * _second_moments(g, contrasts, y_max, cache)
 
 
 def asymptotic_variance(
-    g: MixingWeights, y: int, y_max: int | None = None, cache: KernelMatrixCache | None = None
-) -> float:
+    g: MixingWeights, y, y_max: int | None = None, cache: KernelMatrixCache | None = None
+) -> float | np.ndarray:
     """Variance functional driving the interval width at count y.
 
     theta_hat(y)^2 times the predictive second moment of
     sum_j post_j(Z) * (k(y+1|theta_j)/p(y+1) - k(y|theta_j)/p(y)),
     with Z summed up to ``y_max``, or to the certified truncation point
-    when ``y_max`` is None.  Zero exactly for a point mass.
+    when ``y_max`` is None.  Zero exactly for a point mass.  On a
+    ProductGrid of at most ``_COVARIANCE_MAX_D`` points, ``y`` is a count
+    vector and the result is the k-by-k covariance of its coordinate
+    estimates: symmetric positive semidefinite, the scalar variance at k = 1.
     """
-    scalar_grid(g)
-    return float(_estimates(g, [(y, 0)], y_max, cache)[1][0, 0])
-
-
-def normal_quantile(p: float) -> float:
-    """Standard normal inverse CDF."""
-    if not 0.0 < p < 1.0:
-        raise ValueError("quantile level must be in (0, 1)")
-    return float(ndtri(p))
+    ys = _counts(g.grid, [y])
+    lattice = isinstance(g.grid, ProductGrid)
+    if lattice and g.grid.size > _COVARIANCE_MAX_D:
+        raise ValueError(f"covariance refused for lattice size {g.grid.size}")
+    moments = _estimates(g, ys, y_max, cache)[1]
+    return moments if lattice else float(moments[0, 0])
 
 
 def credible_intervals(
@@ -241,16 +258,17 @@ def credible_intervals(
         raise ValueError("level must be in (0, 1)")
     if state.n < 1:
         raise ValueError("interval requires at least one observation")
-    ys = [int(y) for y in ys]
-    if not ys:
+    if isinstance(state.g.grid, ProductGrid):
+        raise ValueError(f"intervals need a Grid, not a ProductGrid (k={state.g.grid.k})")
+    ys = _counts(state.g.grid, list(ys))
+    if not ys.size:
         return []
-    scalar_grid(state.g)
-    thetas, moments = _estimates(state.g, [(y, 0) for y in ys], y_max, state.cache)
+    thetas, moments = _estimates(state.g, ys, y_max, state.cache)
     variances = np.diag(moments)
     b_n = clt_scale(state.rate, state.n)
-    z = normal_quantile(0.5 * (1.0 + level))
+    z = float(ndtri(0.5 * (1.0 + level)))
     reports = []
-    for y, theta_hat, variance in zip(ys, thetas.tolist(), variances.tolist()):
+    for y, theta_hat, variance in zip(ys.tolist(), thetas.tolist(), variances.tolist()):
         half = z * math.sqrt(variance / b_n)
         reports.append(
             EstimateReport(

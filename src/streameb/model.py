@@ -290,28 +290,27 @@ def _log_kernel(points: np.ndarray, ys: np.ndarray) -> np.ndarray:
     return -points[None, :] + ys * np.log(points[None, :]) - gammaln(ys + 1.0)
 
 
-def log_poisson_kernel(y: int, theta) -> float:
-    """log of e^(-theta) theta^y / y!, via log-gamma.
+def _counts(grid: Grid | ProductGrid, ys) -> np.ndarray:
+    """Validated int64 counts: shape (n,) on a Grid, (n, k) on a ProductGrid.
 
-    ``theta`` may be a scalar or an array; all entries must be positive.
+    Every count-level query reads its counts through here.  A count must
+    equal its int64 value: 2.0 is the count 2, while 2.5 is refused rather
+    than truncated.
     """
-    if y < 0 or y != int(y):
-        raise ValueError("count must be a nonnegative integer")
-    theta = np.asarray(theta, dtype=float)
-    if np.any(theta <= 0):
-        raise ValueError("rate must be strictly positive")
-    out = -theta + y * np.log(theta) - gammaln(y + 1.0)
-    return float(out) if out.ndim == 0 else out
-
-
-def scalar_grid(g: MixingWeights) -> Grid:
-    """``g.grid``, checked to be a scalar :class:`Grid`; lattice weights raise."""
-    if not isinstance(g.grid, Grid):
+    given = np.asarray(ys)
+    with np.errstate(invalid="ignore"):  # NaN and inf fail the equality check below
+        counts = given.astype(np.int64, copy=False)
+    row = (grid.k,) if isinstance(grid, ProductGrid) else ()
+    if counts.ndim == 0 or counts.shape[1:] != row:
         raise ValueError(
-            f"scalar inference needs weights on a Grid, not on a {type(g.grid).__name__} "
-            f"(k={g.grid.k})"
+            f"expected counts of shape {row} on a {type(grid).__name__}, "
+            f"got an array of shape {counts.shape}"
         )
-    return g.grid
+    if counts is not given and not np.array_equal(counts, given):
+        raise ValueError("counts must be integers")
+    if counts.size and counts.min() < 0:
+        raise ValueError("counts must be nonnegative")
+    return counts
 
 
 def log_kernel_rows(
@@ -319,15 +318,13 @@ def log_kernel_rows(
 ) -> np.ndarray:
     """Log-kernel rows, shape (n, len(grid)), one per count or count vector.
 
-    ``counts`` has shape (n,) or (n, 1) on a Grid and (n, k) on a
-    ProductGrid.  A lattice row is the outer sum of its k base rows,
-    flattened in the lattice's lexicographic order.  Base rows come from
-    ``cache`` (over ``grid.base``) when given, else are computed directly,
-    bit for bit the same.
+    ``counts`` has shape (n,) on a Grid and (n, k) on a ProductGrid.  A
+    lattice row is the outer sum of its k base rows, flattened in the
+    lattice's lexicographic order.  Base rows come from ``cache`` (over
+    ``grid.base``) when given, else are computed directly, bit for bit the
+    same.
     """
-    counts = np.asarray(counts, dtype=np.int64)
-    if counts.size and counts.min() < 0:
-        raise ValueError("counts must be nonnegative")
+    counts = _counts(grid, counts)
     if cache is None:
         needed, inverse = np.unique(counts, return_inverse=True)
         table, counts = _log_kernel(grid.base.points, needed), inverse.reshape(counts.shape)
@@ -364,44 +361,11 @@ def log_mixture(log_rows: np.ndarray, weights: np.ndarray):
     return peak + np.log(total), post
 
 
-def log_mixture_pmf(g: MixingWeights, y: int, cache: KernelMatrixCache | None = None) -> float:
-    """log p_g(y), by ``log_mixture`` over the positive-weight atoms."""
-    return float(log_mixture(log_kernel_rows(scalar_grid(g), [y], cache), g.weights)[0][0])
+def log_mixture_pmf(g: MixingWeights, y, cache: KernelMatrixCache | None = None) -> float:
+    """log p_g(y) for a count on a Grid or a count vector on a ProductGrid."""
+    return float(log_mixture(log_kernel_rows(g.grid, [y], cache), g.weights)[0][0])
 
 
-def mixture_pmf(g: MixingWeights, y: int, cache: KernelMatrixCache | None = None) -> float:
+def mixture_pmf(g: MixingWeights, y, cache: KernelMatrixCache | None = None) -> float:
     """p_g(y) = sum_j k(y | theta_j) g(theta_j); underflow yields 0.0."""
     return float(np.exp(log_mixture_pmf(g, y, cache)))
-
-
-def log_mixture_pmf_table(
-    g: MixingWeights, y_max: int, cache: KernelMatrixCache | None = None
-) -> np.ndarray:
-    """Vector of log p_g(y) for y = 0..y_max."""
-    rows = log_kernel_rows(scalar_grid(g), np.arange(y_max + 1), cache)
-    return log_mixture(rows, g.weights)[0]
-
-
-def posterior_table(g: MixingWeights, y_max: int, cache: KernelMatrixCache | None = None):
-    """Rows z = 0..y_max of the mixture pmf and the posterior weights given z.
-
-    Returns ``(p, post)``: ``p[z] = p_g(z)`` and ``post[z] = k(z|theta) g /
-    p_g(z)``, shape (y_max+1, d).  A posterior row is exact even where
-    p_g(z) underflows to zero.
-    """
-    rows = log_kernel_rows(scalar_grid(g), np.arange(y_max + 1), cache)
-    log_p, post = log_mixture(rows, g.weights)
-    return np.exp(log_p), post
-
-
-def posterior_weights(
-    g: MixingWeights, y: int, cache: KernelMatrixCache | None = None
-) -> MixingWeights:
-    """One-observation posterior k(y|theta_j) g_j / p_g(y)."""
-    post = log_mixture(log_kernel_rows(scalar_grid(g), [y], cache), g.weights)[1][0]
-    return MixingWeights(g.grid, post)
-
-
-def posterior_mean(g: MixingWeights, y: int, cache: KernelMatrixCache | None = None) -> float:
-    """E[theta | Y=y] under g; always inside [grid.lo, grid.hi]."""
-    return float(np.dot(g.grid.points, posterior_weights(g, y, cache).weights))

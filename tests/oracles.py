@@ -1,27 +1,35 @@
 """Independent brute-force reference implementations used only by tests.
 
-Everything here deliberately avoids the library's log-space and vectorized
-code paths: plain floating-point sums, explicit loops, stdlib factorials.
-These stay slow and obvious so the fast implementations have something
-trustworthy to be checked against.
+Almost everything here deliberately avoids the library's log-space and
+vectorized code paths: plain floating-point sums, explicit loops, stdlib
+factorials.  These stay slow and obvious so the fast implementations have
+something trustworthy to be checked against.  The exceptions check
+properties of the recursion rather than the mixture rows themselves:
+``posterior_table``, ``posterior_mean`` and ``martingale_residual`` read
+their posteriors from the library's ``log_mixture``, so they stay exact
+where the linear pmf underflows.
 """
 
 import math
 import warnings
-from functools import cache
 
 import numpy as np
-from scipy.special import roots_legendre
+from scipy.special import pdtrc, roots_legendre
 from scipy.stats import poisson, rv_discrete
 
 from streameb.inference import default_y_max
-from streameb.model import MixingWeights, log_mixture_pmf_table, log_poisson_kernel
+from streameb.model import MixingWeights, log_kernel_rows, log_mixture
 
 COVARIANCE_MAX_D = 200
 
 # Gauss-Legendre node count for integrating the Poisson kernel against a
-# continuous prior; the integrands are smooth so this is far more than enough.
-QUADRATURE_NODES = 10_000
+# continuous prior over its support cut at isf(PRIOR_TAIL).  For the smooth
+# priors the tests use this is within 1e-12 relative of adaptive quadrature
+# over the whole support at every count up to 100.  A cut at isf(1e-16)
+# instead is off by 4e-6 at y = 30 under the half-Gaussian, whose count-30
+# mass comes from rates past that point.
+QUADRATURE_NODES = 400
+PRIOR_TAIL = 1e-300
 
 
 def poisson_pmf(y, theta):
@@ -54,6 +62,44 @@ def direct_posterior_weights(points, weights, y):
 def direct_posterior_mean(points, weights, y):
     post = direct_posterior_weights(points, weights, y)
     return float(np.dot(points, post))
+
+
+def posterior_table(g, y_max, cache=None):
+    """Rows z = 0..y_max of the mixture pmf and the posterior weights given z.
+
+    Returns ``(p, post)``: ``p[z] = p_g(z)`` and ``post[z] = k(z|theta) g /
+    p_g(z)``, shape (y_max+1, d).  A posterior row is exact even where
+    p_g(z) underflows to zero.
+    """
+    log_p, post = log_mixture(log_kernel_rows(g.grid, np.arange(y_max + 1), cache), g.weights)
+    return np.exp(log_p), post
+
+
+def posterior_mean(g, y):
+    """E[theta | Y=y] under g, from the log-space posterior row of y."""
+    post = log_mixture(log_kernel_rows(g.grid, [y]), g.weights)[1][0]
+    return float(np.dot(g.grid.points, post))
+
+
+def martingale_residual(state, y_max):
+    """How far the next update is from mean-preserving, per atom.
+
+    Averages the actual one-step update over counts y <= y_max drawn from
+    the current predictive pmf, adds the analytically known contribution of
+    the truncated tail, and returns the largest absolute gap to the current
+    weights.  Zero up to truncation and rounding.
+    """
+    g = state.g
+    w = g.weights
+    a = state.rate(state.n + 1)
+    p, post = posterior_table(g, y_max, state.cache)    # (y_max+1, d)
+    stepped = (1.0 - a) * w[None, :] + a * post         # update applied at each y
+    expected = (p[:, None] * stepped).sum(axis=0)
+    # Poisson tail beyond y_max, exact: P(Y > y_max | theta_j)
+    tail_k = pdtrc(y_max, g.grid.points)
+    tail_p = float(np.dot(w, tail_k))
+    expected += (1.0 - a) * w * tail_p + a * w * tail_k
+    return float(np.max(np.abs(expected - w)))
 
 
 def direct_newton_step(points, weights, y, step):
@@ -125,11 +171,6 @@ def posterior_weight_covariance(g, y_max=None):
 # rv_discrete(values=(atoms, probs)) for a prior on finitely many atoms
 
 
-@cache
-def _legendre_nodes():
-    return roots_legendre(QUADRATURE_NODES)
-
-
 def count_second_moment(dist):
     """E[Y^2] for Y ~ Poisson(theta), theta ~ dist: E[theta] + E[theta^2]."""
     return float(dist.mean() + dist.moment(2))
@@ -139,16 +180,18 @@ def count_pmf(dist, ys):
     """p(y) = integral of the Poisson kernel against the prior.
 
     Continuous priors use Gauss-Legendre quadrature with ``QUADRATURE_NODES``
-    points over [0, dist.isf(1e-16)]; discrete priors are summed exactly.
+    points over the prior's support cut to [0, dist.isf(PRIOR_TAIL)];
+    discrete priors are summed exactly.
     """
     ys = np.asarray(ys, dtype=int)
     if isinstance(dist, rv_discrete):
         theta, w = dist.xk, dist.pk
     else:
-        x, gw = _legendre_nodes()
-        hi = float(dist.isf(1e-16))
-        theta = 0.5 * hi * (x + 1.0)
-        w = 0.5 * hi * gw * dist.pdf(theta)
+        x, gw = roots_legendre(QUADRATURE_NODES)
+        lo, hi = dist.support()
+        lo, hi = max(float(lo), 0.0), min(float(hi), float(dist.isf(PRIOR_TAIL)))
+        theta = lo + 0.5 * (hi - lo) * (x + 1.0)
+        w = 0.5 * (hi - lo) * gw * dist.pdf(theta)
     return poisson.pmf(ys[:, None], theta[None, :]) @ w
 
 
@@ -181,7 +224,7 @@ def kl_discretization_gap(dist, g, y_max):
     pmf does not.  Nonnegative up to quadrature and truncation error.
     """
     p_exact = count_pmf(dist, np.arange(y_max + 1))
-    log_p_g = log_mixture_pmf_table(g, y_max)
+    log_p_g = log_mixture(log_kernel_rows(g.grid, np.arange(y_max + 1)), g.weights)[0]
     live = p_exact > 0
     degenerate = ~np.isfinite(log_p_g) | (np.exp(log_p_g) == 0.0)
     if np.any(live & degenerate):
@@ -194,11 +237,11 @@ def kl_discretization_gap(dist, g, y_max):
 
 
 def multi_log_kernel(yvec, theta) -> float:
-    """Sum of scalar log kernels across coordinates."""
+    """Sum of scalar log kernels -t + y log t - log y! across coordinates."""
     yvec, theta = tuple(yvec), tuple(theta)
     if len(yvec) != len(theta):
         raise ValueError("count vector and rate vector must have equal length")
-    return float(sum(log_poisson_kernel(int(y), t) for y, t in zip(yvec, theta)))
+    return float(sum(-t + y * math.log(t) - math.lgamma(y + 1) for y, t in zip(yvec, theta)))
 
 
 def index_to_tuple(grid, i):

@@ -14,7 +14,6 @@ from streameb.engine import (
     StateFormatError,
     deserialize_state,
     init,
-    martingale_residual,
     serialize_state,
     update,
     update_stream,
@@ -101,11 +100,31 @@ class TestUpdate:
         with pytest.raises(ValueError):
             update(state, -1)
 
+    def test_rejects_non_integer_count_instead_of_truncating(self):
+        state = init(Grid([1.0, 3.0]), LearningRate(1.0, 0.99))
+        for bad in (2.7, -0.5, float("nan"), "2"):
+            with pytest.raises(ValueError):
+                update(state, bad)
+        whole = update(state, 2).g.weights
+        for same in (2.0, np.int64(2), np.float64(2.0)):
+            assert np.array_equal(update(state, same).g.weights, whole)
+
 
 class TestUpdateStream:
     def test_empty_stream_is_identity(self):
         state = init(Grid([1.0, 2.0]), LearningRate(1.0, 0.99))
         assert update_stream(state, []) is state
+
+    def test_rejects_non_integer_counts_instead_of_truncating(self):
+        state = init(Grid([1.0, 3.0]), LearningRate(1.0, 0.99))
+        for bad in ([2.7, 1.2], [2, 1.5], np.array([2.0, np.inf])):
+            with pytest.raises(ValueError, match="integers"):
+                update_stream(state, bad)
+        whole = update_stream(state, [2, 1]).g.weights
+        assert np.array_equal(update_stream(state, [2.0, 1.0]).g.weights, whole)
+        lattice = init(ProductGrid(Grid([1.0, 3.0]), 2), LearningRate(1.0, 0.99))
+        with pytest.raises(ValueError, match="integers"):
+            update_stream(lattice, [(1, 2.5)])
 
     def test_single_element_equals_single_update(self):
         grid = Grid(np.linspace(0.5, 9, 40))
@@ -318,12 +337,12 @@ class TestMartingaleResidual:
     def test_point_mass_is_exact(self):
         grid = Grid([3.0])
         state = init(grid, LearningRate(1.0, 0.99))
-        assert martingale_residual(state, 60) == pytest.approx(0.0, abs=1e-15)
+        assert oracles.martingale_residual(state, 60) == pytest.approx(0.0, abs=1e-15)
 
     def test_uniform_two_atoms(self):
         grid = Grid([1.0, 2.0])
         state = init(grid, LearningRate(1.0, 0.99))
-        assert martingale_residual(state, 50) < 1e-8
+        assert oracles.martingale_residual(state, 50) < 1e-8
 
     def test_random_states_stay_small(self, rng):
         for _ in range(5):
@@ -332,7 +351,7 @@ class TestMartingaleResidual:
                 g, 17, LearningRate(1.0, 0.8), engine.KernelMatrixCache(g.grid)
             )
             y_max = int(g.grid.hi + 20 * math.sqrt(g.grid.hi))
-            assert martingale_residual(state, y_max) < 1e-6
+            assert oracles.martingale_residual(state, y_max) < 1e-6
 
 
 class TestSerialization:

@@ -11,7 +11,6 @@ from streameb.engine import (
     LearningRate,
     NewtonState,
     init,
-    martingale_residual,
     update_stream,
 )
 from streameb.evaluation import generate_compound
@@ -24,20 +23,10 @@ from streameb.inference import (
     credible_intervals,
     default_y_max,
     estimate_table,
-    normal_quantile,
     ratio_estimate,
     truncation_tail_bound,
 )
-from streameb.model import (
-    Grid,
-    MixingWeights,
-    ProductGrid,
-    log_poisson_kernel,
-    mixture_pmf,
-    posterior_mean,
-    posterior_table,
-    posterior_weights,
-)
+from streameb.model import Grid, MixingWeights, ProductGrid, log_kernel_rows, mixture_pmf
 from streameb.priors import parse_prior
 
 from . import oracles
@@ -54,7 +43,7 @@ class TestRatioEstimate:
         g = random_weights(rng, np.sort(rng.uniform(0.1, 18.0, size=60)))
         for y in range(0, 51, 7):
             assert ratio_estimate(g, y) == pytest.approx(
-                posterior_mean(g, y), rel=1e-10
+                oracles.posterior_mean(g, y), rel=1e-10
             )
 
     @given(st.integers(min_value=0, max_value=50), st.integers(min_value=0, max_value=10**6))
@@ -62,7 +51,7 @@ class TestRatioEstimate:
     def test_identity_property(self, y, seed):
         rng = np.random.default_rng(seed)
         g = random_weights(rng, np.sort(rng.uniform(0.1, 25.0, size=12)))
-        assert ratio_estimate(g, y) == pytest.approx(posterior_mean(g, y), rel=1e-10)
+        assert ratio_estimate(g, y) == pytest.approx(oracles.posterior_mean(g, y), rel=1e-10)
 
 
     def test_negative_count_is_rejected_with_or_without_a_cache(self):
@@ -72,6 +61,13 @@ class TestRatioEstimate:
         for c in (None, cache):
             with pytest.raises(ValueError):
                 ratio_estimate(g, -1, c)
+
+    def test_non_integer_count_is_refused_not_truncated(self):
+        g = MixingWeights(Grid([1.0, 4.0]), [0.5, 0.5])
+        for bad in (2.5, 2.0000001, -0.5):
+            with pytest.raises(ValueError, match="integers"):
+                ratio_estimate(g, bad)
+        assert ratio_estimate(g, 2.0) == ratio_estimate(g, np.int64(2)) == ratio_estimate(g, 2)
 
 
 class TestEstimateTable:
@@ -207,10 +203,9 @@ class TestCertifiedTruncation:
     def test_bound_dominates_the_neglected_tail(self, rng):
         for g in _truncation_cases(rng):
             cap = default_y_max(g.grid)
-            p, post = posterior_table(g, cap)
+            p, post = oracles.posterior_table(g, cap)
             for y in (0, 3, 7):
-                k0 = np.exp(log_poisson_kernel(y, g.grid.points))
-                k1 = np.exp(log_poisson_kernel(y + 1, g.grid.points))
+                k0, k1 = np.exp(log_kernel_rows(g.grid, [y, y + 1]))
                 contrast = k1 / (k1 @ g.weights) - k0 / (k0 @ g.weights)
                 terms = p * (post @ contrast) ** 2
                 for z in (y + 1, y + 5, y + 20, y + 60, y + 200):
@@ -296,22 +291,30 @@ class TestWeightCovariance:
 
 
 class TestNormalQuantile:
+    """The interval's half-width is the normal quantile times sqrt(V / b_n)."""
+
+    @staticmethod
+    def _quantiles(levels):
+        grid = Grid(np.linspace(0.5, 8, 30))
+        state = update_stream(init(grid, LearningRate(1.0, 0.9)), [3, 1, 4, 1, 5, 9, 2, 6])
+        for level in levels:
+            rep = credible_interval(state, 2, level)
+            scale = math.sqrt(rep.variance / rep.b_n)
+            yield level, (rep.ci_high - rep.theta_hat) / scale, (rep.theta_hat - rep.ci_low) / scale
+
     def test_against_scipy_inverse_cdf(self):
-        ps = np.concatenate(
-            [np.array([1e-8, 1e-4, 0.02425, 0.5, 0.975]), np.linspace(0.001, 0.999, 97)]
-        )
-        for p in ps:
-            assert normal_quantile(float(p)) == pytest.approx(
-                float(ndtri(p)), abs=1e-9
-            )
+        for level, upper, _ in self._quantiles([1e-6, 0.5, 0.9, 0.95, 0.999999]):
+            assert upper == pytest.approx(float(ndtri(0.5 + 0.5 * level)), rel=1e-9)
 
     def test_symmetry(self):
-        assert normal_quantile(0.975) == pytest.approx(-normal_quantile(0.025), rel=1e-12)
+        for _, upper, lower in self._quantiles([0.5, 0.95]):
+            assert upper == pytest.approx(lower, rel=1e-9)
 
     def test_range_validation(self):
-        for p in (0.0, 1.0, -0.1, 1.1):
+        state = update_stream(init(Grid([1.0, 2.0]), LearningRate(1.0, 0.99)), [1])
+        for level in (-0.1, 1.1, float("nan")):
             with pytest.raises(ValueError):
-                normal_quantile(p)
+                credible_interval(state, 0, level)
 
 
 class TestCredibleInterval:
@@ -336,7 +339,7 @@ class TestCredibleInterval:
         grid = Grid(np.linspace(0.5, 8, 30))
         state = self._state_after(rng.poisson(3.0, 200), grid, LearningRate(1.0, 0.9))
         rep = credible_interval(state, 1, 0.95)
-        z = normal_quantile(0.975)
+        z = ndtri(0.975)
         half = z * math.sqrt(rep.variance / rep.b_n)
         assert rep.ci_low == pytest.approx(rep.theta_hat - half)
         assert rep.ci_high == pytest.approx(rep.theta_hat + half)
@@ -351,6 +354,12 @@ class TestCredibleInterval:
             credible_interval(fresh, 0, 0.9)
         with pytest.raises(TypeError):  # b_n needs the power schedule
             init(grid, rate=lambda n: 1.0 / n)
+
+    def test_non_integer_counts_are_refused_not_truncated(self):
+        state = self._state_after([1, 2, 3], Grid([1.0, 2.0]), LearningRate(1.0, 0.99))
+        with pytest.raises(ValueError, match="integers"):
+            credible_intervals(state, [1, 2.5], 0.9)
+        assert credible_intervals(state, [2.0], 0.9) == credible_intervals(state, [2], 0.9)
 
     def test_level_validation(self, rng):
         grid = Grid([1.0, 2.0])
@@ -369,7 +378,7 @@ class TestCredibleInterval:
 
 
 class TestLatticeWeightsRejected:
-    """Scalar entry points name the grid kind instead of failing inside numpy."""
+    """Entry points name the grid kind instead of failing inside numpy."""
 
     @pytest.fixture
     def lattice_state(self):
@@ -377,17 +386,11 @@ class TestLatticeWeightsRejected:
         return update_stream(init(lattice, LearningRate(1.0, 0.99)), [(1, 2), (0, 3)])
 
     def test_ratio_estimate(self, lattice_state):
+        # a lattice takes count vectors; a scalar count has the wrong shape
         with pytest.raises(ValueError, match="ProductGrid"):
             ratio_estimate(lattice_state.g, 0, lattice_state.cache)
 
     def test_credible_intervals(self, lattice_state):
-        with pytest.raises(ValueError, match="ProductGrid"):
-            credible_intervals(lattice_state, [0], 0.9)
-
-    def test_martingale_residual(self, lattice_state):
-        with pytest.raises(ValueError, match="ProductGrid"):
-            martingale_residual(lattice_state, 10)
-
-    def test_posterior_weights(self, lattice_state):
-        with pytest.raises(ValueError, match="ProductGrid"):
-            posterior_weights(lattice_state.g, 0, lattice_state.cache)
+        for ys in ([0], [(1, 2)]):
+            with pytest.raises(ValueError, match="ProductGrid"):
+                credible_intervals(lattice_state, ys, 0.9)

@@ -12,9 +12,16 @@ from streameb.engine import (
     update,
     update_stream,
 )
-from streameb.inference import asymptotic_variance, default_y_max
-from streameb.model import DegenerateLikelihoodError, Grid, MixingWeights, ProductGrid
-from streameb.multidim import multi_asymptotic_variance, multi_estimate, multi_mixture_pmf
+from streameb.inference import asymptotic_variance, default_y_max, ratio_estimate
+from streameb.model import (
+    DegenerateLikelihoodError,
+    Grid,
+    MixingWeights,
+    ProductGrid,
+    log_kernel_rows,
+    log_mixture_pmf,
+    mixture_pmf,
+)
 
 from . import oracles
 
@@ -63,9 +70,8 @@ class TestProductGrid:
 
 class TestMultiKernel:
     def test_reduces_to_scalar_kernel(self):
-        from streameb.model import log_poisson_kernel
-
-        assert oracles.multi_log_kernel((3,), (2.0,)) == log_poisson_kernel(3, 2.0)
+        library = float(log_kernel_rows(Grid([2.0]), [3])[0, 0])
+        assert oracles.multi_log_kernel((3,), (2.0,)) == pytest.approx(library, rel=1e-15)
 
     def test_two_dim_hand_value(self):
         assert oracles.multi_log_kernel((0, 0), (1.0, 1.0)) == pytest.approx(-2.0, abs=1e-14)
@@ -163,12 +169,9 @@ class TestMultiEstimate:
         w[oracles.tuple_to_index(pg, [0, 1])] = 1.0
         g = MixingWeights(pg, w)
         for yv in [(0, 0), (4, 2)]:
-            assert multi_estimate(g, yv, 0) == pytest.approx(2.0, rel=1e-10)
-            assert multi_estimate(g, yv, 1) == pytest.approx(5.0, rel=1e-10)
+            assert ratio_estimate(g, yv) == pytest.approx([2.0, 5.0], rel=1e-10)
 
     def test_factorized_weights_reduce_to_scalar_estimates(self, rng):
-        from streameb.inference import ratio_estimate
-
         base = Grid([0.5, 1.5, 3.0, 6.0])
         pg = ProductGrid(base, 2)
         w1 = rng.dirichlet(np.ones(4))
@@ -177,11 +180,8 @@ class TestMultiEstimate:
         m1 = MixingWeights(base, w1)
         m2 = MixingWeights(base, w2)
         for yv in [(0, 0), (2, 5), (7, 1)]:
-            assert multi_estimate(g, yv, 0) == pytest.approx(
-                ratio_estimate(m1, yv[0]), rel=1e-8
-            )
-            assert multi_estimate(g, yv, 1) == pytest.approx(
-                ratio_estimate(m2, yv[1]), rel=1e-8
+            assert ratio_estimate(g, yv) == pytest.approx(
+                [ratio_estimate(m1, yv[0]), ratio_estimate(m2, yv[1])], rel=1e-8
             )
 
     def test_ratio_form_equals_conditional_mean(self, rng):
@@ -198,18 +198,39 @@ class TestMultiEstimate:
             ]
         )
         post = k_vals * w / (k_vals * w).sum()
-        for j in range(2):
-            assert multi_estimate(g, yv, j) == pytest.approx(
-                float(cols[j] @ post), rel=1e-10
-            )
+        assert ratio_estimate(g, yv) == pytest.approx(cols @ post, rel=1e-10)
 
     def test_estimates_stay_inside_the_base_grid(self, rng):
         base = Grid([0.5, 2.0, 4.0])
         pg = ProductGrid(base, 2)
         g = MixingWeights(pg, rng.dirichlet(np.ones(pg.size)))
         for yv in [(0, 0), (3, 8), (12, 1)]:
-            for j in range(2):
-                assert base.lo <= multi_estimate(g, yv, j) <= base.hi
+            assert np.all((base.lo <= ratio_estimate(g, yv)) & (ratio_estimate(g, yv) <= base.hi))
+
+    def test_coordinates_have_the_bits_of_single_count_ratios(self, rng):
+        # all k coordinates come from one block of kernel rows, each with the
+        # bits of its own (y_j + 1) p(y + e_j) / p(y) from single-count pmfs
+        for base, k, yvs in [
+            (Grid([0.5, 1.5, 3.0, 6.0]), 2, [(0, 0), (2, 5), (7, 1)]),
+            (Grid(np.linspace(0.3, 3.0, 8)), 3, [(0, 2, 1), (4, 0, 3)]),
+        ]:
+            pg = ProductGrid(base, k)
+            g = MixingWeights(pg, rng.dirichlet(np.ones(pg.size)))
+            for yv in yvs:
+                log_p = log_mixture_pmf(g, yv)
+                bumped = np.add(yv, np.eye(k, dtype=int))  # row j is y + e_j
+                single = [(yv[j] + 1) * np.exp(log_mixture_pmf(g, bumped[j]) - log_p) for j in range(k)]
+                assert ratio_estimate(g, yv).tolist() == single
+
+    def test_malformed_and_non_integer_count_vectors_are_refused(self):
+        g = MixingWeights(ProductGrid(Grid([1.0, 2.0]), 2), np.full(4, 0.25))
+        for bad in ((1,), (1, 2, 3), (0, -1), 3):
+            with pytest.raises(ValueError):
+                ratio_estimate(g, bad)
+        for bad in ((1, 2.5), (0.5, 0)):
+            with pytest.raises(ValueError, match="integers"):
+                mixture_pmf(g, bad)
+        assert mixture_pmf(g, (1.0, 2.0)) == mixture_pmf(g, (1, 2))
 
 
 class TestMultiVariance:
@@ -219,7 +240,7 @@ class TestMultiVariance:
         w = rng.dirichlet(np.ones(4))
         g = MixingWeights(pg, w)
         scalar = asymptotic_variance(MixingWeights(base, w), 2, 120)
-        lattice = multi_asymptotic_variance(g, (2,), 120)
+        lattice = asymptotic_variance(g, (2,), 120)
         assert lattice.shape == (1, 1)
         assert lattice[0, 0] == pytest.approx(scalar, rel=1e-10)
 
@@ -228,7 +249,7 @@ class TestMultiVariance:
         pg = ProductGrid(base, 2)
         w = np.zeros(4)
         w[1] = 1.0
-        cov = multi_asymptotic_variance(MixingWeights(pg, w), (1, 1), 60)
+        cov = asymptotic_variance(MixingWeights(pg, w), (1, 1), 60)
         assert np.max(np.abs(cov)) < 1e-25
 
     def test_matches_brute_force_lattice_sum(self, rng):
@@ -239,13 +260,13 @@ class TestMultiVariance:
         yv = (1, 2)
         y_max = 40
         tuples = [oracles.index_to_tuple(pg, i) for i in range(9)]
-        p_y = multi_mixture_pmf(g, yv)
+        p_y = mixture_pmf(g, yv)
         brute = np.zeros((2, 2))
         contrasts = np.zeros((2, 9))
         theta_hat = np.zeros(2)
         for j in range(2):
             bumped = tuple(y + (1 if jj == j else 0) for jj, y in enumerate(yv))
-            p_up = multi_mixture_pmf(g, bumped)
+            p_up = mixture_pmf(g, bumped)
             theta_hat[j] = (yv[j] + 1) * p_up / p_y
             for i, th in enumerate(tuples):
                 k_up = math.exp(oracles.multi_log_kernel(bumped, th))
@@ -254,7 +275,7 @@ class TestMultiVariance:
         for z1 in range(y_max + 1):
             for z2 in range(y_max + 1):
                 zv = (z1, z2)
-                p_z = multi_mixture_pmf(g, zv)
+                p_z = mixture_pmf(g, zv)
                 if p_z <= 0:
                     continue
                 post = np.array(
@@ -264,14 +285,14 @@ class TestMultiVariance:
                 b = contrasts @ post
                 brute += p_z * np.outer(b, b)
         brute *= np.outer(theta_hat, theta_hat)
-        got = multi_asymptotic_variance(g, yv, y_max)
+        got = asymptotic_variance(g, yv, y_max)
         assert np.max(np.abs(got - brute)) < 1e-8
 
     def test_symmetric_positive_semidefinite(self, rng):
         base = Grid([0.5, 2.0, 4.0])
         pg = ProductGrid(base, 2)
         g = MixingWeights(pg, rng.dirichlet(np.ones(9)))
-        cov = multi_asymptotic_variance(g, (1, 1), 60)
+        cov = asymptotic_variance(g, (1, 1), 60)
         assert np.max(np.abs(cov - cov.T)) < 1e-12
         assert np.linalg.eigvalsh(cov).min() >= -1e-9
 
@@ -290,13 +311,28 @@ class TestMultiVariance:
             pg = ProductGrid(base, k)
             g = MixingWeights(pg, rng.dirichlet(np.ones(pg.size)))
             built.clear()
-            certified = multi_asymptotic_variance(g, yv)
+            certified = asymptotic_variance(g, yv)
             visited = sum(built)
             built.clear()
-            capped = multi_asymptotic_variance(g, yv, default_y_max(base))
+            capped = asymptotic_variance(g, yv, default_y_max(base))
             assert visited < sum(built) / 3
             assert np.all(np.linalg.eigvalsh(certified) > 0)
             assert np.max(np.abs(certified - capped) / np.abs(capped)) < 1e-12
+
+    def test_values_of_the_former_lattice_entry_points(self):
+        # multidim.multi_estimate and multi_asymptotic_variance returned these
+        # for the same weights before the lattice joined the scalar surface
+        pg = ProductGrid(Grid([0.5, 1.5, 3.0, 6.0]), 2)
+        w = np.arange(1.0, 17.0)
+        g = MixingWeights(pg, w / w.sum())
+        assert ratio_estimate(g, (2, 5)).tolist() == [2.7376319866634424, 4.772683250486619]
+        expected = [[1.0494293168916728, -0.1654718102640056], [-0.1654718102640056, 1.252427314843912]]
+        assert asymptotic_variance(g, (2, 5)) == pytest.approx(np.array(expected), rel=1e-13)
+
+    def test_lattices_above_the_covariance_cap_are_refused(self):
+        pg = ProductGrid(Grid(np.linspace(0.2, 12.0, 101)), 2)  # D = 10,201
+        with pytest.raises(ValueError, match="refused"):
+            asymptotic_variance(MixingWeights(pg, np.full(pg.size, 1 / pg.size)), (1, 1))
 
 
 class TestMultiSerialization:

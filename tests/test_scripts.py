@@ -31,12 +31,3 @@ def test_synthetic_benchmark_rows_come_from_the_shared_routine(tmp_path, capsys)
     assert [r.method for r in expected] == list(METHODS)
     assert rest == [r.csv_row() for r in expected]
     assert "| RMSE |" in capsys.readouterr().out
-
-
-def test_interval_coverage_runs(capsys):
-    args = ["--reps", "4", "--n-small", "200", "--n-big", "2000"]
-    assert _script("interval_coverage").main(args) == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert lines[0] == "y,coverage"
-    assert [line.split(",")[0] for line in lines[1:]] == ["0", "1", "2"]
-    assert all(0.0 <= float(line.split(",")[1]) <= 1.0 for line in lines[1:])
