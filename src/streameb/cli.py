@@ -17,6 +17,7 @@ line is suppressed by --no-meta.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 from dataclasses import dataclass
@@ -333,10 +334,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser.
+
+    ``parse_args`` keeps no state between calls, so every ``main`` call can
+    share it; building it (~1.4 ms) was over a third of an in-process
+    ``estimate`` query on a d = 200 state.
+    """
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return VALIDATION_EXIT if exc.code else 0
     try:

@@ -22,6 +22,7 @@ O(d), or O(D) on a lattice, independent of how many observations came before.
 
 from __future__ import annotations
 
+import ctypes
 import math
 import struct
 import zlib
@@ -163,7 +164,8 @@ def _aligned_empty(size: int) -> np.ndarray:
     at one fixed offset makes the recursion independent of that history.
     """
     raw = np.empty(size + 8)
-    start = (-raw.ctypes.data % 64) // 8
+    # the buffer's address, without the helper object ``raw.ctypes`` builds per access
+    start = (-ctypes.addressof(ctypes.c_char.from_buffer(raw)) % 64) // 8
     return raw[start : start + size]
 
 

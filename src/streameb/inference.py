@@ -136,15 +136,6 @@ def _pair_estimates(g: MixingWeights, ys: np.ndarray, cache: KernelMatrixCache |
     return thetas, contrasts
 
 
-def _tail_mass(grid, atoms: np.ndarray, z: int) -> np.ndarray:
-    """``P(Y > z)`` at the given atoms; on a ProductGrid, ``sum_i P(Y_i > z)``."""
-    digits = np.unravel_index(atoms, (len(grid.base),) * grid.k)
-    used = np.unique(np.concatenate(digits))
-    tail = np.zeros(len(grid.base))
-    tail[used] = pdtrc(z, grid.base.points[used])
-    return sum(tail[digit] for digit in digits)
-
-
 def truncation_tail_bound(g: MixingWeights, contrasts: np.ndarray, z: int) -> np.ndarray:
     """Upper bound on ``sum_{z' > z} p(z') s(z')^2`` for each contrast row.
 
@@ -156,9 +147,29 @@ def truncation_tail_bound(g: MixingWeights, contrasts: np.ndarray, z: int) -> np
     Atoms whose terms are exactly zero (the contrast underflows far from
     the requested counts) are skipped.
     """
+    return _tail_bound(g, contrasts)(z)
+
+
+def _tail_bound(g: MixingWeights, contrasts: np.ndarray):
+    """``z -> truncation_tail_bound(g, contrasts, z)``, its z-independent part done once.
+
+    Each call then costs one ``pdtrc`` over the base points that the kept
+    atoms use and one matrix product.
+    """
+    grid = g.grid
     weighted = contrasts**2 * g.weights
     cols = np.flatnonzero(weighted.any(axis=0))
-    return weighted[:, cols] @ _tail_mass(g.grid, cols, z)
+    weighted = weighted[:, cols]
+    digits = np.concatenate(np.unravel_index(cols, (len(grid.base),) * grid.k))
+    used, where = np.unique(digits, return_inverse=True)
+    where = where.reshape(grid.k, len(cols))  # row i: coordinate i's base point, per atom
+    points = grid.base.points[used]
+
+    def bound(z: int) -> np.ndarray:
+        tail = pdtrc(z, points)  # P(Y > z) at each used base point
+        return weighted @ tail[where].sum(axis=0)
+
+    return bound
 
 
 def _certified_y_max(g, contrasts, partial, z_lo: int, cap: int) -> int:
@@ -169,9 +180,10 @@ def _certified_y_max(g, contrasts, partial, z_lo: int, cap: int) -> int:
     when no point up to it qualifies.
     """
     target = _TRUNCATION_RTOL * partial
+    bound = _tail_bound(g, contrasts)
 
     def certified(z):
-        return bool(np.all(truncation_tail_bound(g, contrasts, z) <= target))
+        return bool((bound(z) <= target).all())
 
     lo = hi = z_lo
     while not certified(hi):

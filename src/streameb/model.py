@@ -178,14 +178,14 @@ class CountHistogram:
     total: int
 
     def __post_init__(self):
-        clean = {}
-        for y, n_y in self.entries.items():
-            y, n_y = int(y), int(n_y)
-            if y < 0:
-                raise ValueError("counts must be nonnegative")
-            if n_y < 1:
-                raise ValueError("multiplicities must be positive")
-            clean[y] = clean.get(y, 0) + n_y
+        ys = _integers(list(self.entries), "counts")
+        n_ys = _integers(list(self.entries.values()), "multiplicities")
+        if ys.size and ys.min() < 0:
+            raise ValueError("counts must be nonnegative")
+        if n_ys.size and n_ys.min() < 1:
+            raise ValueError("multiplicities must be positive")
+        # insertion order is kept: moment fits sum over the entries in it
+        clean = dict(zip(ys.tolist(), n_ys.tolist()))
         object.__setattr__(self, "entries", clean)
         total = sum(clean.values())
         if self.total != total:
@@ -193,17 +193,21 @@ class CountHistogram:
 
     @classmethod
     def from_pairs(cls, pairs) -> "CountHistogram":
+        pairs = list(pairs)
+        ys = _integers([y for y, _ in pairs], "counts").tolist()
+        n_ys = _integers([n_y for _, n_y in pairs], "multiplicities").tolist()
         entries = {}
-        for y, n_y in pairs:
-            entries[int(y)] = entries.get(int(y), 0) + int(n_y)
+        for y, n_y in zip(ys, n_ys):
+            entries[y] = entries.get(y, 0) + n_y
         return cls(entries, sum(entries.values()))
 
     @classmethod
     def from_counts(cls, ys) -> "CountHistogram":
-        entries = {}
-        for y in ys:
-            entries[int(y)] = entries.get(int(y), 0) + 1
-        return cls(entries, sum(entries.values()))
+        # list() first: np.asarray would wrap a generator or dict view as one object
+        counts = _integers(ys if isinstance(ys, np.ndarray) else list(ys), "counts")
+        values, first, n_ys = np.unique(counts, return_index=True, return_counts=True)
+        order = np.argsort(first)  # first appearance, the order of a loop over ys
+        return cls(dict(zip(values[order].tolist(), n_ys[order].tolist())), len(counts))
 
     def support(self) -> np.ndarray:
         return np.array(sorted(self.entries), dtype=int)
@@ -290,24 +294,32 @@ def _log_kernel(points: np.ndarray, ys: np.ndarray) -> np.ndarray:
     return -points[None, :] + ys * np.log(points[None, :]) - gammaln(ys + 1.0)
 
 
+def _integers(values, what: str) -> np.ndarray:
+    """``values`` as int64, each equal to its int64 value: 2.0 is 2, 2.5 is refused.
+
+    Counts and multiplicities read through here, so a non-integer is
+    refused rather than truncated.
+    """
+    given = np.asarray(values)
+    with np.errstate(invalid="ignore"):  # NaN and inf fail the equality check below
+        ints = given.astype(np.int64, copy=False)
+    if ints is not given and not np.array_equal(ints, given):
+        raise ValueError(f"{what} must be integers")
+    return ints
+
+
 def _counts(grid: Grid | ProductGrid, ys) -> np.ndarray:
     """Validated int64 counts: shape (n,) on a Grid, (n, k) on a ProductGrid.
 
-    Every count-level query reads its counts through here.  A count must
-    equal its int64 value: 2.0 is the count 2, while 2.5 is refused rather
-    than truncated.
+    Every count-level query reads its counts through here; see ``_integers``.
     """
-    given = np.asarray(ys)
-    with np.errstate(invalid="ignore"):  # NaN and inf fail the equality check below
-        counts = given.astype(np.int64, copy=False)
+    counts = _integers(ys, "counts")
     row = (grid.k,) if isinstance(grid, ProductGrid) else ()
     if counts.ndim == 0 or counts.shape[1:] != row:
         raise ValueError(
             f"expected counts of shape {row} on a {type(grid).__name__}, "
             f"got an array of shape {counts.shape}"
         )
-    if counts is not given and not np.array_equal(counts, given):
-        raise ValueError("counts must be integers")
     if counts.size and counts.min() < 0:
         raise ValueError("counts must be nonnegative")
     return counts

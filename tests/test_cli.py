@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import streameb
+from streameb import cli
 from streameb.cli import IngestFormat, ingest, main
 from streameb.engine import LearningRate, deserialize_state, init, serialize_state
 from streameb.model import Grid, MixingWeights, ProductGrid
@@ -264,6 +265,45 @@ class TestFitEstimateFlow:
 
     def test_fit_without_prior_or_input_fails(self):
         assert main(["fit", "--eta", "0.1"]) == 2
+
+
+class TestParserReuse:
+    """``main`` parses every call with one parser per process."""
+
+    @pytest.fixture
+    def state(self, tmp_path, rng):
+        counts, state = tmp_path / "counts.txt", tmp_path / "s.bin"
+        counts.write_text("\n".join(str(int(y)) for y in rng.poisson(2.0, 200)) + "\n")
+        assert main(["--no-meta", "fit", "--input", str(counts), "--eta", "0.1",
+                     "--dcap", "200", "--state-out", str(state)]) == 0
+        return str(state)
+
+    def test_a_flag_does_not_outlive_its_call(self, state, capsys):
+        capsys.readouterr()
+        assert main(["--no-meta", "estimate", "--state", state, "--y", "0,1", "--level", "0.9"]) == 0
+        assert main(["--no-meta", "estimate", "--state", state, "--y", "0,1"]) == 0
+        rows = capsys.readouterr().out.splitlines()
+        levels = [row.rsplit(",", 1)[1] for row in rows if not row.startswith("y,")]
+        assert levels == ["0.9", "0.9", "0.95", "0.95"]
+
+    def test_a_rejected_call_leaves_the_next_one_intact(self, state, tmp_path, capsys):
+        fresh, reused = tmp_path / "fresh.csv", tmp_path / "reused.csv"
+        args = ["--no-meta", "estimate", "--state", state, "--y", "0..7"]
+        parsed = cli.build_parser().parse_args(["--out", str(fresh)] + args)
+        assert parsed.func(parsed) == 0
+        assert main(args) == 0
+        assert main(["estimate", "--y", "0..7"]) == 2  # --state is missing
+        assert "--state" in capsys.readouterr().err
+        assert main(["--out", str(reused)] + args) == 0
+        assert reused.read_bytes() == fresh.read_bytes()
+
+    def test_main_builds_its_parser_once(self, state, monkeypatch):
+        build, built = cli.build_parser, []
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+        cli._parser.cache_clear()
+        args = ["--no-meta", "estimate", "--state", state, "--y", "0"]
+        assert [main(args), main(["frobnicate"]), main(args)] == [0, 2, 0]
+        assert len(built) == 1
 
 
 class TestBenchAndRegret:

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtri, zeta
 
+from streameb import inference
 from streameb.engine import (
     KernelMatrixCache,
     LearningRate,
@@ -246,6 +247,42 @@ class TestCertifiedTruncation:
         g = MixingWeights(Grid([1.0, 2.0]), [0.5, 0.5])
         with pytest.raises(ValueError):
             asymptotic_variance(g, -1)
+
+    def test_search_stops_at_the_first_certified_point(self, rng, monkeypatch):
+        # the doubling-and-bisection search must return what a linear scan
+        # from z_lo returns, and the certified result must carry the bits of
+        # a fixed cutoff at that point
+        searches = []  # ((g, contrasts, partial, z_lo, cap), returned point) per query
+        search = inference._certified_y_max
+
+        def spy(*args):
+            searches.append((args, search(*args)))
+            return searches[-1][1]
+
+        def first_certified(g, contrasts, partial, z_lo, cap):
+            for z in range(z_lo, cap):
+                if np.all(truncation_tail_bound(g, contrasts, z) <= 1e-12 * partial):
+                    return z
+            return cap
+
+        monkeypatch.setattr(inference, "_certified_y_max", spy)
+        rate = LearningRate(1.0, 0.99)
+        scalar = update_stream(init(Grid(np.linspace(0.025, 9662.75, 200)), rate), rng.poisson(4.0, 300))
+        ys = [5, 0, 2, 7, 2]
+        reports = credible_intervals(scalar, ys, 0.9)
+        (args, found), = searches
+        z = first_certified(*args)
+        assert found == z > args[3]  # past z_lo: the search had to move
+        assert reports == credible_intervals(scalar, ys, 0.9, y_max=z)
+
+        lattice = ProductGrid(Grid(np.linspace(0.1, 40.0, 30)), 2)
+        g = update_stream(init(lattice, rate), rng.poisson([3.0, 9.0], (300, 2))).g
+        for y in ([0, 0], [4, 11], [12, 2]):
+            cov = asymptotic_variance(g, y)
+            args, found = searches[-1]
+            z = first_certified(*args)
+            assert found == z > args[3]
+            assert np.array_equal(cov, asymptotic_variance(g, y, y_max=z))
 
     def test_interval_where_the_linear_pmf_underflows(self):
         # every rate is at least 760, so p_g(0) and p_g(1) are below 1e-330:

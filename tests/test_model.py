@@ -81,6 +81,23 @@ class TestCountHistogram:
         with pytest.raises(ValueError):
             CountHistogram({0: 2}, total=5)
 
+    def test_from_counts_refuses_non_integers(self):
+        with pytest.raises(ValueError, match="integers"):
+            CountHistogram.from_counts([2.7, 1.2])
+        h = CountHistogram.from_counts(np.array([3.0, 1.0, 3.0]))
+        assert h.entries == {3: 2, 1: 1} and list(h.entries) == [3, 1]
+
+    def test_from_pairs_refuses_non_integers(self):
+        for pairs in ([(2.5, 3)], [(2, 1.5)]):
+            with pytest.raises(ValueError, match="integers"):
+                CountHistogram.from_pairs(pairs)
+        assert CountHistogram.from_pairs([(2.0, 3.0), (1, 1), (2, 1)]).entries == {2: 4, 1: 1}
+
+    def test_constructor_refuses_non_integers(self):
+        for entries in ({2.5: 1}, {2: 1.5}):
+            with pytest.raises(ValueError, match="integers"):
+                CountHistogram(entries, 1)
+
 
 def log_poisson_kernel(y, theta):
     """One entry of the library's log-kernel rows: log k(y | theta)."""

@@ -32,3 +32,18 @@ def test_tracer_finds_every_name_it_patches_and_restores_them():
 def test_every_public_name_resolves():
     missing = [name for name in streameb.__all__ if not hasattr(streameb, name)]
     assert missing == []
+
+
+def test_serve_workload_passes_its_own_check(tmp_path, monkeypatch):
+    # a serve-path change that breaks the benchmark's CSV or reference check
+    # fails here, not only in a benchmark run
+    monkeypatch.syspath_prepend(str(PERFBENCH))  # workloads.py imports reference.py by name
+    workload = _load("workloads").ServeMixed(tmp_path)
+    workload.tracer = None
+    try:
+        workload.setup(0)
+        workload.step()
+        workload.step()
+        assert workload.check(2) == (0, [])
+    finally:
+        workload.cleanup()
