@@ -25,7 +25,7 @@ from scipy.special import gammaln
 
 # ratio_estimate stays importable here: perfbench/tracing.py patches it.
 from .inference import estimate_table, ratio_estimate  # noqa: F401
-from .model import CountHistogram, Grid, KernelMatrixCache, MixingWeights
+from .model import CountHistogram, Grid, MixingWeights, log_kernel_rows
 
 
 class ConvergenceError(RuntimeError):
@@ -157,7 +157,7 @@ def _run_sqp(h: CountHistogram, cfg: SolverConfig, objective, gain, lam: float, 
     stationary point ``max_j u . K[:, j] <= u . p``: that ratio certifies.
     """
     ys = h.support()
-    kernel = np.exp(KernelMatrixCache(cfg.grid).log_table(int(ys.max()) + 1))[ys]
+    kernel = np.exp(log_kernel_rows(cfg.grid, ys))
     if np.any(kernel.max(axis=1) <= 0.0):
         bad = int(ys[int(np.argmin(kernel.max(axis=1)))])
         raise ValueError(f"count y={bad} is unreachable from every grid atom")

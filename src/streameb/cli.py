@@ -202,7 +202,7 @@ def _cmd_fit(args) -> int:
     if args.state_out:
         with open(args.state_out, "wb") as handle:
             handle.write(engine.serialize_state(state))
-    table = inference.estimate_table(state.g, h.max_count(), state.cache)[0].tolist()
+    table = inference.estimate_table(state.g, h.max_count())[0].tolist()
     rows = [(y, table[y]) for y in sorted(h.entries)]
     _emit(baselines.estimates_to_csv(rows, "stream"), args)
     return 0

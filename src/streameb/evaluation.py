@@ -93,9 +93,8 @@ def regret(g_a: MixingWeights, g_b: MixingWeights, y_max: int | None = None) -> 
         raise ValueError("both weight vectors must live on the same grid")
     if y_max is None:
         y_max = default_y_max(g_a.grid)
-    cache = KernelMatrixCache(g_a.grid)
-    est_a, _ = estimate_table(g_a, y_max, cache)
-    est_b, p_b = estimate_table(g_b, y_max, cache)
+    est_a, _ = estimate_table(g_a, y_max)
+    est_b, p_b = estimate_table(g_b, y_max)
     return float(np.dot((est_a - est_b) ** 2, p_b))
 
 
@@ -138,7 +137,7 @@ def run_stream_experiment(cfg: ExperimentConfig, seed: int, measure_time: bool =
     t0 = time.perf_counter()
     state = engine.update_stream(state, ys)
     ms_per_update = (time.perf_counter() - t0) * 1000.0 / cfg.n if measure_time else float("nan")
-    table, _ = estimate_table(state.g, int(ys.max()), state.cache)
+    table, _ = estimate_table(state.g, int(ys.max()))
     rmse, mad = rmse_mad(thetas, table[ys])
     return MetricRow(
         method="stream",
@@ -260,13 +259,13 @@ def interval_coverage(atoms, probs, rate, level, ys, reps, n_small, n_big, seed)
     grid = Grid(atoms)
     y_matrix = atom_count_matrix(atoms, probs, reps, n_big, np.random.default_rng(seed))
     final, snaps = batched_newton_stream(grid, rate, y_matrix, checkpoints=(n_small,))
-    cache = KernelMatrixCache(grid)
+    cache = KernelMatrixCache(grid)  # NewtonState requires one; intervals do not read it
     hits = dict.fromkeys(ys, 0)
     for r in range(reps):
         state = engine.NewtonState(MixingWeights(grid, snaps[n_small][r]), n_small, rate, cache)
         g_big = MixingWeights(grid, final[r])
         for rep in credible_intervals(state, ys, level):
-            hits[rep.y] += rep.ci_low <= ratio_estimate(g_big, rep.y, cache) <= rep.ci_high
+            hits[rep.y] += rep.ci_low <= ratio_estimate(g_big, rep.y) <= rep.ci_high
     return {y: h / reps for y, h in hits.items()}
 
 

@@ -5,9 +5,11 @@ The point estimate is the plug-in posterior mean in ratio form,
 asymptotically Gaussian with variance ``V(y) / b_n``, where ``V(y)`` is a
 predictive-expectation functional of the current weights and ``b_n`` is the
 inverse tail sum of squared step sizes.  Every pmf and posterior here comes
-from ``model.log_mixture`` over ``model.log_kernel_rows``, so estimates
-and variances are finite wherever the log-space pmf is, and a count's
-estimate has the same bits whichever function computed it.
+from ``model.log_mixture`` over rows that ``model.log_kernel_rows``
+computes for the counts of the query; no query reads or grows the
+recursion's kernel cache.  Estimates and variances are finite wherever the
+log-space pmf is, and a count's estimate has the same bits whichever
+function computed it.
 
 Estimates and variances take a count on a Grid or a count vector on a
 ProductGrid: on a lattice the estimate is one ratio per coordinate,
@@ -37,7 +39,6 @@ from scipy.special import ndtri, pdtrc, zeta
 from .engine import LearningRate, NewtonState
 # log_mixture_pmf stays importable here: perfbench/tracing.py patches it.
 from .model import (  # noqa: F401
-    KernelMatrixCache,
     MixingWeights,
     ProductGrid,
     _counts,
@@ -81,23 +82,23 @@ class EstimateReport:
         )
 
 
-def ratio_estimate(g: MixingWeights, y, cache: KernelMatrixCache | None = None) -> float | np.ndarray:
+def ratio_estimate(g: MixingWeights, y) -> float | np.ndarray:
     """(y+1) p_g(y+1) / p_g(y), the posterior mean at y.
 
     On a ProductGrid ``y`` is a count vector and the result is the array of
     its k coordinate estimates ``(y_j + 1) p_g(y + e_j) / p_g(y)``.
     """
-    thetas = _pair_estimates(g, _counts(g.grid, [y]), cache)[0]
+    thetas = _pair_estimates(g, _counts(g.grid, [y]))[0]
     return thetas if isinstance(g.grid, ProductGrid) else float(thetas[0])
 
 
-def estimate_table(g: MixingWeights, y_max: int, cache: KernelMatrixCache | None = None):
+def estimate_table(g: MixingWeights, y_max: int):
     """Ratio estimates and mixture pmf for every count 0..y_max, from one pmf table.
 
     Returns ``(theta_hat, p)`` with ``theta_hat[y] = ratio_estimate(g, y)``,
     bit for bit, and ``p[y] = p_g(y)``.  Scalar grids only.
     """
-    log_p = log_mixture(log_kernel_rows(g.grid, np.arange(y_max + 2), cache), g.weights)[0]
+    log_p = log_mixture(log_kernel_rows(g.grid, np.arange(y_max + 2)), g.weights)[0]
     theta_hat = np.arange(1, y_max + 2) * np.exp(log_p[1:] - log_p[:-1])
     return theta_hat, np.exp(log_p[:-1])
 
@@ -114,7 +115,7 @@ def clt_scale(rate: LearningRate, n: int) -> float:
     return 1.0 / float(zeta(2.0 * rate.gamma, rate.alpha + n))
 
 
-def _pair_estimates(g: MixingWeights, ys: np.ndarray, cache: KernelMatrixCache | None):
+def _pair_estimates(g: MixingWeights, ys: np.ndarray):
     """Estimates and contrasts for every coordinate j of every validated count y in ``ys``.
 
     Pair i is count ``i // k`` with coordinate ``i % k`` bumped: ``theta[i]
@@ -128,7 +129,7 @@ def _pair_estimates(g: MixingWeights, ys: np.ndarray, cache: KernelMatrixCache |
     hi = lo.copy()
     hi[bumped] += 1
     both = np.concatenate([lo, hi]).reshape((2 * m,) + ys.shape[1:])
-    log_p, post = log_mixture(log_kernel_rows(g.grid, both, cache), g.weights)
+    log_p, post = log_mixture(log_kernel_rows(g.grid, both), g.weights)
     thetas = hi[bumped] * np.exp(log_p[m:] - log_p[:m])
     active = g.support_mask()
     contrasts = np.zeros((m, len(g.grid)))
@@ -136,8 +137,8 @@ def _pair_estimates(g: MixingWeights, ys: np.ndarray, cache: KernelMatrixCache |
     return thetas, contrasts
 
 
-def truncation_tail_bound(g: MixingWeights, contrasts: np.ndarray, z: int) -> np.ndarray:
-    """Upper bound on ``sum_{z' > z} p(z') s(z')^2`` for each contrast row.
+def _tail_bound(g: MixingWeights, contrasts: np.ndarray):
+    """``z ->`` an upper bound on ``sum_{z' > z} p(z') s(z')^2`` for each contrast row.
 
     Jensen's inequality puts ``s(z')^2`` under the posterior mean of
     ``c^2``, and summing that over z' leaves ``sum_j g_j c_j^2 P(Y > z |
@@ -145,16 +146,9 @@ def truncation_tail_bound(g: MixingWeights, contrasts: np.ndarray, z: int) -> np
     ProductGrid the neglected count vectors are those with some coordinate
     above z, and ``sum_i P(Y_i > z | theta_j)`` bounds their probability.
     Atoms whose terms are exactly zero (the contrast underflows far from
-    the requested counts) are skipped.
-    """
-    return _tail_bound(g, contrasts)(z)
-
-
-def _tail_bound(g: MixingWeights, contrasts: np.ndarray):
-    """``z -> truncation_tail_bound(g, contrasts, z)``, its z-independent part done once.
-
-    Each call then costs one ``pdtrc`` over the base points that the kept
-    atoms use and one matrix product.
+    the requested counts) are skipped.  The z-independent part is done
+    once, so each call of the returned function costs one ``pdtrc`` over
+    the base points that the kept atoms use and one matrix product.
     """
     grid = g.grid
     weighted = contrasts**2 * g.weights
@@ -199,7 +193,7 @@ def _certified_y_max(g, contrasts, partial, z_lo: int, cap: int) -> int:
     return hi
 
 
-def _second_moments(g: MixingWeights, contrasts: np.ndarray, z: int, cache) -> np.ndarray:
+def _second_moments(g: MixingWeights, contrasts: np.ndarray, z: int) -> np.ndarray:
     """``sum p(z') s(z') s(z')^T`` over counts z' <= z in every coordinate, s = post(z') @ c."""
     grid = g.grid
     zs = np.indices((z + 1,) * grid.k).reshape(grid.k, -1).T  # lexicographic
@@ -208,13 +202,13 @@ def _second_moments(g: MixingWeights, contrasts: np.ndarray, z: int, cache) -> n
     step = max(1, _BLOCK_ENTRIES // len(grid))
     out = np.zeros((len(contrasts), len(contrasts)))
     for start in range(0, len(zs), step):
-        log_p, post = log_mixture(log_kernel_rows(grid, zs[start : start + step], cache), g.weights)
+        log_p, post = log_mixture(log_kernel_rows(grid, zs[start : start + step]), g.weights)
         s = post @ contrasts.T
         out += (np.exp(log_p)[:, None] * s).T @ s
     return 0.5 * (out + out.T)
 
 
-def _estimates(g: MixingWeights, ys: np.ndarray, y_max: int | None, cache: KernelMatrixCache | None):
+def _estimates(g: MixingWeights, ys: np.ndarray, y_max: int | None):
     """Estimates and their second-moment matrix for validated counts ``ys``.
 
     Returns ``(theta, V)`` over the pairs of ``_pair_estimates``: ``V[i,
@@ -224,20 +218,16 @@ def _estimates(g: MixingWeights, ys: np.ndarray, y_max: int | None, cache: Kerne
     point, found from the sums up to the largest bumped count and the O(D)
     tail bound.
     """
-    if cache is None:
-        cache = KernelMatrixCache(g.grid.base)
-    thetas, contrasts = _pair_estimates(g, ys, cache)
+    thetas, contrasts = _pair_estimates(g, ys)
     if y_max is None:
         cap = default_y_max(g.grid.base)
         z_lo = min(int(ys.max()) + 1, cap)
-        partial = np.diag(_second_moments(g, contrasts, z_lo, cache))
+        partial = np.diag(_second_moments(g, contrasts, z_lo))
         y_max = _certified_y_max(g, contrasts, partial, z_lo, cap)
-    return thetas, np.outer(thetas, thetas) * _second_moments(g, contrasts, y_max, cache)
+    return thetas, np.outer(thetas, thetas) * _second_moments(g, contrasts, y_max)
 
 
-def asymptotic_variance(
-    g: MixingWeights, y, y_max: int | None = None, cache: KernelMatrixCache | None = None
-) -> float | np.ndarray:
+def asymptotic_variance(g: MixingWeights, y, y_max: int | None = None) -> float | np.ndarray:
     """Variance functional driving the interval width at count y.
 
     theta_hat(y)^2 times the predictive second moment of
@@ -252,7 +242,7 @@ def asymptotic_variance(
     lattice = isinstance(g.grid, ProductGrid)
     if lattice and g.grid.size > _COVARIANCE_MAX_D:
         raise ValueError(f"covariance refused for lattice size {g.grid.size}")
-    moments = _estimates(g, ys, y_max, cache)[1]
+    moments = _estimates(g, ys, y_max)[1]
     return moments if lattice else float(moments[0, 0])
 
 
@@ -275,7 +265,7 @@ def credible_intervals(
     ys = _counts(state.g.grid, list(ys))
     if not ys.size:
         return []
-    thetas, moments = _estimates(state.g, ys, y_max, state.cache)
+    thetas, moments = _estimates(state.g, ys, y_max)
     variances = np.diag(moments)
     b_n = clt_scale(state.rate, state.n)
     z = float(ndtri(0.5 * (1.0 + level)))

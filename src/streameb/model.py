@@ -8,7 +8,10 @@ rates in the thousands, where the linear Poisson pmf underflows.
 
 Outside the recursion every mixture computation, on either grid kind, is
 ``log_mixture`` (a block of log-kernel rows to ``(log p_g, posterior)``)
-over rows from ``log_kernel_rows``.
+over rows that ``log_kernel_rows`` computes for the counts asked about.
+``KernelMatrixCache`` belongs to the recursion alone: it keeps the scaled
+rows the per-count update reads, so a write costs O(d) however many came
+before.
 """
 
 from __future__ import annotations
@@ -196,6 +199,8 @@ class CountHistogram:
         pairs = list(pairs)
         ys = _integers([y for y, _ in pairs], "counts").tolist()
         n_ys = _integers([n_y for _, n_y in pairs], "multiplicities").tolist()
+        if n_ys and min(n_ys) < 1:  # before summing: a later pair must not cancel a bad one
+            raise ValueError("multiplicities must be positive")
         entries = {}
         for y, n_y in zip(ys, n_ys):
             entries[y] = entries.get(y, 0) + n_y
@@ -220,30 +225,30 @@ class CountHistogram:
 
 
 class KernelMatrixCache:
-    """Lazily grown table of ``log k(y | theta_j)`` over a fixed grid.
+    """Lazily grown table of scaled kernel rows, the recursion's only table.
 
-    Rows are appended as larger counts arrive and never change afterwards.
-    Reads are safe from multiple threads; extension takes an internal lock.
-    Alongside the log table the cache keeps each row shifted by its maximum
-    and exponentiated, which is what the streaming update consumes.
-
-    The two tables are published together as one tuple of views, so a
-    reader always sees rows that exist in both.  Their backing
-    buffers are sized exactly on the first request and grow geometrically
-    after that, so a rising maximum count costs amortized O(d) per row.
+    Row y is ``k(y | theta_j)`` over the grid divided by its largest entry,
+    i.e. ``exp(log k(y | theta) - max_j log k(y | theta_j))``: the scaled
+    row the streaming update multiplies into the weights.  Rows are appended
+    as larger counts arrive and never change afterwards.  Reads are safe
+    from multiple threads; extension takes an internal lock and publishes
+    the longer table as one view, so a reader sees only complete rows.  The
+    backing buffer is sized exactly on the first request and grows
+    geometrically after that, so a rising maximum count costs amortized
+    O(d) per row.  Read-side queries build their log rows with
+    ``log_kernel_rows`` and never touch a cache.
     """
 
     def __init__(self, grid: Grid):
         self.grid = grid
         self._lock = threading.Lock()
-        d = len(grid)
-        empty = (np.empty((0, d)), np.empty((0, d)))
-        self._buffers = empty  # full capacity; touched only under the lock
-        self._tables = empty  # (log, scaled), rows 0..max_y
+        empty = np.empty((0, len(grid)))
+        self._buffer = empty  # full capacity; touched only under the lock
+        self._table = empty  # rows 0..max_y
 
     @property
     def max_y(self) -> int:
-        return self._tables[0].shape[0] - 1
+        return self._table.shape[0] - 1
 
     def ensure(self, y: int) -> None:
         if y <= self.max_y:
@@ -252,33 +257,25 @@ class KernelMatrixCache:
             lo = self.max_y + 1
             if y < lo:
                 return
-            capacity = self._buffers[0].shape[0]
+            capacity = self._buffer.shape[0]
             if y >= capacity:
                 rows = y + 1 if lo == 0 else max(y + 1, 2 * capacity)
-                self._buffers = tuple(_grown(buf, rows, lo) for buf in self._buffers)
-            log, scaled = self._buffers
-            block = log[lo : y + 1]
+                self._buffer = _grown(self._buffer, rows, lo)
+            block = self._buffer[lo : y + 1]
             block[:] = _log_kernel(self.grid.points, np.arange(lo, y + 1))
-            np.exp(block - block.max(axis=1, keepdims=True), out=scaled[lo : y + 1])
-            self._tables = (log[: y + 1], scaled[: y + 1])
-
-    def _tables_through(self, y: int):
-        """The published tables, extended first if they stop before row y."""
-        if y < 0:  # a negative index would silently read a cached row from the end
-            raise ValueError("counts must be nonnegative")
-        tables = self._tables
-        if y >= tables[0].shape[0]:
-            self.ensure(y)
-            tables = self._tables
-        return tables
-
-    def log_table(self, y_max: int) -> np.ndarray:
-        """Rows 0..y_max of the log-kernel table, shape (y_max+1, d)."""
-        return self._tables_through(y_max)[0][: y_max + 1]
+            block -= block.max(axis=1, keepdims=True)
+            np.exp(block, out=block)
+            self._table = self._buffer[: y + 1]
 
     def scaled_table(self, y_max: int) -> np.ndarray:
         """Rows 0..y_max of the row-max-shifted kernel, shape (y_max+1, d)."""
-        return self._tables_through(y_max)[1][: y_max + 1]
+        if y_max < 0:  # a negative index would silently read a cached row from the end
+            raise ValueError("counts must be nonnegative")
+        table = self._table
+        if y_max >= table.shape[0]:
+            self.ensure(y_max)
+            table = self._table
+        return table[: y_max + 1]
 
 
 def _grown(buf: np.ndarray, rows: int, keep: int) -> np.ndarray:
@@ -325,23 +322,18 @@ def _counts(grid: Grid | ProductGrid, ys) -> np.ndarray:
     return counts
 
 
-def log_kernel_rows(
-    grid: Grid | ProductGrid, counts, cache: KernelMatrixCache | None = None
-) -> np.ndarray:
+def log_kernel_rows(grid: Grid | ProductGrid, counts) -> np.ndarray:
     """Log-kernel rows, shape (n, len(grid)), one per count or count vector.
 
     ``counts`` has shape (n,) on a Grid and (n, k) on a ProductGrid.  A
     lattice row is the outer sum of its k base rows, flattened in the
-    lattice's lexicographic order.  Base rows come from ``cache`` (over
-    ``grid.base``) when given, else are computed directly, bit for bit the
-    same.
+    lattice's lexicographic order.  Base rows are computed once per distinct
+    count; each entry is the same elementwise formula whichever counts
+    share the call, so a row has the same bits in every block.
     """
     counts = _counts(grid, counts)
-    if cache is None:
-        needed, inverse = np.unique(counts, return_inverse=True)
-        table, counts = _log_kernel(grid.base.points, needed), inverse.reshape(counts.shape)
-    else:
-        table = cache.log_table(int(counts.max()))
+    needed, inverse = np.unique(counts, return_inverse=True)
+    table, counts = _log_kernel(grid.base.points, needed), inverse.reshape(counts.shape)
     first, *rest = counts.reshape(len(counts), -1).T  # one column of counts per coordinate
     rows = table[first]
     for col in rest:
@@ -373,11 +365,11 @@ def log_mixture(log_rows: np.ndarray, weights: np.ndarray):
     return peak + np.log(total), post
 
 
-def log_mixture_pmf(g: MixingWeights, y, cache: KernelMatrixCache | None = None) -> float:
+def log_mixture_pmf(g: MixingWeights, y) -> float:
     """log p_g(y) for a count on a Grid or a count vector on a ProductGrid."""
-    return float(log_mixture(log_kernel_rows(g.grid, [y], cache), g.weights)[0][0])
+    return float(log_mixture(log_kernel_rows(g.grid, [y]), g.weights)[0][0])
 
 
-def mixture_pmf(g: MixingWeights, y, cache: KernelMatrixCache | None = None) -> float:
+def mixture_pmf(g: MixingWeights, y) -> float:
     """p_g(y) = sum_j k(y | theta_j) g(theta_j); underflow yields 0.0."""
-    return float(np.exp(log_mixture_pmf(g, y, cache)))
+    return float(np.exp(log_mixture_pmf(g, y)))

@@ -64,14 +64,14 @@ def direct_posterior_mean(points, weights, y):
     return float(np.dot(points, post))
 
 
-def posterior_table(g, y_max, cache=None):
+def posterior_table(g, y_max):
     """Rows z = 0..y_max of the mixture pmf and the posterior weights given z.
 
     Returns ``(p, post)``: ``p[z] = p_g(z)`` and ``post[z] = k(z|theta) g /
     p_g(z)``, shape (y_max+1, d).  A posterior row is exact even where
     p_g(z) underflows to zero.
     """
-    log_p, post = log_mixture(log_kernel_rows(g.grid, np.arange(y_max + 1), cache), g.weights)
+    log_p, post = log_mixture(log_kernel_rows(g.grid, np.arange(y_max + 1)), g.weights)
     return np.exp(log_p), post
 
 
@@ -92,7 +92,7 @@ def martingale_residual(state, y_max):
     g = state.g
     w = g.weights
     a = state.rate(state.n + 1)
-    p, post = posterior_table(g, y_max, state.cache)    # (y_max+1, d)
+    p, post = posterior_table(g, y_max)                 # (y_max+1, d)
     stepped = (1.0 - a) * w[None, :] + a * post         # update applied at each y
     expected = (p[:, None] * stepped).sum(axis=0)
     # Poisson tail beyond y_max, exact: P(Y > y_max | theta_j)

@@ -8,10 +8,10 @@ from scipy.special import ndtri, zeta
 
 from streameb import inference
 from streameb.engine import (
-    KernelMatrixCache,
     LearningRate,
-    NewtonState,
+    deserialize_state,
     init,
+    serialize_state,
     update_stream,
 )
 from streameb.evaluation import generate_compound
@@ -25,8 +25,8 @@ from streameb.inference import (
     default_y_max,
     estimate_table,
     ratio_estimate,
-    truncation_tail_bound,
 )
+from streameb.inference import _tail_bound
 from streameb.model import Grid, MixingWeights, ProductGrid, log_kernel_rows, mixture_pmf
 from streameb.priors import parse_prior
 
@@ -55,13 +55,15 @@ class TestRatioEstimate:
         assert ratio_estimate(g, y) == pytest.approx(oracles.posterior_mean(g, y), rel=1e-10)
 
 
-    def test_negative_count_is_rejected_with_or_without_a_cache(self):
-        g = MixingWeights(Grid([1.0, 4.0]), [0.5, 0.5])
-        cache = KernelMatrixCache(g.grid)
-        cache.ensure(30)
-        for c in (None, cache):
-            with pytest.raises(ValueError):
-                ratio_estimate(g, -1, c)
+    def test_negative_count_is_rejected_beside_a_warm_cache(self):
+        # the engine's cache holds rows 0..30; neither the estimate nor the
+        # cache may read a negative count's row from the end of a table
+        state = update_stream(init(Grid([1.0, 4.0]), LearningRate(1.0, 0.99)), [30, 2])
+        assert state.cache.max_y == 30
+        with pytest.raises(ValueError):
+            ratio_estimate(state.g, -1)
+        with pytest.raises(ValueError):
+            state.cache.scaled_table(-1)
 
     def test_non_integer_count_is_refused_not_truncated(self):
         g = MixingWeights(Grid([1.0, 4.0]), [0.5, 0.5])
@@ -76,12 +78,11 @@ class TestEstimateTable:
         paper = _paper_default_state().g
         rough = random_weights(rng, np.sort(rng.uniform(0.1, 40.0, size=90)))
         for g in (paper, rough):
-            cache = KernelMatrixCache(g.grid)
-            theta, p = estimate_table(g, 40, cache)
+            theta, p = estimate_table(g, 40)
             assert theta.shape == p.shape == (41,)
             for y in range(41):
-                assert theta[y] == pytest.approx(ratio_estimate(g, y, cache), rel=1e-12)
-                assert p[y] == pytest.approx(mixture_pmf(g, y, cache), rel=1e-12)
+                assert theta[y] == pytest.approx(ratio_estimate(g, y), rel=1e-12)
+                assert p[y] == pytest.approx(mixture_pmf(g, y), rel=1e-12)
 
     def test_every_path_gives_the_same_bits_on_the_paper_default_state(self):
         # one mixture routine reduces every row in the same order, so a
@@ -90,10 +91,23 @@ class TestEstimateTable:
         ys = list(range(16))
         batched = [r.theta_hat for r in credible_intervals(state, ys, 0.95)]
         single = [credible_interval(state, y, 0.95).theta_hat for y in ys]
-        ratio = [ratio_estimate(state.g, y, state.cache) for y in ys]
-        table = estimate_table(state.g, 15, state.cache)[0].tolist()
-        uncached = [ratio_estimate(state.g, y) for y in ys]
-        assert batched == single == ratio == table == uncached
+        ratio = [ratio_estimate(state.g, y) for y in ys]
+        table = estimate_table(state.g, 15)[0].tolist()
+        assert batched == single == ratio == table
+
+    def test_queries_leave_a_loaded_state_cache_empty(self):
+        # The kernel cache is the recursion's: intervals, tables and ratio
+        # estimates compute their own log rows, so a state read from a
+        # checkpoint answers them without growing its cache, and the
+        # intervals keep their pinned bytes.
+        state = deserialize_state(serialize_state(_paper_default_state()))
+        reports = credible_intervals(state, range(8), 0.95)
+        csv = EstimateReport.CSV_HEADER + "\n" + "\n".join(r.csv_row() for r in reports) + "\n"
+        theta, _ = estimate_table(state.g, 7)
+        ratios = [ratio_estimate(state.g, y) for y in range(8)]
+        assert state.cache.max_y == -1
+        assert csv == _PAPER_DEFAULT_CSV
+        assert theta.tolist() == ratios == [r.theta_hat for r in reports]
 
     def test_finite_where_the_linear_pmf_underflows(self):
         # k(y | 0.5) underflows long before y = 20000; the zero-weight atom
@@ -181,6 +195,21 @@ def _fitted_weights(grid, seed, n=500):
     return update_stream(init(grid, LearningRate(1.0, 0.99)), ys).g
 
 
+# Intervals for y = 0..7 at level 0.95 on ``_paper_default_state()``, as
+# `streameb estimate` prints them; pinned to the last bit.
+_PAPER_DEFAULT_CSV = """\
+y,theta_hat,variance,b_n,ci_low,ci_high,level
+0,2.7356603278023277,0.43908815497410525,433.15388705368264,2.6732577049751898,2.7980629506294656,0.95
+1,3.1394578284589265,0.3629702913576554,433.15388705368264,3.082721330837042,3.196194326080811,0.95
+2,3.5262277123640775,0.34167759021328886,433.15388705368264,3.471180512690328,3.581274912037827,0.95
+3,3.9085484673880817,0.3570200453819131,433.15388705368264,3.8522789379359517,3.9648179968402117,0.95
+4,4.29333417377031,0.4025449739429131,433.15388705368264,4.233584685887127,4.353083661653493,0.95
+5,4.6834154627320945,0.48116902886813634,433.15388705368264,4.618091004621177,4.748739920843012,0.95
+6,5.079293732689846,0.5998910569341916,433.15388705368264,5.006354166366597,5.152233299013096,0.95
+7,5.479843432871455,0.768479511006649,433.15388705368264,5.397288480824343,5.562398384918567,0.95
+"""
+
+
 def _paper_default_state():
     """500 Weibull(3,5) counts (seed 7) on the paper's grid: d = 1e4, hi > 5e3."""
     _, ys = generate_compound(parse_prior("weibull:3,5"), 500, 7)
@@ -211,15 +240,14 @@ class TestCertifiedTruncation:
                 terms = p * (post @ contrast) ** 2
                 for z in (y + 1, y + 5, y + 20, y + 60, y + 200):
                     tail = float(terms[z + 1 :].sum())
-                    bound = float(truncation_tail_bound(g, contrast[None, :], z)[0])
+                    bound = float(_tail_bound(g, contrast[None, :])(z)[0])
                     assert tail <= bound * (1 + 1e-9) + 1e-300, (len(g.grid), y, z)
 
     def test_certified_variance_matches_the_capped_one(self, rng):
         for g in _truncation_cases(rng):
-            cache = KernelMatrixCache(g.grid)
             for y in range(8):
-                capped = asymptotic_variance(g, y, default_y_max(g.grid), cache)
-                certified = asymptotic_variance(g, y, cache=cache)
+                capped = asymptotic_variance(g, y, default_y_max(g.grid))
+                certified = asymptotic_variance(g, y)
                 assert certified == pytest.approx(capped, rel=1e-12, abs=1e-30)
 
     def test_batched_intervals_equal_single_ones(self, rng):
@@ -234,13 +262,18 @@ class TestCertifiedTruncation:
             for field in ("variance", "ci_low", "ci_high"):
                 assert getattr(b, field) == pytest.approx(getattr(s, field), rel=1e-12), field
 
-    def test_paper_default_state_stays_small(self):
+    def test_paper_default_state_stays_small(self, monkeypatch):
         # The cap on this grid is over 1.2e4 rows of d = 1e4 (~1 GB per
-        # table); the certified point stays within the first few dozen.
+        # table); the certified point stays within the first few dozen, so
+        # the query builds fewer than 200 log-kernel rows in all.
         state = _paper_default_state()
         assert len(state.g.grid) == 10_000 and state.g.grid.hi > 5_000
+        built = []
+        rows = inference.log_kernel_rows
+        monkeypatch.setattr(inference, "log_kernel_rows",
+                            lambda grid, counts: built.append(len(counts)) or rows(grid, counts))
         reports = credible_intervals(state, range(8), 0.95)
-        assert state.cache.max_y < 200
+        assert 0 < sum(built) < 200
         assert all(r.variance > 0 and r.ci_low < r.theta_hat < r.ci_high for r in reports)
 
     def test_negative_counts_are_rejected(self):
@@ -261,7 +294,7 @@ class TestCertifiedTruncation:
 
         def first_certified(g, contrasts, partial, z_lo, cap):
             for z in range(z_lo, cap):
-                if np.all(truncation_tail_bound(g, contrasts, z) <= 1e-12 * partial):
+                if np.all(_tail_bound(g, contrasts)(z) <= 1e-12 * partial):
                     return z
             return cap
 
@@ -425,7 +458,7 @@ class TestLatticeWeightsRejected:
     def test_ratio_estimate(self, lattice_state):
         # a lattice takes count vectors; a scalar count has the wrong shape
         with pytest.raises(ValueError, match="ProductGrid"):
-            ratio_estimate(lattice_state.g, 0, lattice_state.cache)
+            ratio_estimate(lattice_state.g, 0)
 
     def test_credible_intervals(self, lattice_state):
         for ys in ([0], [(1, 2)]):

@@ -93,6 +93,12 @@ class TestCountHistogram:
                 CountHistogram.from_pairs(pairs)
         assert CountHistogram.from_pairs([(2.0, 3.0), (1, 1), (2, 1)]).entries == {2: 4, 1: 1}
 
+    def test_from_pairs_checks_each_multiplicity_before_summing(self):
+        # a later pair for the same count must not cancel a bad one
+        for pairs in ([(3, -1), (3, 2)], [(3, 0), (3, 2)], [(3, 2), (3, -2)]):
+            with pytest.raises(ValueError, match="positive"):
+                CountHistogram.from_pairs(pairs)
+
     def test_constructor_refuses_non_integers(self):
         for entries in ({2.5: 1}, {2: 1.5}):
             with pytest.raises(ValueError, match="integers"):
@@ -142,24 +148,25 @@ class TestKernelCache:
         g = Grid([0.5, 2.0, 7.0])
         cache = KernelMatrixCache(g)
         for y in (0, 3, 11):
-            row = cache.log_table(y)[y]
-            for j, t in enumerate(g.points):
-                assert math.exp(row[j]) == pytest.approx(
-                    oracles.poisson_pmf(y, t), rel=1e-12
-                )
+            row = cache.scaled_table(y)[y]
+            log = log_kernel_rows(g, [y])[0]
+            assert np.array_equal(row, np.exp(log - log.max()))
+            pmf = [oracles.poisson_pmf(y, t) for t in g.points]
+            for j in range(len(g)):
+                assert row[j] == pytest.approx(pmf[j] / max(pmf), rel=1e-12)
 
     def test_lazy_extension_preserves_rows(self):
         g = Grid([1.0, 4.0])
         cache = KernelMatrixCache(g)
-        first = cache.log_table(2)[2].copy()
+        first = cache.scaled_table(2)[2].copy()
         cache.ensure(40)
-        assert np.array_equal(cache.log_table(2)[2], first)
+        assert np.array_equal(cache.scaled_table(2)[2], first)
         assert cache.max_y == 40
 
     def test_scaled_rows_shift_by_max(self):
         g = Grid(np.linspace(0.5, 30, 40))
         cache = KernelMatrixCache(g)
-        scaled, log = cache.scaled_table(5)[5], cache.log_table(5)[5]
+        scaled, log = cache.scaled_table(5)[5], log_kernel_rows(g, [5])[0]
         assert scaled.max() == pytest.approx(1.0)
         assert np.allclose(np.log(scaled[scaled > 0]) + log.max(), log[scaled > 0])
 
@@ -170,18 +177,16 @@ class TestKernelCache:
             stepwise.ensure(y)
         once.ensure(36)
         assert stepwise.max_y == once.max_y == 36
-        assert np.array_equal(stepwise.log_table(36), once.log_table(36))
         assert np.array_equal(stepwise.scaled_table(36), once.scaled_table(36))
 
     def test_negative_counts_are_rejected_not_read_from_the_end(self):
         g = MixingWeights(Grid([1.0, 4.0]), [0.5, 0.5])
         cache = KernelMatrixCache(g.grid)
         cache.ensure(30)
-        for read in (cache.log_table, cache.scaled_table):
-            with pytest.raises(ValueError):
-                read(-1)
         with pytest.raises(ValueError):
-            mixture_pmf(g, -1, cache)
+            cache.scaled_table(-1)
+        with pytest.raises(ValueError):
+            mixture_pmf(g, -1)
 
     def test_reads_during_growth_see_complete_rows(self):
         # A reader that trusts max_y must find that row in every table,

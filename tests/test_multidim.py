@@ -302,8 +302,7 @@ class TestMultiVariance:
         built = []
         rows = inference.log_kernel_rows
         monkeypatch.setattr(inference, "log_kernel_rows",
-                            lambda grid, counts, cache=None: built.append(len(counts))
-                            or rows(grid, counts, cache))
+                            lambda grid, counts: built.append(len(counts)) or rows(grid, counts))
         for base, k, yv in [
             (Grid(np.linspace(0.2, 12.0, 100)), 2, (3, 5)),
             (Grid(np.linspace(0.3, 3.0, 8)), 3, (0, 2, 1)),

@@ -1,4 +1,5 @@
-"""The names the benchmark harness resolves, and the package's public names."""
+"""The names the benchmark harness resolves, its workloads' own checks,
+and the package's public names."""
 
 import importlib.util
 from pathlib import Path
@@ -47,3 +48,25 @@ def test_serve_workload_passes_its_own_check(tmp_path, monkeypatch):
         assert workload.check(2) == (0, [])
     finally:
         workload.cleanup()
+
+
+def test_ingest_workload_passes_its_own_check(monkeypatch):
+    # the write path, replayed against the benchmark's reference recursion
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workload = _load("workloads").IngestPaper()
+    workload.tracer = None
+    workload.setup(0)
+    for _ in range(3):
+        workload.step()
+    assert workload.check(3) == (0, [])
+
+
+def test_compare_workload_passes_its_own_check(monkeypatch):
+    # one whole comparison job: the stream experiment, four fits and regret
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workload = _load("workloads").CompareBatch()
+    workload.tracer = None
+    workload.setup(0)
+    for _ in workload.tasks:
+        workload.step()
+    assert workload.check(len(workload.tasks)) == (0, [])
