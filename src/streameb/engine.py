@@ -248,55 +248,90 @@ def _fold(state, ys, top, snapshot_every=None, on_snapshot=None, skip_degenerate
     return NewtonState(MixingWeights._normalized(grid, v, dasum(v)), n, rate, cache)
 
 
-# The lockstep loop gathers the kernel rows of a block of steps at once,
-# at most this many floats, so memory stays bounded for any count matrix.
-_LOCKSTEP_BLOCK_FLOATS = 1 << 20
+# The lockstep loop gathers the kernel rows of a block of steps at once: as
+# many steps as fit in this many floats, and at least one, so memory stays
+# within the larger of this and the d * reps floats of the weights for any
+# count matrix.  512 KB: a block and its betas stay in a core's L2 cache.
+_LOCKSTEP_BLOCK_FLOATS = 1 << 16
 
 
 def _fold_lockstep(grid: Grid, rate: LearningRate, y_matrix: np.ndarray, w0: np.ndarray, checkpoints):
     """``_fold``'s recursion for many replications of a scalar stream in lockstep.
 
-    Row r of ``y_matrix`` is replication r's stream, and column m is step m+1
-    of every replication.  The weights are a (d, reps) matrix ``V = S W``
-    with one S for all replications, since its update does not depend on
-    the data; beta has one entry per replication.  Counts and kernel rows
-    are gathered one block of columns at a time, so the count matrix is
-    never copied whole.  A degenerate step raises.  Returns ``(final,
-    {n: weights at n for n in checkpoints})``, one weight row per replication.
+    Row r of ``y_matrix`` (validated nonnegative integer counts) is
+    replication r's stream, and column m is step m+1 of every replication;
+    ``checkpoints`` is a set of step numbers in [1, n_steps].  The weights
+    are a (d, reps) matrix ``V = S W`` with one S for all replications,
+    since its update does not depend on the data.  A step is five numpy
+    calls, each writing into an array that already exists:
+
+        Q = R * V;   t = sum(Q, axis=0);   beta = c / t;   Q *= beta;   V += Q
+
+    where R is the step's (d, reps) slice of scaled kernel rows and
+    ``c = a S / (1 - a)``; the sum adds the atoms one at a time, in order.
+    Everything else is done once per block of steps:
+
+    - the block's kernel rows are gathered by one ``np.take`` into a
+      (steps, d, reps) buffer of at most ``_LOCKSTEP_BLOCK_FLOATS``
+      floats, so each step's R is contiguous;
+    - each step's c, and the steps after which S passes ``_RESCALE_AT``
+      (V is then divided by its column sums) or a checkpoint falls, come
+      from the schedule alone, with the same float arithmetic as a
+      per-step loop;
+    - the block's betas are checked together, so the first degenerate
+      step raises with its count and step, as a per-step check would (the
+      steps after it only fill this call's own arrays with inf and NaN).
+
+    Returns ``(final, {n: weights at n for n in checkpoints})``, one weight
+    row per replication.
     """
     reps, n_steps = y_matrix.shape
-    if y_matrix.min() < 0:  # np.take would read a negative count's row from the end
-        raise ValueError("counts must be nonnegative")
     d = len(grid)
     table = np.ascontiguousarray(KernelMatrixCache(grid).scaled_table(int(y_matrix.max())).T)
     v = np.repeat(np.asarray(w0, dtype=float)[:, None], reps, axis=1)
-    q, t, beta = np.empty_like(v), np.empty(reps), np.empty(reps)
+    q, t = np.empty_like(v), np.empty(reps)
+    block = min(n_steps, max(1, _LOCKSTEP_BLOCK_FLOATS // (d * reps)))
+    rows_buf, beta_buf = np.empty(block * d * reps), np.empty((block, reps))
     alpha, neg_gamma = rate.alpha, -rate.gamma
-    n, s = 0, 1.0
-    wanted, snaps = {int(c) for c in checkpoints}, {}
-    block = max(1, _LOCKSTEP_BLOCK_FLOATS // (d * reps))
-    with np.errstate(divide="ignore", over="ignore"):
+    n, s, snaps = 0, 1.0, {}
+    mul, add, reduce, div = np.multiply, np.add, np.add.reduce, np.divide
+    with np.errstate(all="ignore"):  # the check after each block catches a degenerate beta
         for lo in range(0, n_steps, block):
             counts = y_matrix[:, lo : lo + block].T  # (steps, reps) view
-            rows = np.take(table, counts, axis=1)  # (d, steps, reps)
-            for j in range(counts.shape[0]):
-                np.multiply(rows[:, j], v, out=q)
-                q.sum(axis=0, out=t)
-                a = (alpha + (n + 1)) ** neg_gamma
+            steps = len(counts)
+            rows, beta = rows_buf[: steps * d * reps].reshape(steps, d, reps), beta_buf[:steps]
+            # valid counts never clip; np.take fills the (d, steps, reps) view through a buffer
+            np.take(table, counts, axis=1, out=rows.transpose(1, 0, 2), mode="clip")
+            coefs, stops = [], []  # stops: (step, rescale?, checkpoint?) ending a run of steps
+            for j in range(1, steps + 1):
+                a = (alpha + (n + j)) ** neg_gamma
                 keep = 1.0 - a
-                np.divide(a / keep * s, t, out=beta)
-                if not beta.max() < math.inf:
-                    bad = int(np.argmin(beta < math.inf))
-                    raise DegenerateLikelihoodError(int(counts[j, bad]), n)
-                q *= beta
-                v += q
+                coefs.append(a / keep * s)
                 s /= keep
-                n += 1
-                if s > _RESCALE_AT:
-                    v /= v.sum(axis=0)
+                rescale = s > _RESCALE_AT
+                if rescale:
                     s = 1.0
-                if n in wanted:
-                    snaps[n] = (v / v.sum(axis=0)).T.copy()
+                snap = n + j in checkpoints
+                if rescale or snap:
+                    stops.append((j, rescale, snap))
+            stops.append((steps, False, False))
+            start = 0
+            for stop, rescale, snap in stops:
+                for r, c, b in zip(rows[start:stop], coefs[start:stop], beta[start:stop]):
+                    mul(r, v, q)
+                    reduce(q, 0, None, t)
+                    div(c, t, b)
+                    mul(q, b, q)
+                    add(v, q, v)
+                if rescale:
+                    v /= v.sum(axis=0)
+                if snap:
+                    snaps[n + stop] = (v / v.sum(axis=0)).T.copy()
+                start = stop
+            if not beta.max() < math.inf:  # t not positive, an overflow, or a NaN
+                j, bad = divmod(int(np.argmin(beta < math.inf)), reps)
+                raise DegenerateLikelihoodError(int(counts[j, bad]), n + j)
+            n += steps
     return (v / v.sum(axis=0)).T.copy(), snaps
 
 

@@ -22,7 +22,7 @@ from . import baselines, engine
 from .engine import LearningRate
 from .gridding import GridSpec, build_equispaced_grid
 from .inference import credible_intervals, default_y_max, estimate_table, ratio_estimate
-from .model import CountHistogram, Grid, KernelMatrixCache, MixingWeights
+from .model import CountHistogram, Grid, KernelMatrixCache, MixingWeights, _integers
 from .priors import PriorSpec
 
 
@@ -93,8 +93,13 @@ def regret(g_a: MixingWeights, g_b: MixingWeights, y_max: int | None = None) -> 
         raise ValueError("both weight vectors must live on the same grid")
     if y_max is None:
         y_max = default_y_max(g_a.grid)
-    est_a, _ = estimate_table(g_a, y_max)
-    est_b, p_b = estimate_table(g_b, y_max)
+    return _regret_to(g_a, estimate_table(g_b, y_max))
+
+
+def _regret_to(g_a: MixingWeights, oracle) -> float:
+    """``regret`` against an oracle's ``estimate_table``, kept to score many ``g_a``."""
+    est_b, p_b = oracle
+    est_a, _ = estimate_table(g_a, len(est_b) - 1)
     return float(np.dot((est_a - est_b) ** 2, p_b))
 
 
@@ -107,14 +112,29 @@ def batched_newton_stream(
 ):
     """Run many replications of the streaming recursion in lockstep.
 
-    ``y_matrix`` has one row of counts per replication; column m is consumed
-    at step m+1 by every replication simultaneously.  Each replication's
-    weights agree with ``engine.update_stream`` on its row within 1e-12
-    (the two loops sum in different orders).  Returns ``(final_weights,
-    {n: weights_at_n})`` with one weight row per replication.
+    ``y_matrix`` has one row of counts per replication, at least one row
+    and one column; column m is consumed at step m+1 by every replication
+    simultaneously.  Counts must be nonnegative integers (2.0 is 2); an
+    integer matrix is read as it is, so a narrow unsigned one is not
+    widened.  ``g0`` is read as ``MixingWeights`` on the grid and defaults
+    to uniform; every checkpoint must lie in [1, n_steps].  Each
+    replication's weights agree with ``engine.update_stream`` on its row
+    within 1e-12 (the two loops sum in different orders).  Returns
+    ``(final_weights, {n: weights_at_n})`` with one weight row per
+    replication.
     """
-    w0 = np.full(len(grid), 1.0 / len(grid)) if g0 is None else g0
-    return engine._fold_lockstep(grid, rate, y_matrix, w0, checkpoints)
+    w0 = MixingWeights.uniform(grid) if g0 is None else MixingWeights(grid, g0)
+    ys = np.asarray(y_matrix)
+    if ys.dtype.kind not in "ui":  # an int64 copy of a uint8 matrix would take 8x its memory
+        ys = _integers(ys, "counts")
+    if ys.ndim != 2 or 0 in ys.shape:
+        raise ValueError(f"expected a (replications, steps) count matrix, got shape {ys.shape}")
+    if ys.min() < 0:  # the gather would read a negative count's row from the end
+        raise ValueError("counts must be nonnegative")
+    marks = set(_integers(list(checkpoints), "checkpoints").tolist())
+    if not all(1 <= c <= ys.shape[1] for c in marks):
+        raise ValueError(f"checkpoints must lie in [1, {ys.shape[1]}], got {sorted(marks)}")
+    return engine._fold_lockstep(grid, rate, ys, w0.weights, marks)
 
 
 def run_stream_experiment(cfg: ExperimentConfig, seed: int, measure_time: bool = False) -> MetricRow:
@@ -203,11 +223,11 @@ def regret_decay_diagnostic(cfg: ExperimentConfig, checkpoints) -> RegretDecayRe
         [generate_compound(cfg.prior, n_total, seed)[1] for seed in cfg.seeds]
     )
     _, snaps = batched_newton_stream(grid, cfg.rate, y_rows, checkpoints=checkpoints)
-    y_max = default_y_max(grid)
+    oracle = estimate_table(g_star, default_y_max(grid))
     regrets = np.empty((len(cfg.seeds), len(checkpoints)))
     for ci, c in enumerate(checkpoints):
         for r in range(len(cfg.seeds)):
-            regrets[r, ci] = regret(MixingWeights(grid, snaps[c][r]), g_star, y_max)
+            regrets[r, ci] = _regret_to(MixingWeights(grid, snaps[c][r]), oracle)
     log_n = np.log(np.asarray(checkpoints, float))
     design = np.stack([log_n, np.ones_like(log_n)], axis=1)
     slopes = np.array(

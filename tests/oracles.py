@@ -7,7 +7,9 @@ something trustworthy to be checked against.  The exceptions check
 properties of the recursion rather than the mixture rows themselves:
 ``posterior_table``, ``posterior_mean`` and ``martingale_residual`` read
 their posteriors from the library's ``log_mixture``, so they stay exact
-where the linear pmf underflows.
+where the linear pmf underflows.  ``lockstep_reference`` is the lockstep
+recursion's earlier loop, one step at a time with every check in the
+step, kept as the bit-for-bit reference for the blocked loop.
 """
 
 import math
@@ -17,8 +19,15 @@ import numpy as np
 from scipy.special import pdtrc, roots_legendre
 from scipy.stats import poisson, rv_discrete
 
+from streameb import engine
 from streameb.inference import default_y_max
-from streameb.model import MixingWeights, log_kernel_rows, log_mixture
+from streameb.model import (
+    DegenerateLikelihoodError,
+    KernelMatrixCache,
+    MixingWeights,
+    log_kernel_rows,
+    log_mixture,
+)
 
 COVARIANCE_MAX_D = 200
 
@@ -100,6 +109,48 @@ def martingale_residual(state, y_max):
     tail_p = float(np.dot(w, tail_k))
     expected += (1.0 - a) * w * tail_p + a * w * tail_k
     return float(np.max(np.abs(expected - w)))
+
+
+def lockstep_reference(grid, rate, y_matrix, w0, checkpoints):
+    """``engine._fold_lockstep`` as a per-step loop on (d, reps) weights.
+
+    Same arguments and result.  Each step reads its strided rows from the
+    gathered block, computes its own step size, checks its betas, and
+    takes its rescale and checkpoint in turn.  Its sums run down the atoms
+    one at a time, as the blocked loop's do, so the two agree bit for bit.
+    """
+    reps, n_steps = y_matrix.shape
+    d = len(grid)
+    table = np.ascontiguousarray(KernelMatrixCache(grid).scaled_table(int(y_matrix.max())).T)
+    v = np.repeat(np.asarray(w0, dtype=float)[:, None], reps, axis=1)
+    q, t, beta = np.empty_like(v), np.empty(reps), np.empty(reps)
+    alpha, neg_gamma = rate.alpha, -rate.gamma
+    n, s = 0, 1.0
+    wanted, snaps = {int(c) for c in checkpoints}, {}
+    block = max(1, engine._LOCKSTEP_BLOCK_FLOATS // (d * reps))
+    with np.errstate(divide="ignore", over="ignore"):
+        for lo in range(0, n_steps, block):
+            counts = y_matrix[:, lo : lo + block].T  # (steps, reps) view
+            rows = np.take(table, counts, axis=1)  # (d, steps, reps)
+            for j in range(counts.shape[0]):
+                np.multiply(rows[:, j], v, out=q)
+                q.sum(axis=0, out=t)
+                a = (alpha + (n + 1)) ** neg_gamma
+                keep = 1.0 - a
+                np.divide(a / keep * s, t, out=beta)
+                if not beta.max() < math.inf:
+                    bad = int(np.argmin(beta < math.inf))
+                    raise DegenerateLikelihoodError(int(counts[j, bad]), n)
+                q *= beta
+                v += q
+                s /= keep
+                n += 1
+                if s > engine._RESCALE_AT:
+                    v /= v.sum(axis=0)
+                    s = 1.0
+                if n in wanted:
+                    snaps[n] = (v / v.sum(axis=0)).T.copy()
+    return (v / v.sum(axis=0)).T.copy(), snaps
 
 
 def direct_newton_step(points, weights, y, step):

@@ -138,6 +138,104 @@ class TestBatchedStream:
                 want = update_stream(init(grid, rate), ys[r, :n]).g.weights
                 assert np.max(np.abs(got - want)) < 1e-12, (r, n)
 
+    @pytest.mark.parametrize("d", [1, 2, 5, 8, 500])
+    @pytest.mark.parametrize("reps", [1, 3, 40])
+    def test_gives_the_reference_loops_bits(self, monkeypatch, d, reps):
+        # Blocks of 50 steps, so checkpoints fall at, before and after a
+        # block boundary and the last block is short.
+        monkeypatch.setattr(engine, "_LOCKSTEP_BLOCK_FLOATS", 50 * d * reps)
+        grid = Grid(np.linspace(0.3, 9.0, d))
+        rate = LearningRate(1.0, 0.75)
+        rng = np.random.default_rng(d * 100 + reps)
+        ys = rng.poisson(rng.uniform(0.3, 9.0, size=(reps, 1)), size=(reps, 230))
+        g0 = MixingWeights(grid, rng.dirichlet(np.ones(d))).weights
+        checkpoints = {1, 49, 50, 51, 100, 229, 230}
+        final, snaps = engine._fold_lockstep(grid, rate, ys, g0, checkpoints)
+        ref_final, ref_snaps = oracles.lockstep_reference(grid, rate, ys, g0, checkpoints)
+        assert np.array_equal(final, ref_final)
+        assert sorted(snaps) == sorted(ref_snaps) == sorted(checkpoints)
+        for c in checkpoints:
+            assert np.array_equal(snaps[c], ref_snaps[c]), c
+
+    def test_a_checkpoint_on_the_rescale_step(self, monkeypatch):
+        # S first passes its rescale point after step 12,361 under this
+        # schedule; blocks of 1,000 steps put that step inside a block.
+        rate = LearningRate(1e-9, 0.51)
+        s, rescale_at = 1.0, 0
+        while s <= engine._RESCALE_AT:
+            rescale_at += 1
+            s /= 1.0 - rate(rescale_at)
+        assert rescale_at == 12_361
+        monkeypatch.setattr(engine, "_LOCKSTEP_BLOCK_FLOATS", 1000 * 4 * 3)
+        grid = Grid([0.5, 2.0, 5.0])
+        ys = np.random.default_rng(5).poisson(2.0, size=(4, 12_500))
+        checkpoints = (rescale_at - 1, rescale_at, rescale_at + 1)
+        final, snaps = batched_newton_stream(grid, rate, ys, checkpoints=checkpoints)
+        w0 = MixingWeights.uniform(grid).weights
+        ref_final, ref_snaps = oracles.lockstep_reference(grid, rate, ys, w0, checkpoints)
+        assert np.array_equal(final, ref_final)
+        for c in checkpoints:
+            assert np.array_equal(snaps[c], ref_snaps[c]), c
+            for r in range(4):
+                want = update_stream(init(grid, rate), ys[r, :c]).g.weights
+                assert np.max(np.abs(snaps[c][r] - want)) < 1e-12, (c, r)
+
+    def test_a_degenerate_step_in_a_later_block_raises_the_first_one(self, monkeypatch):
+        # Blocks of 64 steps; step 71 (n = 70) is the first degenerate one,
+        # in replication 2, then in replication 3; replication 1 fails later.
+        monkeypatch.setattr(engine, "_LOCKSTEP_BLOCK_FLOATS", 64 * 5 * 2)
+        grid = Grid([0.5, 152.0])
+        ys = np.random.default_rng(8).poisson(0.5, size=(5, 200))
+        ys[2, 70] = ys[3, 70] = ys[1, 90] = 152
+        rate, w0 = LearningRate(1.0, 0.99), np.array([1.0, 0.0])
+        with pytest.raises(DegenerateLikelihoodError) as err:
+            batched_newton_stream(grid, rate, ys, g0=w0)
+        with pytest.raises(DegenerateLikelihoodError) as ref:
+            oracles.lockstep_reference(grid, rate, ys, w0, ())
+        assert (err.value.y, err.value.n) == (ref.value.y, ref.value.n) == (152, 70)
+
+    def test_counts_are_read_as_integers(self, monkeypatch):
+        grid = Grid([0.5, 2.0, 5.0])
+        rate = LearningRate(1.0, 0.8)
+        ys = np.random.default_rng(2).poisson(2.0, size=(3, 40))
+        want = batched_newton_stream(grid, rate, ys, checkpoints=(20,))
+        for same in (ys.astype(float), ys.tolist()):
+            got = batched_newton_stream(grid, rate, same, checkpoints=(20,))
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1][20], want[1][20])
+        with pytest.raises(ValueError, match="integers"):
+            batched_newton_stream(grid, rate, ys + 0.5)
+        # a narrow unsigned matrix reaches the loop as it is, not widened
+        seen, fold = [], engine._fold_lockstep
+        monkeypatch.setattr(
+            engine, "_fold_lockstep", lambda g, r, y, *a: seen.append(y.dtype) or fold(g, r, y, *a)
+        )
+        got = batched_newton_stream(grid, rate, ys.astype(np.uint8))
+        assert seen == [np.uint8] and np.array_equal(got[0], want[0])
+
+    @pytest.mark.parametrize("shape", [(0,), (5,), (0, 4), (3, 0), (2, 3, 4)])
+    def test_needs_a_matrix_with_a_replication_and_a_step(self, shape):
+        with pytest.raises(ValueError, match="matrix"):
+            batched_newton_stream(Grid([0.5, 2.0]), LearningRate(1.0, 0.8), np.ones(shape, int))
+
+    def test_checkpoints_outside_the_stream_are_refused(self):
+        grid, rate = Grid([0.5, 2.0]), LearningRate(1.0, 0.8)
+        ys = np.ones((2, 10), dtype=int)
+        for bad in ([0], [11], [3, 11], [2.5]):
+            with pytest.raises(ValueError, match="checkpoints"):
+                batched_newton_stream(grid, rate, ys, checkpoints=bad)
+        with pytest.raises(ValueError, match="checkpoints"):
+            evaluation.interval_coverage([0.5, 2.0], [0.5, 0.5], rate, 0.9, [0, 1],
+                                         reps=2, n_small=50, n_big=20, seed=0)
+
+    def test_start_weights_are_read_as_mixing_weights(self):
+        grid, rate = Grid([0.5, 2.0, 5.0]), LearningRate(1.0, 0.8)
+        ys = np.ones((2, 10), dtype=int)
+        for bad in ([1.5, -0.5, 0.0], [0.5, 0.5], [0.2, 0.2, 0.2]):
+            with pytest.raises(ValueError, match="weights"):
+                batched_newton_stream(grid, rate, ys, g0=bad)
+        final, _ = batched_newton_stream(grid, rate, ys, g0=[0.0, 1.0, 0.0])
+        assert np.array_equal(final, [[0.0, 1.0, 0.0]] * 2)
+
     def test_degenerate_step_and_negative_count_raise(self):
         grid = Grid([0.5, 152.0])
         ys = np.array([[0, 1, 2], [0, 152, 1]])
@@ -192,6 +290,25 @@ class TestRegretDecay:
         cfg2 = ExperimentConfig(prior=PriorSpec("uniform", (0, 3)), n=100)
         with pytest.raises(ValueError):
             regret_decay_diagnostic(cfg2, [10, 50, 100])
+
+    def test_scores_every_snapshot_against_one_oracle_table(self, monkeypatch):
+        prior = grid_atoms_prior([1.0, 5.0], [0.5, 0.5])
+        cfg = ExperimentConfig(prior=prior, n=400, rate=LearningRate(1.0, 0.75), seeds=(0, 1, 2))
+        checkpoints = (100, 200, 400)
+        calls = []
+        table = evaluation.estimate_table
+        monkeypatch.setattr(
+            evaluation, "estimate_table", lambda g, y_max: calls.append(g) or table(g, y_max)
+        )
+        res = regret_decay_diagnostic(cfg, checkpoints)
+        assert len(calls) == 1 + 3 * 3  # the oracle once, then each snapshot
+        grid = Grid(prior.atoms)
+        g_star = MixingWeights(grid, prior.probs)
+        ys = np.stack([generate_compound(prior, 400, seed)[1] for seed in cfg.seeds])
+        _, snaps = batched_newton_stream(grid, cfg.rate, ys, checkpoints=checkpoints)
+        for ci, c in enumerate(checkpoints):
+            for r in range(3):
+                assert res.regrets[r, ci] == regret(MixingWeights(grid, snaps[c][r]), g_star)
 
     def test_regret_decays_along_the_stream(self):
         prior = grid_atoms_prior([0.5, 2.0, 4.5, 8.0], [0.3, 0.3, 0.2, 0.2])
