@@ -7,10 +7,11 @@ posterior by a step size from a decaying schedule:
 
 An observation is a count on a :class:`Grid`, or a vector of k independent
 counts on a :class:`ProductGrid` of D = d^k rate vectors, whose kernel row
-is the outer product of k per-coordinate rows.  That row is the only step
-that depends on the grid kind; the recursion is shared.  It has two loop
-bodies with the same arithmetic: ``_fold`` (BLAS level-1 calls on one
-weight vector) behind ``update`` and ``update_stream``, and
+is the outer product of k per-coordinate rows, written by one BLAS
+``dgemm``.  That row is the only step that depends on the grid kind; the
+recursion is shared.  It has two loop bodies with the same arithmetic:
+``_fold`` (BLAS calls on one weight vector) behind ``update`` and
+``update_stream``, and
 ``_fold_lockstep`` (numpy calls on a weight matrix) behind
 ``evaluation.batched_newton_stream``.
 
@@ -173,23 +174,33 @@ class _LatticeRows:
     """Scaled kernel rows of a ProductGrid, indexed by count vector.
 
     Row ``yvec`` is the flattened outer product of the per-coordinate rows
-    ``scaled[y_1], ..., scaled[y_k]``, written into the scratch vector
-    ``row`` that every lookup overwrites.  Indexing mirrors ``scaled[y]`` on
-    a Grid, so the recursion reads rows the same way for both grid kinds.
+    ``scaled[y_1], ..., scaled[y_k]``, written into the vector ``out`` that
+    every lookup overwrites; ``_fold`` passes its ``q``.  numpy builds the
+    product of the first k - 1 rows (``prefix``, d^(k-1) entries), and one
+    BLAS ``dgemm`` writes ``C = last prefix^T``, with ``C`` the
+    Fortran-order (d, d^(k-1)) view of ``out``: entry (i, j) lands at
+    ``j d + i``, the lattice's lexicographic order.  The inner dimension is
+    1, so each entry is the one rounded product ``prefix_j * last_i``, and
+    ``beta = 0`` writes C without reading it: the row has the bits of
+    ``np.multiply.outer(prefix, last)`` whatever ``out`` held, on one
+    OpenBLAS thread or several (no entry depends on another).  Indexing
+    mirrors ``scaled[y]`` on a Grid, so the recursion reads rows the same
+    way for both grid kinds.
     """
 
-    def __init__(self, grid: ProductGrid, scaled: np.ndarray, row: np.ndarray):
+    def __init__(self, grid: ProductGrid, scaled, out: np.ndarray):
         self.scaled = scaled
-        self.row = row
-        self.last = row.reshape(-1, len(grid.base))  # (d^(k-1), d)
+        self.out = out
+        self.c = out.reshape(len(grid.base), -1, order="F")  # (d, d^(k-1)), a view of out
 
     def __getitem__(self, yvec) -> np.ndarray:
         scaled = self.scaled
         prefix = scaled[yvec[0]] if len(yvec) > 1 else np.ones(1)
         for y in yvec[1:-1]:
             prefix = np.multiply.outer(prefix, scaled[y]).ravel()
-        np.multiply(prefix[:, None], scaled[yvec[-1]], out=self.last)
-        return self.row
+        last = scaled[yvec[-1]]
+        _blas.dgemm(1.0, last[:, None], prefix[None, :], beta=0.0, c=self.c, overwrite_c=1)
+        return self.out
 
 
 def _fold(state, ys, top, snapshot_every=None, on_snapshot=None, skip_degenerate=False):
@@ -206,19 +217,24 @@ def _fold(state, ys, top, snapshot_every=None, on_snapshot=None, skip_degenerate
     result (the end of the call and each snapshot) and when S passes
     ``_RESCALE_AT``.  An observation is degenerate when T is not positive
     or beta overflows; it never reaches the weights.
+
+    ``v`` and ``q`` are the only scratch, 2 D floats for both grid kinds.
+    A scalar row is read from the cache's table; a lattice row is first
+    written into ``q`` by one ``dgemm`` (``_LatticeRows``), so the first
+    pass is ``q = q * v``, the same rounded products as ``r * v``.
     """
     grid, rate, cache = state.g.grid, state.rate, state.cache
     d = len(grid)
     stride = -(-d // 8) * 8  # each scratch vector starts on a 64-byte line
     lattice = isinstance(grid, ProductGrid)
-    scratch = _aligned_empty(stride * (3 if lattice else 2))
+    scratch = _aligned_empty(2 * stride)
     v, q = scratch[:d], scratch[stride : stride + d]
     v[:] = state.g.weights
     rows = cache.scaled_table(top)
     if len(ys) > len(rows):  # a list of row views is faster to index than the table
         rows = list(rows)
-    if lattice:  # the one grid-dependent step: rows[y]
-        rows = _LatticeRows(grid, rows, scratch[2 * stride : 2 * stride + d])
+    if lattice:  # the one grid-dependent step: rows[y], a lattice row written into q
+        rows = _LatticeRows(grid, rows, q)
     alpha, neg_gamma = rate.alpha, -rate.gamma
     n, s = state.n, 1.0
     snap = snapshot_every if on_snapshot else 0

@@ -21,8 +21,21 @@ import numpy as np
 from . import baselines, engine
 from .engine import LearningRate
 from .gridding import GridSpec, build_equispaced_grid
-from .inference import credible_intervals, default_y_max, estimate_table, ratio_estimate
-from .model import CountHistogram, Grid, KernelMatrixCache, MixingWeights, _integers
+from .inference import (
+    _estimate_table_from,
+    credible_intervals,
+    default_y_max,
+    estimate_table,
+    ratio_estimate,
+)
+from .model import (
+    CountHistogram,
+    Grid,
+    KernelMatrixCache,
+    MixingWeights,
+    _integers,
+    log_kernel_rows,
+)
 from .priors import PriorSpec
 
 
@@ -93,13 +106,18 @@ def regret(g_a: MixingWeights, g_b: MixingWeights, y_max: int | None = None) -> 
         raise ValueError("both weight vectors must live on the same grid")
     if y_max is None:
         y_max = default_y_max(g_a.grid)
-    return _regret_to(g_a, estimate_table(g_b, y_max))
+    log_rows = log_kernel_rows(g_a.grid, np.arange(y_max + 2))
+    return _regret_to(g_a.weights, log_rows, _estimate_table_from(log_rows, g_b.weights))
 
 
-def _regret_to(g_a: MixingWeights, oracle) -> float:
-    """``regret`` against an oracle's ``estimate_table``, kept to score many ``g_a``."""
+def _regret_to(weights: np.ndarray, log_rows: np.ndarray, oracle) -> float:
+    """``regret`` of ``weights`` against an oracle's ``estimate_table``, both over ``log_rows``.
+
+    The rows are the log-kernel rows of the counts 0..y_max+1, built once
+    to score many weight vectors on one grid.
+    """
     est_b, p_b = oracle
-    est_a, _ = estimate_table(g_a, len(est_b) - 1)
+    est_a, _ = _estimate_table_from(log_rows, weights)
     return float(np.dot((est_a - est_b) ** 2, p_b))
 
 
@@ -223,11 +241,12 @@ def regret_decay_diagnostic(cfg: ExperimentConfig, checkpoints) -> RegretDecayRe
         [generate_compound(cfg.prior, n_total, seed)[1] for seed in cfg.seeds]
     )
     _, snaps = batched_newton_stream(grid, cfg.rate, y_rows, checkpoints=checkpoints)
-    oracle = estimate_table(g_star, default_y_max(grid))
+    log_rows = log_kernel_rows(grid, np.arange(default_y_max(grid) + 2))  # serves every score
+    oracle = _estimate_table_from(log_rows, g_star.weights)
     regrets = np.empty((len(cfg.seeds), len(checkpoints)))
     for ci, c in enumerate(checkpoints):
         for r in range(len(cfg.seeds)):
-            regrets[r, ci] = _regret_to(MixingWeights(grid, snaps[c][r]), oracle)
+            regrets[r, ci] = _regret_to(MixingWeights(grid, snaps[c][r]).weights, log_rows, oracle)
     log_n = np.log(np.asarray(checkpoints, float))
     design = np.stack([log_n, np.ones_like(log_n)], axis=1)
     slopes = np.array(

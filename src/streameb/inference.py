@@ -88,7 +88,7 @@ def ratio_estimate(g: MixingWeights, y) -> float | np.ndarray:
     On a ProductGrid ``y`` is a count vector and the result is the array of
     its k coordinate estimates ``(y_j + 1) p_g(y + e_j) / p_g(y)``.
     """
-    thetas = _pair_estimates(g, _counts(g.grid, [y]))[0]
+    thetas = _pair_estimates(g, _counts(g.grid, [y]), _fresh_rows(g))[0]
     return thetas if isinstance(g.grid, ProductGrid) else float(thetas[0])
 
 
@@ -98,8 +98,17 @@ def estimate_table(g: MixingWeights, y_max: int):
     Returns ``(theta_hat, p)`` with ``theta_hat[y] = ratio_estimate(g, y)``,
     bit for bit, and ``p[y] = p_g(y)``.  Scalar grids only.
     """
-    log_p = log_mixture(log_kernel_rows(g.grid, np.arange(y_max + 2)), g.weights)[0]
-    theta_hat = np.arange(1, y_max + 2) * np.exp(log_p[1:] - log_p[:-1])
+    return _estimate_table_from(log_kernel_rows(g.grid, np.arange(y_max + 2)), g.weights)
+
+
+def _estimate_table_from(log_rows: np.ndarray, weights: np.ndarray):
+    """``estimate_table`` over given log-kernel rows of the counts 0..y_max+1.
+
+    One table of rows serves any number of weight vectors on its grid, with
+    the bits ``estimate_table`` gives each of them.
+    """
+    log_p = log_mixture(log_rows, weights)[0]
+    theta_hat = np.arange(1, len(log_p)) * np.exp(log_p[1:] - log_p[:-1])
     return theta_hat, np.exp(log_p[:-1])
 
 
@@ -115,13 +124,49 @@ def clt_scale(rate: LearningRate, n: int) -> float:
     return 1.0 / float(zeta(2.0 * rate.gamma, rate.alpha + n))
 
 
-def _pair_estimates(g: MixingWeights, ys: np.ndarray):
+def _fresh_rows(g: MixingWeights):
+    """``zs ->`` ``log_mixture`` of the log-kernel rows of validated counts ``zs``."""
+    return lambda zs: log_mixture(log_kernel_rows(g.grid, zs), g.weights)
+
+
+def _table_rows(g: MixingWeights, top: int):
+    """``_fresh_rows``, reading the counts 0..top in every coordinate from one table.
+
+    The table is built once, lexicographic over the cube of side ``top +
+    1``, cut to a side whose rows fit in ``_BLOCK_ENTRIES`` entries (and at
+    least 1), so its memory is bounded for any query; counts outside it are
+    computed per call.  ``log_mixture`` gives a row the same bits in any
+    block, so a row read from the table is the row computed fresh.
+    """
+    grid, k = g.grid, g.grid.k
+    side = max(1, min(top + 1, int((_BLOCK_ENTRIES // len(grid)) ** (1.0 / k))))
+    shape = (side,) * k
+    cube = np.indices(shape).reshape(k, -1).T
+    fresh = _fresh_rows(g)
+    table_log_p, table_post = fresh(cube if isinstance(grid, ProductGrid) else cube[:, 0])
+
+    def rows(zs):
+        flat = zs.reshape(len(zs), k)
+        inside = (flat < side).all(axis=1)
+        at = np.ravel_multi_index(flat[inside].T, shape)
+        if inside.all():
+            return table_log_p[at], table_post[at]
+        log_p, post = np.empty(len(zs)), np.empty((len(zs), len(grid)))
+        log_p[inside], post[inside] = table_log_p[at], table_post[at]
+        log_p[~inside], post[~inside] = fresh(zs[~inside])
+        return log_p, post
+
+    return rows
+
+
+def _pair_estimates(g: MixingWeights, ys: np.ndarray, rows):
     """Estimates and contrasts for every coordinate j of every validated count y in ``ys``.
 
     Pair i is count ``i // k`` with coordinate ``i % k`` bumped: ``theta[i]
     = (y_j + 1) p(y + e_j) / p(y)``, and ``contrasts[i] = k(y +
     e_j|theta)/p(y + e_j) - k(y|theta)/p(y)`` is read off the same two
-    posterior rows as ``(post(y + e_j) - post(y)) / g``.
+    posterior rows as ``(post(y + e_j) - post(y)) / g``.  ``rows`` maps
+    counts to their ``(log p, post)`` rows (``_fresh_rows`` or ``_table_rows``).
     """
     k = g.grid.k
     lo = np.repeat(ys.reshape(len(ys), k), k, axis=0)  # (m, k), m = len(ys) * k
@@ -129,7 +174,7 @@ def _pair_estimates(g: MixingWeights, ys: np.ndarray):
     hi = lo.copy()
     hi[bumped] += 1
     both = np.concatenate([lo, hi]).reshape((2 * m,) + ys.shape[1:])
-    log_p, post = log_mixture(log_kernel_rows(g.grid, both), g.weights)
+    log_p, post = rows(both)
     thetas = hi[bumped] * np.exp(log_p[m:] - log_p[:m])
     active = g.support_mask()
     contrasts = np.zeros((m, len(g.grid)))
@@ -193,8 +238,13 @@ def _certified_y_max(g, contrasts, partial, z_lo: int, cap: int) -> int:
     return hi
 
 
-def _second_moments(g: MixingWeights, contrasts: np.ndarray, z: int) -> np.ndarray:
-    """``sum p(z') s(z') s(z')^T`` over counts z' <= z in every coordinate, s = post(z') @ c."""
+def _second_moments(g: MixingWeights, contrasts: np.ndarray, z: int, rows) -> np.ndarray:
+    """``sum p(z') s(z') s(z')^T`` over counts z' <= z in every coordinate, s = post(z') @ c.
+
+    The counts are taken in lexicographic blocks of ``_BLOCK_ENTRIES``
+    entries whatever ``rows`` (see ``_pair_estimates``) computes, so the sum
+    has the same bits for the same rows.
+    """
     grid = g.grid
     zs = np.indices((z + 1,) * grid.k).reshape(grid.k, -1).T  # lexicographic
     if not isinstance(grid, ProductGrid):
@@ -202,7 +252,7 @@ def _second_moments(g: MixingWeights, contrasts: np.ndarray, z: int) -> np.ndarr
     step = max(1, _BLOCK_ENTRIES // len(grid))
     out = np.zeros((len(contrasts), len(contrasts)))
     for start in range(0, len(zs), step):
-        log_p, post = log_mixture(log_kernel_rows(grid, zs[start : start + step]), g.weights)
+        log_p, post = rows(zs[start : start + step])
         s = post @ contrasts.T
         out += (np.exp(log_p)[:, None] * s).T @ s
     return 0.5 * (out + out.T)
@@ -216,15 +266,19 @@ def _estimates(g: MixingWeights, ys: np.ndarray, y_max: int | None):
     vector span the covariance of its coordinate estimates.  All pairs
     share one truncation point: ``y_max`` when given, else the certified
     point, found from the sums up to the largest bumped count and the O(D)
-    tail bound.
+    tail bound.  The rows up to the largest bumped count are built once
+    (``_table_rows``): the pairs, the partial sums and the first rows of
+    the full sum read them, and the full sum computes only the rows past them.
     """
-    thetas, contrasts = _pair_estimates(g, ys)
+    top = int(ys.max()) + 1
+    rows = _table_rows(g, top)
+    thetas, contrasts = _pair_estimates(g, ys, rows)
     if y_max is None:
         cap = default_y_max(g.grid.base)
-        z_lo = min(int(ys.max()) + 1, cap)
-        partial = np.diag(_second_moments(g, contrasts, z_lo))
+        z_lo = min(top, cap)
+        partial = np.diag(_second_moments(g, contrasts, z_lo, rows))
         y_max = _certified_y_max(g, contrasts, partial, z_lo, cap)
-    return thetas, np.outer(thetas, thetas) * _second_moments(g, contrasts, y_max)
+    return thetas, np.outer(thetas, thetas) * _second_moments(g, contrasts, y_max, rows)
 
 
 def asymptotic_variance(g: MixingWeights, y, y_max: int | None = None) -> float | np.ndarray:

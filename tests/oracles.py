@@ -9,13 +9,16 @@ properties of the recursion rather than the mixture rows themselves:
 their posteriors from the library's ``log_mixture``, so they stay exact
 where the linear pmf underflows.  ``lockstep_reference`` is the lockstep
 recursion's earlier loop, one step at a time with every check in the
-step, kept as the bit-for-bit reference for the blocked loop.
+step, kept as the bit-for-bit reference for the blocked loop, and
+``lattice_reference`` is the lattice loop with its rows built by numpy's
+broadcast product, the reference for the ``dgemm`` row.
 """
 
 import math
 import warnings
 
 import numpy as np
+from scipy.linalg import blas
 from scipy.special import pdtrc, roots_legendre
 from scipy.stats import poisson, rv_discrete
 
@@ -151,6 +154,47 @@ def lockstep_reference(grid, rate, y_matrix, w0, checkpoints):
                 if n in wanted:
                     snaps[n] = (v / v.sum(axis=0)).T.copy()
     return (v / v.sum(axis=0)).T.copy(), snaps
+
+
+def lattice_reference(state, ys):
+    """``engine.update_stream`` on a ProductGrid, with each kernel row built by broadcasting.
+
+    The earlier lattice loop: the row of a count vector is written into a
+    third scratch vector by ``np.multiply(prefix[:, None], last)`` and then
+    multiplied into the weights, with the same scaled-weight arithmetic and
+    the same 64-byte-aligned buffers as ``engine._fold``.  Returns ``(n,
+    normalized weights)``; a degenerate count vector raises as the engine
+    does, without the stream index.
+    """
+    grid, rate, cache = state.g.grid, state.rate, state.cache
+    d = len(grid)
+    stride = -(-d // 8) * 8
+    scratch = engine._aligned_empty(3 * stride)
+    v, q, row = (scratch[i * stride : i * stride + d] for i in range(3))
+    last = row.reshape(-1, len(grid.base))  # (d^(k-1), d)
+    v[:] = state.g.weights
+    ys = np.asarray(ys).tolist()
+    scaled = cache.scaled_table(max(max(y) for y in ys))
+    n, s = state.n, 1.0
+    for y in ys:
+        prefix = scaled[y[0]] if len(y) > 1 else np.ones(1)
+        for c in y[1:-1]:
+            prefix = np.multiply.outer(prefix, scaled[c]).ravel()
+        np.multiply(prefix[:, None], scaled[y[-1]], out=last)
+        np.multiply(row, v, q)
+        t = blas.dasum(q)
+        a = rate(n + 1)
+        keep = 1.0 - a
+        beta = a / keep * s / t if t > 0.0 else math.inf
+        if not beta < math.inf:
+            raise DegenerateLikelihoodError(tuple(y), n)
+        blas.daxpy(q, v, a=beta)
+        s /= keep
+        n += 1
+        if s > engine._RESCALE_AT:
+            v /= blas.dasum(v)
+            s = 1.0
+    return n, v / blas.dasum(v)
 
 
 def direct_newton_step(points, weights, y, step):

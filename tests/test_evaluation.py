@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from streameb import engine, evaluation
+from streameb import engine, evaluation, inference, model
 from streameb.engine import LearningRate, init, update_stream
 from streameb.evaluation import (
     ExperimentConfig,
@@ -295,13 +295,24 @@ class TestRegretDecay:
         prior = grid_atoms_prior([1.0, 5.0], [0.5, 0.5])
         cfg = ExperimentConfig(prior=prior, n=400, rate=LearningRate(1.0, 0.75), seeds=(0, 1, 2))
         checkpoints = (100, 200, 400)
-        calls = []
-        table = evaluation.estimate_table
-        monkeypatch.setattr(
-            evaluation, "estimate_table", lambda g, y_max: calls.append(g) or table(g, y_max)
-        )
+        tables, mixtures = [], []
+        rows, mixture = model.log_kernel_rows, inference.log_mixture
+
+        def counted_rows(grid, counts):
+            tables.append(len(counts))
+            return rows(grid, counts)
+
+        def counted_mixture(log_rows, weights):
+            mixtures.append(log_rows.shape)
+            return mixture(log_rows, weights)
+
+        for owner in (model, inference, evaluation):  # every name a table could be built through
+            monkeypatch.setattr(owner, "log_kernel_rows", counted_rows)
+        monkeypatch.setattr(inference, "log_mixture", counted_mixture)
         res = regret_decay_diagnostic(cfg, checkpoints)
-        assert len(calls) == 1 + 3 * 3  # the oracle once, then each snapshot
+        monkeypatch.undo()
+        assert len(tables) == 1  # one kernel table for the oracle and every snapshot
+        assert mixtures == [(tables[0], 2)] * (1 + 3 * 3)  # the oracle once, then each snapshot
         grid = Grid(prior.atoms)
         g_star = MixingWeights(grid, prior.probs)
         ys = np.stack([generate_compound(prior, 400, seed)[1] for seed in cfg.seeds])

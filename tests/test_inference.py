@@ -276,6 +276,35 @@ class TestCertifiedTruncation:
         assert 0 < sum(built) < 200
         assert all(r.variance > 0 and r.ci_low < r.theta_hat < r.ci_high for r in reports)
 
+    def test_every_row_of_a_query_is_built_once(self, rng, monkeypatch):
+        # the pairs, the partial sums and the full sum share the rows up to
+        # the largest bumped count, so each count's row is built exactly once
+        built, found = [], []
+        rows, search = inference.log_kernel_rows, inference._certified_y_max
+
+        def counted_rows(grid, counts):
+            built.extend(np.asarray(counts).tolist())
+            return rows(grid, counts)
+
+        def spied_search(*args):
+            found.append(search(*args))
+            return found[-1]
+
+        monkeypatch.setattr(inference, "log_kernel_rows", counted_rows)
+        monkeypatch.setattr(inference, "_certified_y_max", spied_search)
+        rate = LearningRate(1.0, 0.99)
+        grid = Grid(np.linspace(0.025, 9662.75, 200))
+        scalar = update_stream(init(grid, rate), rng.poisson(4.0, 300))
+        credible_intervals(scalar, range(8), 0.95)
+        assert found[0] > 8 and sorted(built) == list(range(found[0] + 1))
+
+        built.clear()
+        lattice = ProductGrid(Grid(np.linspace(0.1, 40.0, 30)), 2)
+        g = update_stream(init(lattice, rate), rng.poisson([3.0, 9.0], (300, 2))).g
+        asymptotic_variance(g, [4, 11])
+        cube = np.indices((found[-1] + 1,) * 2).reshape(2, -1).T.tolist()  # lexicographic
+        assert found[-1] > 12 and sorted(built) == cube
+
     def test_negative_counts_are_rejected(self):
         g = MixingWeights(Grid([1.0, 2.0]), [0.5, 0.5])
         with pytest.raises(ValueError):

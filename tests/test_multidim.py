@@ -1,4 +1,6 @@
+import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from streameb.inference import asymptotic_variance, default_y_max, ratio_estimat
 from streameb.model import (
     DegenerateLikelihoodError,
     Grid,
+    KernelMatrixCache,
     MixingWeights,
     ProductGrid,
     log_kernel_rows,
@@ -159,6 +162,88 @@ class TestMultiUpdate:
             with pytest.raises(ValueError):
                 update(state, bad)
         assert update_stream(state, []) is state
+
+
+class TestLatticeRow:
+    """The dgemm row: the broadcast product's bits, written into the fold's own buffer."""
+
+    def _dense(self):
+        lattice = ProductGrid(Grid(np.linspace(0.2, 12.0, 100)), 2)  # D = 10,000
+        ys = np.random.default_rng(7).poisson(4.0, size=(1000, 2))
+        return init(lattice, LearningRate(1.0, 0.99)), ys
+
+    @pytest.mark.parametrize("d, k", [(50, 1), (30, 2), (12, 3)])
+    def test_rows_equal_the_outer_product(self, d, k):
+        lattice = ProductGrid(Grid(np.linspace(0.2, 12.0, d)), k)
+        near = [(3,) * k, tuple(range(k)), (0,) * k]
+        far = [(150,) * k, (400,) + (0,) * (k - 1), (150,) + (2,) * (k - 1), (150, 60, 60)[:k]]
+        scaled = KernelMatrixCache(lattice.base).scaled_table(400)
+        out = np.full(lattice.size, np.nan)
+        rows = engine._LatticeRows(lattice, scaled, out)
+        tiny = np.finfo(float).tiny
+        seen_zero = seen_subnormal = False
+        for yvec in near + far:
+            row = rows[yvec]
+            assert row is out
+            want = functools.reduce(np.multiply.outer, [scaled[y] for y in yvec]).ravel()
+            assert np.array_equal(row.view(np.uint64), want.view(np.uint64)), yvec
+            seen_zero |= bool((row == 0.0).any())
+            seen_subnormal |= bool(((row > 0.0) & (row < tiny)).any())
+        assert seen_zero and (k == 1 or seen_subnormal)  # the far tail reaches both
+
+    def test_stream_matches_the_broadcast_loop(self):
+        state, ys = self._dense()
+        got = update_stream(state, ys)
+        n, want = oracles.lattice_reference(state, ys)
+        assert got.n == n == 1000
+        assert np.array_equal(got.g.weights.view(np.uint64), want.view(np.uint64))
+
+    def test_fold_reads_only_what_it_wrote_into_two_vectors(self, monkeypatch):
+        # every float of the scratch starts as NaN: a row that read its buffer,
+        # or f2py writing the row into a copy, would reach the weights
+        state, ys = self._dense()
+        want = update_stream(state, ys[:200]).g.weights
+        real, sizes = engine._aligned_empty, []
+
+        def nan_filled(size):
+            sizes.append(size)
+            buf = real(size)
+            buf.fill(np.nan)
+            return buf
+
+        monkeypatch.setattr(engine, "_aligned_empty", nan_filled)
+        got = update_stream(state, ys[:200]).g.weights
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert sizes == [2 * state.g.grid.size]  # v and q, D a multiple of 8
+
+    def test_scratch_memory_is_two_vectors(self):
+        state, ys = self._dense()
+        ys = ys[:10]  # short, so the count list stays small
+        state.cache.ensure(int(ys.max()))
+        update_stream(state, ys)  # anything a first call sets up once is not the fold's
+        tracemalloc.start()
+        try:
+            update_stream(state, ys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # two scratch vectors and the result are 3 D floats; three scratch vectors would be 4 D
+        assert peak < 3.5 * state.g.grid.size * 8
+
+    def test_degenerate_vector_raises_as_the_broadcast_loop_does(self):
+        base = Grid([0.5, 30000.0])
+        pg = ProductGrid(base, 2)
+        w = np.zeros(4)
+        w[0] = 1.0
+        state = init(pg, LearningRate(1.0, 0.99), MixingWeights(pg, w))
+        ys = [(0, 0), (1, 2), (30000, 30000), (0, 1)]
+        with pytest.raises(DegenerateLikelihoodError) as got:
+            update_stream(state, ys)
+        with pytest.raises(DegenerateLikelihoodError) as want:
+            oracles.lattice_reference(state, ys)
+        for field in ("y", "n", "args"):
+            assert getattr(got.value, field) == getattr(want.value, field), field
+        assert got.value.stream_index == 2
 
 
 class TestMultiEstimate:

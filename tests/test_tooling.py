@@ -70,3 +70,14 @@ def test_compare_workload_passes_its_own_check(monkeypatch):
     for _ in workload.tasks:
         workload.step()
     assert workload.check(len(workload.tasks)) == (0, [])
+
+
+def test_dense_workload_passes_its_own_check(monkeypatch):
+    # both dense engines, the lattice against the benchmark's reference recursion
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workload = _load("workloads").IngestDense()
+    workload.tracer = None
+    workload.setup(0)
+    for _ in range(3):
+        workload.step()
+    assert workload.check(3) == (0, [])
