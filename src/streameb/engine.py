@@ -15,8 +15,10 @@ recursion is shared.  It has two loop bodies with the same arithmetic:
 ``_fold_lockstep`` (numpy calls on a weight matrix) behind
 ``evaluation.batched_newton_stream``.
 
-States are immutable; ``update`` returns a fresh state sharing the kernel
-cache, so a held reference is already a consistent snapshot.  Updates are
+States are immutable; ``update`` returns a new state with fresh, read-only
+weights, sharing the kernel cache, so a held reference is already a
+consistent snapshot.  The cache also keeps the loop's work buffer between
+calls (``_fold``); no state's weights are a view of it.  Updates are
 strictly sequential (the recursion is order-dependent), and each one costs
 O(d), or O(D) on a lattice, independent of how many observations came before.
 """
@@ -139,12 +141,18 @@ def update_stream(
     (the loop normalizes less often, see ``_fold``).  The caller's state is
     untouched if anything raises.  Results are bit-reproducible: identical
     inputs give bit-identical weights, wherever the allocator places the
-    caller's arrays.  The first degenerate observation aborts with its
-    stream index attached to the raised error; with ``skip_degenerate``
-    set, offending observations are skipped instead (this biases the fit
-    and is opt-in for that reason).  When ``snapshot_every`` is set,
-    ``on_snapshot`` receives an immutable state snapshot every that many
-    observations.
+    caller's arrays.  On a long weight vector the OpenBLAS thread count is
+    an input too, since OpenBLAS splits a long ``dasum`` or ``daxpy``
+    across threads and adds the parts in another order: a scalar grid of
+    d = 200,000 and lattices of D = 490,000 and 10^6 give different bits
+    on 1 and 2 threads, while d = 30,000 and D = 10,000 give the same.  Pin
+    ``OPENBLAS_NUM_THREADS`` to compare such runs.  The first degenerate
+    observation aborts with its stream index attached to the raised error;
+    with ``skip_degenerate`` set, offending observations are skipped
+    instead (this biases the fit and is opt-in for that reason).  When
+    ``snapshot_every`` is set, ``on_snapshot`` receives an immutable state
+    snapshot every that many observations; it may call ``update`` and
+    ``update_stream`` itself.
     """
     if len(ys) == 0:
         return state
@@ -203,6 +211,13 @@ class _LatticeRows:
         return self.out
 
 
+def _state(g: MixingWeights, n: int, rate: LearningRate, cache: KernelMatrixCache) -> NewtonState:
+    """A NewtonState without ``__post_init__``, for ``_fold``: ``rate`` is its input state's."""
+    state = object.__new__(NewtonState)
+    state.__dict__.update(g=g, n=n, rate=rate, cache=cache)  # frozen fields, no __setattr__
+    return state
+
+
 def _fold(state, ys, top, snapshot_every=None, on_snapshot=None, skip_degenerate=False):
     """The recursion over validated observations ``ys`` (a list; ``top`` is their largest count).
 
@@ -222,15 +237,35 @@ def _fold(state, ys, top, snapshot_every=None, on_snapshot=None, skip_degenerate
     A scalar row is read from the cache's table; a lattice row is first
     written into ``q`` by one ``dgemm`` (``_LatticeRows``), so the first
     pass is ``q = q * v``, the same rounded products as ``r * v``.
+
+    The scratch outlives the call.  It is one buffer of 2 * stride + 8
+    floats (stride is D rounded up to a multiple of 8, so each vector
+    starts on a 64-byte line and ``dasum`` keeps its bits; the 8 are
+    alignment slack), kept as the pair ``(v, q)`` in the slot
+    ``cache._scratch``.  Every state of a lineage shares the cache, and the
+    buffer is freed with it.  A fold takes the pair out of the slot with
+    one ``dict.pop``, atomic under the GIL, and puts it back once its
+    result is built.  A fold that finds the slot empty, because another
+    thread's fold holds the buffer or an ``on_snapshot`` callback
+    re-entered ``update``, allocates its own; so does the fold after one
+    that raised, whose buffer is dropped.  ``v`` is overwritten by the
+    state's weights, and ``q`` before it is read, so a buffer's old
+    contents never reach a result, and a result's weights are a fresh
+    read-only vector.
     """
     grid, rate, cache = state.g.grid, state.rate, state.cache
     d = len(grid)
-    stride = -(-d // 8) * 8  # each scratch vector starts on a 64-byte line
     lattice = isinstance(grid, ProductGrid)
-    scratch = _aligned_empty(2 * stride)
-    v, q = scratch[:d], scratch[stride : stride + d]
+    scratch = cache._scratch.pop("v, q", None)  # one C call: no two folds take the same buffer
+    if scratch is None or len(scratch[0]) != d:
+        stride = -(-d // 8) * 8  # each scratch vector starts on a 64-byte line
+        buf = _aligned_empty(2 * stride)
+        scratch = buf[:d], buf[stride : stride + d]
+    v, q = scratch
     v[:] = state.g.weights
-    rows = cache.scaled_table(top)
+    rows = cache._table  # the published rows; read directly when they already reach top
+    if top >= len(rows):
+        rows = cache.scaled_table(top)
     if len(ys) > len(rows):  # a list of row views is faster to index than the table
         rows = list(rows)
     if lattice:  # the one grid-dependent step: rows[y], a lattice row written into q
@@ -258,10 +293,12 @@ def _fold(state, ys, top, snapshot_every=None, on_snapshot=None, skip_degenerate
             v /= dasum(v)
             s = 1.0
         if snap and n % snap == 0:
-            on_snapshot(NewtonState(MixingWeights._normalized(grid, v, dasum(v)), n, rate, cache))
-    if n == state.n:
-        return state
-    return NewtonState(MixingWeights._normalized(grid, v, dasum(v)), n, rate, cache)
+            on_snapshot(_state(MixingWeights._normalized(grid, v, dasum(v)), n, rate, cache))
+    result = state
+    if n != state.n:
+        result = _state(MixingWeights._normalized(grid, v, dasum(v)), n, rate, cache)
+    cache._scratch["v, q"] = scratch  # after the result's own copy: the next fold may overwrite v
+    return result
 
 
 # The lockstep loop gathers the kernel rows of a block of steps at once: as

@@ -158,10 +158,9 @@ class MixingWeights:
         if not 0.0 < total < math.inf:
             raise ValueError(f"weights sum to {total!r}")
         w = np.divide(v, total)
-        w.flags.writeable = False
+        w.setflags(write=False)
         g = object.__new__(cls)
-        object.__setattr__(g, "grid", grid)
-        object.__setattr__(g, "weights", w)
+        g.__dict__.update(grid=grid, weights=w)  # the frozen fields, without __setattr__
         return g
 
     @classmethod
@@ -237,6 +236,10 @@ class KernelMatrixCache:
     geometrically after that, so a rising maximum count costs amortized
     O(d) per row.  Read-side queries build their log rows with
     ``log_kernel_rows`` and never touch a cache.
+
+    The cache also keeps the recursion's work buffer between calls, in
+    ``_scratch`` (see ``engine._fold``): every state of a lineage shares the
+    cache, so it is the one place the buffer can live and be freed with them.
     """
 
     def __init__(self, grid: Grid):
@@ -245,6 +248,7 @@ class KernelMatrixCache:
         empty = np.empty((0, len(grid)))
         self._buffer = empty  # full capacity; touched only under the lock
         self._table = empty  # rows 0..max_y
+        self._scratch = {}  # at most one entry, taken and put back by engine._fold
 
     @property
     def max_y(self) -> int:

@@ -1,5 +1,8 @@
+import hashlib
 import math
 import struct
+import sys
+import threading
 import time
 import zlib
 
@@ -295,6 +298,109 @@ class TestUpdateStream:
         for offset, (final, mid) in zip(range(0, 64, 8), finals):
             assert np.array_equal(final, finals[0][0]), f"lockstep offset {offset} differs"
             assert np.array_equal(mid, finals[0][1]), f"lockstep offset {offset} differs"
+
+
+def _digest(state):
+    return hashlib.sha256(state.g.weights.tobytes()).hexdigest()
+
+
+class TestRetainedScratch:
+    """The fold keeps its work buffer on the kernel cache between calls."""
+
+    rate = LearningRate(1.0, 0.99)
+    grid = Grid(np.linspace(0.2, 12.0, 200))
+
+    def test_a_snapshot_callback_may_fold_further(self, rng):
+        ys, more = rng.poisson(3.0, 600), rng.poisson(5.0, 50)
+        start = init(self.grid, self.rate)
+        passive = update_stream(start, ys, snapshot_every=100, on_snapshot=lambda snap: None)
+        seen, inner = [], []
+
+        def refold(snap):
+            # The outer fold holds the cache's buffer, so the first inner fold
+            # finds the slot empty; later ones would find what an inner fold
+            # put back, so the slot is emptied before each of them.
+            assert snap.cache is start.cache
+            assert seen or not snap.cache._scratch
+            seen.append((snap, _digest(snap)))
+            snap.cache._scratch.clear()
+            one = update(snap, int(more[0]))
+            snap.cache._scratch.clear()
+            inner.append(update_stream(one, more))
+
+        got = update_stream(start, ys, snapshot_every=100, on_snapshot=refold)
+        assert np.array_equal(got.g.weights.view(np.uint64), passive.g.weights.view(np.uint64))
+        assert [snap.n for snap, _ in seen] == [100, 200, 300, 400, 500, 600]
+        for (snap, digest), folded in zip(seen, inner):
+            assert _digest(snap) == digest  # the outer fold went on without touching it
+            fresh = engine.NewtonState(snap.g, snap.n, self.rate, engine.KernelMatrixCache(self.grid))
+            want = update_stream(update(fresh, int(more[0])), more)
+            assert np.array_equal(folded.g.weights.view(np.uint64), want.g.weights.view(np.uint64))
+
+    def test_threads_sharing_a_cache_keep_their_serial_bits(self, monkeypatch):
+        start = init(self.grid, self.rate)
+        start.cache.ensure(40)
+        streams = [np.random.default_rng(seed).poisson(2.0 + seed, 1500).tolist() for seed in range(4)]
+
+        def run(ys):
+            state = start
+            for y in ys:  # one fold per count, so folds of different threads interleave
+                state = update(state, y)
+            return state
+
+        serial = [run(ys) for ys in streams]
+        real, allocations = engine._aligned_empty, []
+        monkeypatch.setattr(engine, "_aligned_empty", lambda size: allocations.append(size) or real(size))
+        barrier = threading.Barrier(len(streams))
+        results = [None] * len(streams)
+
+        def worker(i):
+            barrier.wait()
+            results[i] = run(streams[i])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often, mid-fold
+        try:
+            threads = [threading.Thread(target=worker, args=(i,)) for i in range(len(streams))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(allocations) > 1  # some fold found the slot empty and allocated its own
+        for want, got in zip(serial, results):
+            assert got.n == want.n == 1500
+            assert np.array_equal(got.g.weights.view(np.uint64), want.g.weights.view(np.uint64))
+
+    def test_grids_of_different_sizes_may_share_a_cache(self, rng):
+        # a lattice over a scalar grid reads that grid's cache, with a longer buffer
+        lattice = ProductGrid(self.grid, 2)
+        scalar = init(self.grid, self.rate)
+        shared = engine.NewtonState(MixingWeights.uniform(lattice), 0, self.rate, scalar.cache)
+        apart = [init(self.grid, self.rate), init(lattice, self.rate)]  # a cache each
+        for y, yvec in zip(rng.poisson(3.0, 50).tolist(), rng.poisson(3.0, (50, 2)).tolist()):
+            scalar, shared = update(scalar, y), update(shared, yvec)
+            apart = [update(apart[0], y), update(apart[1], yvec)]
+        for got, want in zip((scalar, shared), apart):
+            assert np.array_equal(got.g.weights.view(np.uint64), want.g.weights.view(np.uint64))
+
+    def test_results_never_alias_the_retained_buffer(self):
+        state = update(init(self.grid, self.rate), 3)
+        digest = _digest(state)
+        later = state
+        for y in range(100):
+            update(state, y % 9)
+            later = update(later, y % 9)
+        assert _digest(state) == digest
+        [(v, q)] = state.cache._scratch.values()
+        for s in (state, later):
+            w = s.g.weights
+            assert not w.flags.writeable and w.base is None
+            assert not np.shares_memory(w, v.base)
+            with pytest.raises(ValueError):
+                w[0] = 0.5
 
 
 class TestStreamInvariants:

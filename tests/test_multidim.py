@@ -198,37 +198,44 @@ class TestLatticeRow:
         assert got.n == n == 1000
         assert np.array_equal(got.g.weights.view(np.uint64), want.view(np.uint64))
 
-    def test_fold_reads_only_what_it_wrote_into_two_vectors(self, monkeypatch):
-        # every float of the scratch starts as NaN: a row that read its buffer,
-        # or f2py writing the row into a copy, would reach the weights
+    def test_fold_reads_only_what_it_wrote_into_two_vectors(self):
+        # every float of the retained scratch is NaN before the second fold: a
+        # row that read its buffer, or f2py writing the row into a copy, would
+        # reach the weights
         state, ys = self._dense()
         want = update_stream(state, ys[:200]).g.weights
-        real, sizes = engine._aligned_empty, []
-
-        def nan_filled(size):
-            sizes.append(size)
-            buf = real(size)
-            buf.fill(np.nan)
-            return buf
-
-        monkeypatch.setattr(engine, "_aligned_empty", nan_filled)
+        [scratch] = state.cache._scratch.values()  # the buffer the fold kept
+        v, q = scratch
+        size = state.g.grid.size
+        assert v.size == q.size == size and v.base is q.base
+        assert v.base.size <= 2 * size + 8  # v and q, plus one 64-byte line of alignment slack
+        v.base.fill(np.nan)
         got = update_stream(state, ys[:200]).g.weights
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
-        assert sizes == [2 * state.g.grid.size]  # v and q, D a multiple of 8
+        [kept] = state.cache._scratch.values()
+        assert kept is scratch  # reused, not allocated again
 
     def test_scratch_memory_is_two_vectors(self):
+        # The scratch is allocated once per cache, so a warm fold allocates
+        # only its D-float result; a fresh scratch would add 2 D floats.
         state, ys = self._dense()
         ys = ys[:10]  # short, so the count list stays small
         state.cache.ensure(int(ys.max()))
-        update_stream(state, ys)  # anything a first call sets up once is not the fold's
-        tracemalloc.start()
-        try:
-            update_stream(state, ys)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        # two scratch vectors and the result are 3 D floats; three scratch vectors would be 4 D
-        assert peak < 3.5 * state.g.grid.size * 8
+        scalar = init(Grid(np.linspace(0.2, 12.0, 10_000)), LearningRate(1.0, 0.99))
+        scalar.cache.ensure(10)
+        for size, fold in [
+            (state.g.grid.size, lambda: update_stream(state, ys)),
+            (state.g.grid.size, lambda: update(state, ys[0])),
+            (len(scalar.g.grid), lambda: update(scalar, 7)),
+        ]:
+            fold()  # anything a first call sets up once, the scratch included, is not the fold's
+            tracemalloc.start()
+            try:
+                fold()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1.25 * size * 8, peak / (size * 8)
 
     def test_degenerate_vector_raises_as_the_broadcast_loop_does(self):
         base = Grid([0.5, 30000.0])
