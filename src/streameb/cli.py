@@ -134,15 +134,25 @@ def _emit(text: str, args) -> None:
         sys.stdout.write(body)
 
 
-def _parse_int_list(text: str):
-    return [int(v) for v in text.split(",") if v]
+def _parse_int_list(text: str, flag: str):
+    """Comma-separated integers; an empty list or an empty field is refused."""
+    try:
+        return [int(field) for field in text.split(",")]
+    except ValueError:
+        raise ValueError(f"{flag} needs comma-separated integers, got {text!r}") from None
 
 
 def _parse_y_range(text: str):
-    if ".." in text:
-        lo, hi = text.split("..")
-        return list(range(int(lo), int(hi) + 1))
-    return _parse_int_list(text)
+    """``--y``: an ascending range ``lo..hi``, both ends included, or a list of counts."""
+    if ".." not in text:
+        return _parse_int_list(text, "--y")
+    try:
+        lo, hi = (int(bound) for bound in text.split(".."))
+    except ValueError:
+        raise ValueError(f"--y needs a range lo..hi of integers, got {text!r}") from None
+    if hi < lo:
+        raise ValueError(f"--y range {text!r} is descending")
+    return list(range(lo, hi + 1))
 
 
 def _read_scalar_state(path: str) -> engine.NewtonState:
@@ -209,8 +219,9 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
+    ys = _parse_y_range(args.y)
     state = _read_scalar_state(args.state)
-    reports = inference.credible_intervals(state, _parse_y_range(args.y), args.level)
+    reports = inference.credible_intervals(state, ys, args.level)
     text = inference.EstimateReport.CSV_HEADER + "\n"
     text += "\n".join(r.csv_row() for r in reports) + "\n"
     _emit(text, args)
@@ -238,7 +249,8 @@ def _cmd_bench(args) -> int:
     for piece in args.windows.split(","):
         lo, hi = piece.split(":")
         windows.append((int(lo), int(hi)))
-    rows = evaluation.timing_harness(_parse_int_list(args.d), args.n, windows, seed=args.seed)
+    ds = _parse_int_list(args.d, "--d")
+    rows = evaluation.timing_harness(ds, args.n, windows, seed=args.seed)
     text = "d,window_lo,window_hi,median_ms\n"
     text += "\n".join(f"{d},{lo},{hi},{ms!r}" for d, lo, hi, ms in rows) + "\n"
     _emit(text, args)
@@ -249,7 +261,7 @@ def _cmd_regret(args) -> int:
     prior = parse_prior(args.atoms)
     if prior.family != "grid-atoms":
         raise ValueError("regret needs a grid-atoms oracle, e.g. grid-atoms:1@0.5,4@0.5")
-    checkpoints = _parse_int_list(args.checkpoints)
+    checkpoints = _parse_int_list(args.checkpoints, "--checkpoints")
     cfg = evaluation.ExperimentConfig(
         prior=prior,
         n=max(checkpoints),

@@ -26,12 +26,19 @@ for every requested count; the terms kept only add to that sum.
 ``default_y_max`` (``hi + 20 * sqrt(hi)`` of the base grid) caps Z, so the
 result never differs from the fixed-cutoff value by more than the
 certificate allows and never costs more to compute.
+
+On a scalar grid the sum up to Z also runs over a certified prefix of the
+grid, not all d atoms: past it every posterior term of every count up to Z
+underflows to an exact 0.0, so the band changes the variance by float64
+summation order alone (see ``_banded_moments``).  Estimates, contrasts,
+the partial sums and Z itself are computed over the whole grid.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy.special import ndtri, pdtrc, zeta
@@ -39,9 +46,11 @@ from scipy.special import ndtri, pdtrc, zeta
 from .engine import LearningRate, NewtonState
 # log_mixture_pmf stays importable here: perfbench/tracing.py patches it.
 from .model import (  # noqa: F401
+    Grid,
     MixingWeights,
     ProductGrid,
     _counts,
+    _log_kernel,
     log_kernel_rows,
     log_mixture,
     log_mixture_pmf,
@@ -50,6 +59,13 @@ from .model import (  # noqa: F401
 # Certified truncation: the neglected terms of V(y) are at most this
 # fraction of the terms kept.
 _TRUNCATION_RTOL = 1e-12
+# exp of a shift this far below a row's peak is exactly 0.0 in float64
+# (the smallest subnormal is exp(-745.13)).
+_UNDERFLOW_NATS = 746.0
+# Nats past the certificate's margin at which the band's first width is
+# set: room for a row peak off the Poisson mode (grid spacing, weights),
+# so the first width rarely fails its check and costs a second sum.
+_REACH_SLACK_NATS = 8.0
 # Entries of log-kernel rows built at once for the variance sums.
 _BLOCK_ENTRIES = 2_000_000
 # Largest lattice whose covariance is computed.
@@ -129,6 +145,14 @@ def _fresh_rows(g: MixingWeights):
     return lambda zs: log_mixture(log_kernel_rows(g.grid, zs), g.weights)
 
 
+def _band_rows(g: MixingWeights, width: int):
+    """``_fresh_rows`` over the first ``width`` atoms of a scalar grid alone."""
+    if width == len(g.grid):
+        return _fresh_rows(g)
+    band, weights = Grid(g.grid.points[:width]), g.weights[:width]
+    return lambda zs: log_mixture(log_kernel_rows(band, zs), weights)
+
+
 def _table_rows(g: MixingWeights, top: int):
     """``_fresh_rows``, reading the counts 0..top in every coordinate from one table.
 
@@ -137,23 +161,27 @@ def _table_rows(g: MixingWeights, top: int):
     least 1), so its memory is bounded for any query; counts outside it are
     computed per call.  ``log_mixture`` gives a row the same bits in any
     block, so a row read from the table is the row computed fresh.
+
+    On a scalar grid ``rows(zs, width)`` cuts every posterior to the first
+    ``width`` atoms: table rows keep their full-width ``log p`` and are
+    sliced, and the rows past the table are computed over those atoms alone
+    (``_band_rows``).
     """
     grid, k = g.grid, g.grid.k
     side = max(1, min(top + 1, int((_BLOCK_ENTRIES // len(grid)) ** (1.0 / k))))
     shape = (side,) * k
     cube = np.indices(shape).reshape(k, -1).T
-    fresh = _fresh_rows(g)
-    table_log_p, table_post = fresh(cube if isinstance(grid, ProductGrid) else cube[:, 0])
+    table_log_p, table_post = _fresh_rows(g)(cube if isinstance(grid, ProductGrid) else cube[:, 0])
 
-    def rows(zs):
+    def rows(zs, width=len(grid)):
         flat = zs.reshape(len(zs), k)
         inside = (flat < side).all(axis=1)
         at = np.ravel_multi_index(flat[inside].T, shape)
         if inside.all():
-            return table_log_p[at], table_post[at]
-        log_p, post = np.empty(len(zs)), np.empty((len(zs), len(grid)))
-        log_p[inside], post[inside] = table_log_p[at], table_post[at]
-        log_p[~inside], post[~inside] = fresh(zs[~inside])
+            return table_log_p[at], table_post[at, :width]
+        log_p, post = np.empty(len(zs)), np.empty((len(zs), width))
+        log_p[inside], post[inside] = table_log_p[at], table_post[at, :width]
+        log_p[~inside], post[~inside] = _band_rows(g, width)(zs[~inside])
         return log_p, post
 
     return rows
@@ -238,24 +266,77 @@ def _certified_y_max(g, contrasts, partial, z_lo: int, cap: int) -> int:
     return hi
 
 
-def _second_moments(g: MixingWeights, contrasts: np.ndarray, z: int, rows) -> np.ndarray:
+def _second_moments(grid, contrasts: np.ndarray, z: int, rows):
     """``sum p(z') s(z') s(z')^T`` over counts z' <= z in every coordinate, s = post(z') @ c.
 
-    The counts are taken in lexicographic blocks of ``_BLOCK_ENTRIES``
-    entries whatever ``rows`` (see ``_pair_estimates``) computes, so the sum
-    has the same bits for the same rows.
+    Returns the sum and the ``log p`` of every count summed, in order.  The
+    counts are taken in lexicographic blocks of ``_BLOCK_ENTRIES`` entries
+    (rows of ``contrasts.shape[1]`` atoms) whatever ``rows`` (see
+    ``_pair_estimates``) computes, so the sum has the same bits for the
+    same rows.  Posteriors cut to a prefix of the atoms come with
+    ``contrasts`` cut to the same prefix.
     """
-    grid = g.grid
     zs = np.indices((z + 1,) * grid.k).reshape(grid.k, -1).T  # lexicographic
     if not isinstance(grid, ProductGrid):
         zs = zs[:, 0]
-    step = max(1, _BLOCK_ENTRIES // len(grid))
+    step = max(1, _BLOCK_ENTRIES // contrasts.shape[1])
     out = np.zeros((len(contrasts), len(contrasts)))
+    log_ps = []
     for start in range(0, len(zs), step):
         log_p, post = rows(zs[start : start + step])
         s = post @ contrasts.T
         out += (np.exp(log_p)[:, None] * s).T @ s
-    return 0.5 * (out + out.T)
+        log_ps.append(log_p)
+    return 0.5 * (out + out.T), np.concatenate(log_ps)
+
+
+def _poisson_reach(z: int, nats: float) -> float:
+    """The rate theta >= z at which ``log k(z | theta)`` lies ``nats`` below its peak at z.
+
+    Solves ``u - log u = 1 + nats / z`` for u = theta / z > 1 by Newton's
+    method, which decreases monotonically to the root after its first step.
+    """
+    if z == 0:
+        return nats
+    c = 1.0 + nats / z
+    u = c + math.log(c)
+    for _ in range(8):
+        u -= (u - math.log(u) - c) / (1.0 - 1.0 / u)
+    return z * u
+
+
+def _banded_moments(g: MixingWeights, contrasts: np.ndarray, z: int, rows) -> np.ndarray:
+    """``_second_moments`` up to z over a certified prefix [0, h) of a scalar grid.
+
+    Past h every score ``log k(z'|theta_j) + log g_j`` of a row z' <= z lies
+    more than ``_UNDERFLOW_NATS`` below the row's peak, so ``log_mixture``
+    over the whole grid would make each of those posterior terms an exact
+    0.0 and the sum differs from the full-width one by summation order
+    alone.  With ``theta_h >= z`` the kernel decreases in theta past every
+    z', so ``log k(z'|theta_h) + log max_{j>=h} g_j`` bounds the excluded
+    scores; a row's ``log p`` over at most d atoms exceeds its peak by at
+    most ``log d``.  The check reads the ``log p`` of the rows the sum
+    computes, O(z), and h starts where the Poisson kernel at z has fallen
+    that far (and ``_REACH_SLACK_NATS`` more) below its mode and doubles
+    while the check fails; at h = d the sum is the full-width one, bit for
+    bit.
+    """
+    points, weights = g.grid.points, g.weights
+    d = len(points)
+    margin = _UNDERFLOW_NATS + math.log(d)
+    zs = np.arange(z + 1)
+    h = max(1, int(np.searchsorted(points, _poisson_reach(z, margin + _REACH_SLACK_NATS))))
+    while h < d:
+        if weights[:h].any():
+            moments, log_p = _second_moments(g.grid, contrasts[:, :h], z, partial(rows, width=h))
+            tail = float(weights[h:].max())
+            if tail == 0.0:
+                return moments
+            excluded = _log_kernel(points[h : h + 1], zs)[:, 0] + math.log(tail)
+            if (excluded <= log_p - margin).all():
+                return moments
+        h = min(d, 2 * h)
+    return _second_moments(g.grid, contrasts, z, rows)[0]
 
 
 def _estimates(g: MixingWeights, ys: np.ndarray, y_max: int | None):
@@ -268,7 +349,10 @@ def _estimates(g: MixingWeights, ys: np.ndarray, y_max: int | None):
     point, found from the sums up to the largest bumped count and the O(D)
     tail bound.  The rows up to the largest bumped count are built once
     (``_table_rows``): the pairs, the partial sums and the first rows of
-    the full sum read them, and the full sum computes only the rows past them.
+    the full sum read them.  The pairs, contrasts and partial sums span the
+    whole grid; on a scalar grid the full sum runs over the certified band
+    of ``_banded_moments`` and computes only the rows past the table, over
+    the band's atoms.
     """
     top = int(ys.max()) + 1
     rows = _table_rows(g, top)
@@ -276,9 +360,13 @@ def _estimates(g: MixingWeights, ys: np.ndarray, y_max: int | None):
     if y_max is None:
         cap = default_y_max(g.grid.base)
         z_lo = min(top, cap)
-        partial = np.diag(_second_moments(g, contrasts, z_lo, rows))
+        partial = np.diag(_second_moments(g.grid, contrasts, z_lo, rows)[0])
         y_max = _certified_y_max(g, contrasts, partial, z_lo, cap)
-    return thetas, np.outer(thetas, thetas) * _second_moments(g, contrasts, y_max, rows)
+    if isinstance(g.grid, ProductGrid):
+        moments = _second_moments(g.grid, contrasts, y_max, rows)[0]
+    else:
+        moments = _banded_moments(g, contrasts, y_max, rows)
+    return thetas, np.outer(thetas, thetas) * moments
 
 
 def asymptotic_variance(g: MixingWeights, y, y_max: int | None = None) -> float | np.ndarray:

@@ -12,6 +12,8 @@ recursion's earlier loop, one step at a time with every check in the
 step, kept as the bit-for-bit reference for the blocked loop, and
 ``lattice_reference`` is the lattice loop with its rows built by numpy's
 broadcast product, the reference for the ``dgemm`` row.
+``full_width_estimates`` is the interval query with its variance sum over
+every atom of the grid, the reference for the certified band.
 """
 
 import math
@@ -22,7 +24,7 @@ from scipy.linalg import blas
 from scipy.special import pdtrc, roots_legendre
 from scipy.stats import poisson, rv_discrete
 
-from streameb import engine
+from streameb import engine, inference
 from streameb.inference import default_y_max
 from streameb.model import (
     DegenerateLikelihoodError,
@@ -195,6 +197,42 @@ def lattice_reference(state, ys):
             v /= blas.dasum(v)
             s = 1.0
     return n, v / blas.dasum(v)
+
+
+def full_width_moments(g, contrasts, z, rows):
+    """``sum p(z') s(z') s(z')^T`` over z' = 0..z, every posterior over the whole grid.
+
+    The variance sum as it ran before the band: blocks of
+    ``inference._BLOCK_ENTRIES // d`` rows from ``rows`` (the query's
+    ``inference._table_rows``), accumulated in the same order.
+    """
+    zs = np.arange(z + 1)
+    step = max(1, inference._BLOCK_ENTRIES // len(g.grid))
+    out = np.zeros((len(contrasts), len(contrasts)))
+    for start in range(0, len(zs), step):
+        log_p, post = rows(zs[start : start + step])
+        s = post @ contrasts.T
+        out += (np.exp(log_p)[:, None] * s).T @ s
+    return 0.5 * (out + out.T)
+
+
+def full_width_estimates(g, ys, y_max=None):
+    """``inference._estimates`` on a scalar grid with the full-width variance sum.
+
+    Returns ``(theta, V, z)``: the pair estimates, their second-moment
+    matrix and the truncation point, ``y_max`` or the certified one.
+    """
+    ys = np.asarray(ys)
+    top = int(ys.max()) + 1
+    rows = inference._table_rows(g, top)
+    thetas, contrasts = inference._pair_estimates(g, ys, rows)
+    if y_max is None:
+        cap = default_y_max(g.grid)
+        z_lo = min(top, cap)
+        partial = np.diag(full_width_moments(g, contrasts, z_lo, rows))
+        y_max = inference._certified_y_max(g, contrasts, partial, z_lo, cap)
+    moments = full_width_moments(g, contrasts, y_max, rows)
+    return thetas, np.outer(thetas, thetas) * moments, y_max
 
 
 def direct_newton_step(points, weights, y, step):

@@ -5,13 +5,19 @@ asserts the criterion at its stated tolerance.  Monte Carlo criteria use
 fixed seeds; their tolerances already include sampling slack.
 """
 
+import json
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.stats import halfnorm, uniform, weibull_min
 
+import streameb
 import streameb.engine as engine
 from streameb.baselines import SolverConfig, fit_npmle, robbins_estimate
 from streameb.engine import LearningRate, init, update, update_stream
@@ -22,7 +28,6 @@ from streameb.evaluation import (
     regret,
     regret_decay_diagnostic,
     run_stream_experiment,
-    timing_harness,
 )
 from streameb.gridding import GridSpec, build_equispaced_grid
 from streameb.inference import (
@@ -43,6 +48,9 @@ from streameb.priors import grid_atoms_prior, parse_prior
 
 from . import oracles
 from .conftest import ACCIDENT_PAIRS, random_weights
+
+# The package source, for the child process of the per-update-cost gate.
+SRC = str(Path(streameb.__file__).resolve().parent.parent)
 
 FIVE_ATOMS = np.array([0.5, 2.0, 4.5, 8.0, 13.0])
 FIVE_PROBS = np.array([0.15, 0.25, 0.25, 0.2, 0.15])
@@ -208,12 +216,35 @@ def test_synthetic_benchmark_ballpark():
     )
 
 
+def _timing_harness_one_blas_thread(*args, **kwargs):
+    """``timing_harness`` in a child process with BLAS pinned to one thread.
+
+    OpenBLAS splits ``daxpy`` across threads above 10,000 elements, and on a
+    busy machine the spinning worker slows the loop at d = 3e4 alone, which
+    moved the d-ratio from ~7 to as much as ~17.  ``perfbench/run.py`` pins
+    its workloads the same way.
+    """
+    code = (
+        "import json, sys\n"
+        "from streameb.evaluation import timing_harness\n"
+        "args, kwargs = json.load(sys.stdin)\n"
+        "json.dump(timing_harness(*args, **kwargs), sys.stdout)\n"
+    )
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    child = subprocess.run(
+        [sys.executable, "-c", code], input=json.dumps([args, kwargs]), env=env,
+        capture_output=True, text=True, check=True,
+    )
+    return [tuple(row) for row in json.loads(child.stdout)]
+
+
 def test_per_update_cost_constant_in_n_and_linear_in_d():
     # An update costs c0 + c1*d, with a fixed c0 of a few microseconds (the
     # Python loop and the per-count ufunc/BLAS calls).  The tenfold step is
     # taken at d = 3e3 -> 3e4, where the d-term dominates; at 1e3 it is only
     # comparable to c0, so the ratio there measures the overhead, not O(d).
-    rows = timing_harness(
+    rows = _timing_harness_one_blas_thread(
         [3_000, 10_000, 30_000], 1_000, [(100, 200), (900, 1000)], seed=0
     )
     by = {(d, lo): ms for d, lo, hi, ms in rows}

@@ -306,6 +306,39 @@ class TestParserReuse:
         assert len(built) == 1
 
 
+class TestCountLists:
+    """A count list that is empty, has an empty field or a descending range is refused."""
+
+    @pytest.fixture
+    def state(self, tmp_path, rng):
+        counts, state = tmp_path / "counts.txt", tmp_path / "s.bin"
+        counts.write_text("\n".join(str(int(y)) for y in rng.poisson(2.0, 200)) + "\n")
+        assert main(["--no-meta", "fit", "--input", str(counts), "--eta", "0.1",
+                     "--dcap", "200", "--state-out", str(state)]) == 0
+        return str(state)
+
+    @pytest.mark.parametrize("ys", ["7..0", "", "0,,3", "0,", ",", "0..", "0..3,5", "1..2..3"])
+    def test_estimate_refuses_the_list_and_prints_nothing(self, state, capsys, ys):
+        capsys.readouterr()
+        assert main(["--no-meta", "estimate", "--state", state, "--y", ys]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "--y" in err
+
+    def test_a_single_count_range_and_a_list_are_answered(self, state, capsys):
+        capsys.readouterr()
+        assert main(["--no-meta", "estimate", "--state", state, "--y", "3..3"]) == 0
+        assert main(["--no-meta", "estimate", "--state", state, "--y", "0,3"]) == 0
+        rows = [line.split(",")[0] for line in capsys.readouterr().out.splitlines()]
+        assert rows == ["y", "3", "y", "0", "3"]
+
+    def test_bench_and_regret_name_their_flag(self, capsys):
+        assert main(["bench", "--d", "200,,400", "--n", "30", "--windows", "0:10"]) == 2
+        assert main(["bench", "--d", "", "--n", "30", "--windows", "0:10"]) == 2
+        assert main(["regret", "--atoms", "grid-atoms:1@0.5,5@0.5", "--checkpoints", "50,,400"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("--d ") == 2 and err.count("--checkpoints ") == 1
+
+
 class TestBenchAndRegret:
     def test_bench_emits_rows(self, tmp_path):
         out = tmp_path / "bench.csv"

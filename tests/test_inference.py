@@ -9,6 +9,7 @@ from scipy.special import ndtri, zeta
 from streameb import inference
 from streameb.engine import (
     LearningRate,
+    NewtonState,
     deserialize_state,
     init,
     serialize_state,
@@ -107,6 +108,8 @@ class TestEstimateTable:
         ratios = [ratio_estimate(state.g, y) for y in range(8)]
         assert state.cache.max_y == -1
         assert csv == _PAPER_DEFAULT_CSV
+        for report, full_width in zip(reports, _FULL_WIDTH_VARIANCES):
+            assert report.variance == pytest.approx(full_width, rel=1e-13, abs=0)
         assert theta.tolist() == ratios == [r.theta_hat for r in reports]
 
     def test_finite_where_the_linear_pmf_underflows(self):
@@ -199,15 +202,23 @@ def _fitted_weights(grid, seed, n=500):
 # `streameb estimate` prints them; pinned to the last bit.
 _PAPER_DEFAULT_CSV = """\
 y,theta_hat,variance,b_n,ci_low,ci_high,level
-0,2.7356603278023277,0.43908815497410525,433.15388705368264,2.6732577049751898,2.7980629506294656,0.95
-1,3.1394578284589265,0.3629702913576554,433.15388705368264,3.082721330837042,3.196194326080811,0.95
+0,2.7356603278023277,0.43908815497410547,433.15388705368264,2.6732577049751898,2.7980629506294656,0.95
+1,3.1394578284589265,0.3629702913576553,433.15388705368264,3.082721330837042,3.196194326080811,0.95
 2,3.5262277123640775,0.34167759021328886,433.15388705368264,3.471180512690328,3.581274912037827,0.95
-3,3.9085484673880817,0.3570200453819131,433.15388705368264,3.8522789379359517,3.9648179968402117,0.95
+3,3.9085484673880817,0.3570200453819132,433.15388705368264,3.8522789379359517,3.9648179968402117,0.95
 4,4.29333417377031,0.4025449739429131,433.15388705368264,4.233584685887127,4.353083661653493,0.95
-5,4.6834154627320945,0.48116902886813634,433.15388705368264,4.618091004621177,4.748739920843012,0.95
-6,5.079293732689846,0.5998910569341916,433.15388705368264,5.006354166366597,5.152233299013096,0.95
-7,5.479843432871455,0.768479511006649,433.15388705368264,5.397288480824343,5.562398384918567,0.95
+5,4.6834154627320945,0.48116902886813656,433.15388705368264,4.618091004621177,4.748739920843012,0.95
+6,5.079293732689846,0.5998910569341915,433.15388705368264,5.006354166366597,5.152233299013096,0.95
+7,5.479843432871455,0.7684795110066492,433.15388705368264,5.397288480824343,5.562398384918567,0.95
 """
+
+# The variances of those rows while the full sum ran over all 10,000 atoms;
+# the certified band moves them by summation order alone, and leaves the
+# other fields' bits as they were.
+_FULL_WIDTH_VARIANCES = [
+    0.43908815497410525, 0.3629702913576554, 0.34167759021328886, 0.3570200453819131,
+    0.4025449739429131, 0.48116902886813634, 0.5998910569341916, 0.768479511006649,
+]
 
 
 def _paper_default_state():
@@ -358,6 +369,100 @@ class TestCertifiedTruncation:
         assert rep.theta_hat == pytest.approx(760.7637, abs=1e-4)
         assert np.isfinite(rep.variance) and rep.variance > 0
         assert rep.ci_low < rep.theta_hat < rep.ci_high
+
+
+def _serve_like_state(n=20_000, seed=3):
+    """Weibull(3,5) counts on a paper grid capped at d = 200, as a serve checkpoint."""
+    _, ys = generate_compound(parse_prior("weibull:3,5"), n, seed)
+    m2 = float(np.mean(ys.astype(float) ** 2))
+    grid = build_equispaced_grid(GridSpec(0.025, 2, m2, d_cap=200))
+    return update_stream(init(grid, LearningRate(1.0, 0.99)), ys)
+
+
+class TestCertifiedBand:
+    """The full variance sum runs over a certified prefix of the grid.
+
+    ``oracles.full_width_estimates`` is the same query with the sum over
+    every atom.  Past the band every posterior term of the rows summed is an
+    exact 0.0, so the two differ by float64 summation order alone: within
+    rel 1e-13.  Where the band is the whole grid they agree bit for bit.
+    """
+
+    @staticmethod
+    def _query(monkeypatch, state, ys, y_max=None):
+        """``credible_intervals`` with the truncation point and band width it used."""
+        widths, moments = [], inference._second_moments
+
+        def spy(grid, contrasts, z, rows):
+            widths.append((contrasts.shape[1], z))
+            return moments(grid, contrasts, z, rows)
+
+        monkeypatch.setattr(inference, "_second_moments", spy)
+        reports = credible_intervals(state, ys, 0.95, y_max)
+        monkeypatch.undo()
+        return reports, widths[-1]
+
+    def _check(self, monkeypatch, state, ys, y_max=None, rel=1e-13):
+        reports, (h, z) = self._query(monkeypatch, state, ys, y_max)
+        thetas, moments, z_full = oracles.full_width_estimates(state.g, np.array(ys), y_max)
+        assert z == z_full
+        assert [r.theta_hat for r in reports] == thetas.tolist()
+        assert {r.b_n for r in reports} == {clt_scale(state.rate, state.n)}
+        for r, v in zip(reports, np.diag(moments)):
+            assert r.variance == pytest.approx(v, rel=rel, abs=0)
+        # every posterior term the band leaves out is exactly zero
+        post = oracles.posterior_table(state.g, z)[1]
+        assert not post[:, h:].any()
+        return h
+
+    def test_serve_and_paper_default_states_agree_with_the_full_width_sum(self, monkeypatch):
+        for state in (_serve_like_state(), _paper_default_state()):
+            h = self._check(monkeypatch, state, list(range(8)))
+            assert h < len(state.g.grid) // 4
+
+    def test_band_is_the_whole_grid_on_dense_and_five_atom_grids(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        dense = Grid(np.linspace(0.5, 8.0, 30))
+        five = Grid([0.5, 2.0, 4.5, 8.0, 13.0])
+        thetas = rng.choice(five.points, p=[0.15, 0.25, 0.25, 0.2, 0.15], size=5_000)
+        states = [
+            update_stream(init(dense, LearningRate(1.0, 0.9)), rng.poisson(3.0, 200)),
+            update_stream(init(five, LearningRate(1.0, 0.75)), rng.poisson(thetas)),
+        ]
+        for state in states:
+            assert self._check(monkeypatch, state, [0, 1, 2, 4, 8], rel=0) == len(state.g.grid)
+
+    def test_zero_weights_and_an_explicit_truncation_point(self, monkeypatch):
+        state = _serve_like_state(n=5_000)
+        w = state.g.weights.copy()
+        h = self._query(monkeypatch, state, list(range(8)))[1][0]
+        inside, beyond, short, far = w.copy(), w.copy(), w.copy(), w.copy()
+        inside[[1, 3, h // 2]] = 0.0
+        beyond[[h, h + 7]] = 0.0
+        beyond[h + 20 :] = 0.0
+        short[10:] = 0.0  # no weight past any band: nothing to bound
+        far[:40] = 0.0  # nothing in the first bands: they widen until one has weight
+        for weights in (inside, beyond, short, far):
+            g = MixingWeights(state.g.grid, weights / weights.sum())
+            zeroed = NewtonState(g, state.n, state.rate, state.cache)
+            self._check(monkeypatch, zeroed, list(range(8)))
+            for y_max in (5, 60):  # below the largest bumped count, and past it
+                self._check(monkeypatch, zeroed, [0, 3, 7], y_max)
+
+    def test_the_full_sum_reads_only_the_band_on_the_paper_default_state(self, monkeypatch):
+        # d = 1e4, and only the first ~900 atoms carry a posterior term that
+        # survives exp at any count up to the certified point (Z = 43)
+        state = _paper_default_state()
+        calls = []
+        rows = inference.log_kernel_rows
+        monkeypatch.setattr(inference, "log_kernel_rows",
+                            lambda grid, counts: calls.append((len(grid), list(counts))) or rows(grid, counts))
+        credible_intervals(state, range(8), 0.95)
+        (table_width, table), (band_width, past) = calls
+        assert table_width == 10_000 and table == list(range(9))
+        assert past == list(range(9, 44))
+        live = oracles.posterior_table(state.g, 43)[1].any(axis=0)
+        assert np.flatnonzero(live).max() < band_width < 1_000
 
 
 class TestWeightCovariance:
