@@ -155,6 +155,23 @@ def _parse_y_range(text: str):
     return list(range(lo, hi + 1))
 
 
+def _parse_windows(text: str, n: int):
+    """``--windows``: comma-separated ``lo:hi`` windows of the ``n`` timed updates.
+
+    Each needs ``0 <= lo <= hi <= n`` and ``lo < n``, so no window is empty.
+    """
+    windows = []
+    for field in text.split(","):
+        try:
+            lo, hi = (int(bound) for bound in field.split(":"))
+        except ValueError:
+            raise ValueError(f"--windows needs comma-separated lo:hi pairs, got {text!r}") from None
+        if not (0 <= lo <= hi <= n and lo < n):
+            raise ValueError(f"--windows {field!r} needs 0 <= lo <= hi <= {n} (--n) and lo < {n}")
+        windows.append((lo, hi))
+    return windows
+
+
 def _read_scalar_state(path: str) -> engine.NewtonState:
     """A serialized state from ``path``; lattice states have no CLI commands."""
     with open(path, "rb") as handle:
@@ -245,10 +262,7 @@ def _cmd_baseline(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    windows = []
-    for piece in args.windows.split(","):
-        lo, hi = piece.split(":")
-        windows.append((int(lo), int(hi)))
+    windows = _parse_windows(args.windows, args.n)
     ds = _parse_int_list(args.d, "--d")
     rows = evaluation.timing_harness(ds, args.n, windows, seed=args.seed)
     text = "d,window_lo,window_hi,median_ms\n"

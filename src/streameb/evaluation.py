@@ -21,9 +21,10 @@ import numpy as np
 from . import baselines, engine
 from .engine import LearningRate
 from .gridding import GridSpec, build_equispaced_grid
-from .inference import (
-    _estimate_table_from,
-    credible_intervals,
+# ratio_estimate stays importable here: perfbench/tracing.py patches it.
+from .inference import (  # noqa: F401
+    _log_pmfs,
+    _ratio_table,
     default_y_max,
     estimate_table,
     ratio_estimate,
@@ -31,10 +32,10 @@ from .inference import (
 from .model import (
     CountHistogram,
     Grid,
-    KernelMatrixCache,
     MixingWeights,
     _integers,
     log_kernel_rows,
+    log_mixture,
 )
 from .priors import PriorSpec
 
@@ -106,19 +107,18 @@ def regret(g_a: MixingWeights, g_b: MixingWeights, y_max: int | None = None) -> 
         raise ValueError("both weight vectors must live on the same grid")
     if y_max is None:
         y_max = default_y_max(g_a.grid)
-    log_rows = log_kernel_rows(g_a.grid, np.arange(y_max + 2))
-    return _regret_to(g_a.weights, log_rows, _estimate_table_from(log_rows, g_b.weights))
+    log_a, log_b = _log_pmfs(g_a.grid, [g_a.weights, g_b.weights], y_max + 1)
+    return _regret_to(log_a, _ratio_table(log_b))
 
 
-def _regret_to(weights: np.ndarray, log_rows: np.ndarray, oracle) -> float:
-    """``regret`` of ``weights`` against an oracle's ``estimate_table``, both over ``log_rows``.
+def _regret_to(log_p: np.ndarray, oracle) -> float:
+    """``regret`` of the mixture with ``log p`` (counts 0..y_max+1) against an oracle.
 
-    The rows are the log-kernel rows of the counts 0..y_max+1, built once
-    to score many weight vectors on one grid.
+    ``oracle`` is the oracle's ``(theta_hat, p)`` over the counts 0..y_max,
+    as ``estimate_table`` gives it.
     """
     est_b, p_b = oracle
-    est_a, _ = _estimate_table_from(log_rows, weights)
-    return float(np.dot((est_a - est_b) ** 2, p_b))
+    return float(np.dot((_ratio_table(log_p)[0] - est_b) ** 2, p_b))
 
 
 def batched_newton_stream(
@@ -243,11 +243,12 @@ def regret_decay_diagnostic(cfg: ExperimentConfig, checkpoints) -> RegretDecayRe
     )
     _, snaps = batched_newton_stream(grid, cfg.rate, y_rows, checkpoints=checkpoints)
     log_rows = log_kernel_rows(grid, np.arange(default_y_max(grid) + 2))  # serves every score
-    oracle = _estimate_table_from(log_rows, g_star.weights)
+    oracle = _ratio_table(log_mixture(log_rows, g_star.weights)[0])
     regrets = np.empty((len(cfg.seeds), len(checkpoints)))
     for ci, c in enumerate(checkpoints):
         for r in range(len(cfg.seeds)):
-            regrets[r, ci] = _regret_to(MixingWeights(grid, snaps[c][r]).weights, log_rows, oracle)
+            weights = MixingWeights(grid, snaps[c][r]).weights
+            regrets[r, ci] = _regret_to(log_mixture(log_rows, weights)[0], oracle)
     log_n = np.log(np.asarray(checkpoints, float))
     design = np.stack([log_n, np.ones_like(log_n)], axis=1)
     slopes = np.array(
@@ -261,52 +262,6 @@ def regret_decay_diagnostic(cfg: ExperimentConfig, checkpoints) -> RegretDecayRe
         median_slope=float(np.median(slopes)),
         tv_final=tv_final,
     )
-
-
-_DRAW_BLOCK = 1 << 22  # draws per block of rows: 32 MB float temporaries
-
-
-def atom_count_matrix(atoms, probs, reps: int, n: int, rng) -> np.ndarray:
-    """``(reps, n)`` Poisson counts at rates drawn from a grid-atoms prior.
-
-    The same draws as ``rng.poisson(rng.choice(atoms, size=(reps, n), p=probs))``,
-    made in blocks of rows: first every atom index, then every count.  Both
-    are kept in the narrowest unsigned type that holds them; the count
-    matrix is widened when a block's largest count overflows it.
-    """
-    atoms = np.asarray(atoms, dtype=float)
-    rows = max(1, _DRAW_BLOCK // n)
-    blocks = [slice(lo, lo + rows) for lo in range(0, reps, rows)]
-    idx = np.empty((reps, n), dtype=np.min_scalar_type(len(atoms) - 1))
-    for b in blocks:
-        idx[b] = rng.choice(len(atoms), size=idx[b].shape, p=probs)
-    ys = np.empty((reps, n), dtype=np.uint8)
-    for b in blocks:
-        counts = rng.poisson(atoms[idx[b]])
-        top = int(counts.max())
-        if top > np.iinfo(ys.dtype).max:
-            ys = ys.astype(np.min_scalar_type(top))
-        ys[b] = counts
-    return ys
-
-
-def interval_coverage(atoms, probs, rate, level, ys, reps, n_small, n_big, seed) -> dict:
-    """``{y: share of streams whose interval at n_small covers their n_big estimate}``.
-
-    ``reps`` seeded streams of ``n_big`` counts from the grid-atoms prior
-    (``atoms`` with ``probs``) run in lockstep on the atoms' grid.
-    """
-    grid = Grid(atoms)
-    y_matrix = atom_count_matrix(atoms, probs, reps, n_big, np.random.default_rng(seed))
-    final, snaps = batched_newton_stream(grid, rate, y_matrix, checkpoints=(n_small,))
-    cache = KernelMatrixCache(grid)  # NewtonState requires one; intervals do not read it
-    hits = dict.fromkeys(ys, 0)
-    for r in range(reps):
-        state = engine.NewtonState(MixingWeights(grid, snaps[n_small][r]), n_small, rate, cache)
-        g_big = MixingWeights(grid, final[r])
-        for rep in credible_intervals(state, ys, level):
-            hits[rep.y] += rep.ci_low <= ratio_estimate(g_big, rep.y) <= rep.ci_high
-    return {y: h / reps for y, h in hits.items()}
 
 
 def timing_harness(

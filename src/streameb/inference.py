@@ -27,18 +27,18 @@ for every requested count; the terms kept only add to that sum.
 result never differs from the fixed-cutoff value by more than the
 certificate allows and never costs more to compute.
 
-On a scalar grid the sum up to Z also runs over a certified prefix of the
-grid, not all d atoms: past it every posterior term of every count up to Z
+On a scalar grid every variance sum, the partial sums behind the
+certificate as well as the sum up to Z, runs over a certified prefix of the
+grid, not all d atoms: past it every posterior term of every count summed
 underflows to an exact 0.0, so the band changes the variance by float64
-summation order alone (see ``_banded_moments``).  Estimates, contrasts,
-the partial sums and Z itself are computed over the whole grid.
+summation order alone (see ``_moments``).  Estimates and contrasts are
+computed over the whole grid; the tail bound, and so Z, reads them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 from scipy.special import ndtri, pdtrc, zeta
@@ -66,7 +66,8 @@ _UNDERFLOW_NATS = 746.0
 # set: room for a row peak off the Poisson mode (grid spacing, weights),
 # so the first width rarely fails its check and costs a second sum.
 _REACH_SLACK_NATS = 8.0
-# Entries of log-kernel rows built at once for the variance sums.
+# Entries of log-kernel rows built at once for the variance sums and the
+# estimate tables.
 _BLOCK_ENTRIES = 2_000_000
 # Largest lattice whose covariance is computed.
 _COVARIANCE_MAX_D = 10**4
@@ -104,26 +105,37 @@ def ratio_estimate(g: MixingWeights, y) -> float | np.ndarray:
     On a ProductGrid ``y`` is a count vector and the result is the array of
     its k coordinate estimates ``(y_j + 1) p_g(y + e_j) / p_g(y)``.
     """
-    thetas = _pair_estimates(g, _counts(g.grid, [y]), _fresh_rows(g))[0]
+    thetas = _pair_estimates(g, _counts(g.grid, [y]))[0]
     return thetas if isinstance(g.grid, ProductGrid) else float(thetas[0])
 
 
 def estimate_table(g: MixingWeights, y_max: int):
-    """Ratio estimates and mixture pmf for every count 0..y_max, from one pmf table.
+    """Ratio estimates and mixture pmf for every count 0..y_max.
 
     Returns ``(theta_hat, p)`` with ``theta_hat[y] = ratio_estimate(g, y)``,
     bit for bit, and ``p[y] = p_g(y)``.  Scalar grids only.
     """
-    return _estimate_table_from(log_kernel_rows(g.grid, np.arange(y_max + 2)), g.weights)
+    return _ratio_table(_log_pmfs(g.grid, [g.weights], y_max + 1)[0])
 
 
-def _estimate_table_from(log_rows: np.ndarray, weights: np.ndarray):
-    """``estimate_table`` over given log-kernel rows of the counts 0..y_max+1.
+def _log_pmfs(grid: Grid, weights: list, top: int) -> np.ndarray:
+    """``log p(z)`` for z = 0..top under each weight vector of ``weights``, one row each.
 
-    One table of rows serves any number of weight vectors on its grid, with
-    the bits ``estimate_table`` gives each of them.
+    Log-kernel rows are built in blocks of ``_BLOCK_ENTRIES`` entries, each
+    block serving every weight vector, so memory stays bounded for any
+    ``top``; ``log_mixture`` gives a row the same bits in any block.
     """
-    log_p = log_mixture(log_rows, weights)[0]
+    step = max(1, _BLOCK_ENTRIES // len(grid))
+    out = np.empty((len(weights), top + 1))
+    for start in range(0, top + 1, step):
+        log_rows = log_kernel_rows(grid, np.arange(start, min(top + 1, start + step)))
+        for row, w in zip(out, weights):
+            row[start : start + len(log_rows)] = log_mixture(log_rows, w)[0]
+    return out
+
+
+def _ratio_table(log_p: np.ndarray):
+    """``(theta_hat, p)`` over the counts 0..y_max from the ``log p`` of counts 0..y_max+1."""
     theta_hat = np.arange(1, len(log_p)) * np.exp(log_p[1:] - log_p[:-1])
     return theta_hat, np.exp(log_p[:-1])
 
@@ -140,73 +152,28 @@ def clt_scale(rate: LearningRate, n: int) -> float:
     return 1.0 / float(zeta(2.0 * rate.gamma, rate.alpha + n))
 
 
-def _fresh_rows(g: MixingWeights):
-    """``zs ->`` ``log_mixture`` of the log-kernel rows of validated counts ``zs``."""
-    return lambda zs: log_mixture(log_kernel_rows(g.grid, zs), g.weights)
-
-
-def _band_rows(g: MixingWeights, width: int):
-    """``_fresh_rows`` over the first ``width`` atoms of a scalar grid alone."""
-    if width == len(g.grid):
-        return _fresh_rows(g)
-    band, weights = Grid(g.grid.points[:width]), g.weights[:width]
-    return lambda zs: log_mixture(log_kernel_rows(band, zs), weights)
-
-
-def _table_rows(g: MixingWeights, top: int):
-    """``_fresh_rows``, reading the counts 0..top in every coordinate from one table.
-
-    The table is built once, lexicographic over the cube of side ``top +
-    1``, cut to a side whose rows fit in ``_BLOCK_ENTRIES`` entries (and at
-    least 1), so its memory is bounded for any query; counts outside it are
-    computed per call.  ``log_mixture`` gives a row the same bits in any
-    block, so a row read from the table is the row computed fresh.
-
-    On a scalar grid ``rows(zs, width)`` cuts every posterior to the first
-    ``width`` atoms: table rows keep their full-width ``log p`` and are
-    sliced, and the rows past the table are computed over those atoms alone
-    (``_band_rows``).
-    """
-    grid, k = g.grid, g.grid.k
-    side = max(1, min(top + 1, int((_BLOCK_ENTRIES // len(grid)) ** (1.0 / k))))
-    shape = (side,) * k
-    cube = np.indices(shape).reshape(k, -1).T
-    table_log_p, table_post = _fresh_rows(g)(cube if isinstance(grid, ProductGrid) else cube[:, 0])
-
-    def rows(zs, width=len(grid)):
-        flat = zs.reshape(len(zs), k)
-        inside = (flat < side).all(axis=1)
-        at = np.ravel_multi_index(flat[inside].T, shape)
-        if inside.all():
-            return table_log_p[at], table_post[at, :width]
-        log_p, post = np.empty(len(zs)), np.empty((len(zs), width))
-        log_p[inside], post[inside] = table_log_p[at], table_post[at, :width]
-        log_p[~inside], post[~inside] = _band_rows(g, width)(zs[~inside])
-        return log_p, post
-
-    return rows
-
-
-def _pair_estimates(g: MixingWeights, ys: np.ndarray, rows):
+def _pair_estimates(g: MixingWeights, ys: np.ndarray):
     """Estimates and contrasts for every coordinate j of every validated count y in ``ys``.
 
     Pair i is count ``i // k`` with coordinate ``i % k`` bumped: ``theta[i]
     = (y_j + 1) p(y + e_j) / p(y)``, and ``contrasts[i] = k(y +
     e_j|theta)/p(y + e_j) - k(y|theta)/p(y)`` is read off the same two
-    posterior rows as ``(post(y + e_j) - post(y)) / g``.  ``rows`` maps
-    counts to their ``(log p, post)`` rows (``_fresh_rows`` or ``_table_rows``).
+    posterior rows as ``(post(y + e_j) - post(y)) / g``.  Each distinct
+    count among the pairs has its full-width row built once.
     """
     k = g.grid.k
     lo = np.repeat(ys.reshape(len(ys), k), k, axis=0)  # (m, k), m = len(ys) * k
     m, bumped = len(lo), (np.arange(len(lo)), np.tile(np.arange(k), len(ys)))
     hi = lo.copy()
     hi[bumped] += 1
-    both = np.concatenate([lo, hi]).reshape((2 * m,) + ys.shape[1:])
-    log_p, post = rows(both)
-    thetas = hi[bumped] * np.exp(log_p[m:] - log_p[:m])
-    active = g.support_mask()
-    contrasts = np.zeros((m, len(g.grid)))
-    contrasts[:, active] = (post[m:, active] - post[:m, active]) / g.weights[active]
+    # flat at k = 1: np.unique along an axis costs ~3x as much on a few counts
+    counts, at = np.unique(np.concatenate([lo, hi]), axis=0 if k > 1 else None, return_inverse=True)
+    rows = log_kernel_rows(g.grid, counts.reshape((-1,) + ys.shape[1:]))
+    log_p, post = log_mixture(rows, g.weights)
+    at = at.reshape(-1)
+    thetas = hi[bumped] * np.exp(log_p[at[m:]] - log_p[at[:m]])
+    contrasts = np.divide(post[at[m:]] - post[at[:m]], g.weights,
+                          out=np.zeros((m, len(g.grid))), where=g.support_mask())
     return thetas, contrasts
 
 
@@ -266,24 +233,26 @@ def _certified_y_max(g, contrasts, partial, z_lo: int, cap: int) -> int:
     return hi
 
 
-def _second_moments(grid, contrasts: np.ndarray, z: int, rows):
+def _second_moments(g: MixingWeights, contrasts: np.ndarray, z: int):
     """``sum p(z') s(z') s(z')^T`` over counts z' <= z in every coordinate, s = post(z') @ c.
 
-    Returns the sum and the ``log p`` of every count summed, in order.  The
-    counts are taken in lexicographic blocks of ``_BLOCK_ENTRIES`` entries
-    (rows of ``contrasts.shape[1]`` atoms) whatever ``rows`` (see
-    ``_pair_estimates``) computes, so the sum has the same bits for the
-    same rows.  Posteriors cut to a prefix of the atoms come with
-    ``contrasts`` cut to the same prefix.
+    On a scalar grid the posteriors run over its first ``contrasts.shape[1]``
+    atoms alone, their log-kernel rows computed by ``_log_kernel`` with the
+    bits ``log_kernel_rows`` gives them; on a ProductGrid over the whole
+    lattice.  Returns the sum and the ``log p`` of every count summed, in
+    order.  The rows are built lexicographically in blocks of
+    ``_BLOCK_ENTRIES`` entries, so the sum has the same bits on every call.
     """
-    zs = np.indices((z + 1,) * grid.k).reshape(grid.k, -1).T  # lexicographic
-    if not isinstance(grid, ProductGrid):
-        zs = zs[:, 0]
-    step = max(1, _BLOCK_ENTRIES // contrasts.shape[1])
+    grid, width = g.grid, contrasts.shape[1]
+    lattice = isinstance(grid, ProductGrid)
+    zs = np.indices((z + 1,) * grid.k).reshape(grid.k, -1).T if lattice else np.arange(z + 1)
+    step = max(1, _BLOCK_ENTRIES // width)
     out = np.zeros((len(contrasts), len(contrasts)))
     log_ps = []
     for start in range(0, len(zs), step):
-        log_p, post = rows(zs[start : start + step])
+        block = zs[start : start + step]
+        rows = log_kernel_rows(grid, block) if lattice else _log_kernel(grid.points[:width], block)
+        log_p, post = log_mixture(rows, g.weights[:width])
         s = post @ contrasts.T
         out += (np.exp(log_p)[:, None] * s).T @ s
         log_ps.append(log_p)
@@ -305,10 +274,11 @@ def _poisson_reach(z: int, nats: float) -> float:
     return z * u
 
 
-def _banded_moments(g: MixingWeights, contrasts: np.ndarray, z: int, rows) -> np.ndarray:
+def _moments(g: MixingWeights, contrasts: np.ndarray, z: int) -> np.ndarray:
     """``_second_moments`` up to z over a certified prefix [0, h) of a scalar grid.
 
-    Past h every score ``log k(z'|theta_j) + log g_j`` of a row z' <= z lies
+    Both the partial sums behind the truncation certificate and the full
+    sum are computed here.  Past h every score ``log k(z'|theta_j) + log g_j`` of a row z' <= z lies
     more than ``_UNDERFLOW_NATS`` below the row's peak, so ``log_mixture``
     over the whole grid would make each of those posterior terms an exact
     0.0 and the sum differs from the full-width one by summation order
@@ -318,25 +288,25 @@ def _banded_moments(g: MixingWeights, contrasts: np.ndarray, z: int, rows) -> np
     most ``log d``.  The check reads the ``log p`` of the rows the sum
     computes, O(z), and h starts where the Poisson kernel at z has fallen
     that far (and ``_REACH_SLACK_NATS`` more) below its mode and doubles
-    while the check fails; at h = d the sum is the full-width one, bit for
-    bit.
+    while the check fails; at h = d, and on a ProductGrid, the sum is the
+    full-width one.
     """
-    points, weights = g.grid.points, g.weights
-    d = len(points)
+    grid, weights, d = g.grid, g.weights, len(g.grid)
     margin = _UNDERFLOW_NATS + math.log(d)
-    zs = np.arange(z + 1)
-    h = max(1, int(np.searchsorted(points, _poisson_reach(z, margin + _REACH_SLACK_NATS))))
-    while h < d:
+    if isinstance(grid, ProductGrid):
+        h = d
+    else:
+        h = max(1, int(np.searchsorted(grid.points, _poisson_reach(z, margin + _REACH_SLACK_NATS))))
+    while True:
         if weights[:h].any():
-            moments, log_p = _second_moments(g.grid, contrasts[:, :h], z, partial(rows, width=h))
-            tail = float(weights[h:].max())
-            if tail == 0.0:
-                return moments
-            excluded = _log_kernel(points[h : h + 1], zs)[:, 0] + math.log(tail)
-            if (excluded <= log_p - margin).all():
+            moments, log_p = _second_moments(g, contrasts[:, :h], z)
+            tail = float(weights[h:].max(initial=0.0))  # 0.0: nothing past h to bound
+            if tail == 0.0 or (
+                _log_kernel(grid.points[h : h + 1], np.arange(z + 1))[:, 0] + math.log(tail)
+                <= log_p - margin
+            ).all():
                 return moments
         h = min(d, 2 * h)
-    return _second_moments(g.grid, contrasts, z, rows)[0]
 
 
 def _estimates(g: MixingWeights, ys: np.ndarray, y_max: int | None):
@@ -347,26 +317,17 @@ def _estimates(g: MixingWeights, ys: np.ndarray, y_max: int | None):
     vector span the covariance of its coordinate estimates.  All pairs
     share one truncation point: ``y_max`` when given, else the certified
     point, found from the sums up to the largest bumped count and the O(D)
-    tail bound.  The rows up to the largest bumped count are built once
-    (``_table_rows``): the pairs, the partial sums and the first rows of
-    the full sum read them.  The pairs, contrasts and partial sums span the
-    whole grid; on a scalar grid the full sum runs over the certified band
-    of ``_banded_moments`` and computes only the rows past the table, over
-    the band's atoms.
+    tail bound.  The pairs and contrasts span the whole grid; on a scalar
+    grid both the partial sums and the full sum run over the certified
+    band of ``_moments``.
     """
-    top = int(ys.max()) + 1
-    rows = _table_rows(g, top)
-    thetas, contrasts = _pair_estimates(g, ys, rows)
+    thetas, contrasts = _pair_estimates(g, ys)
     if y_max is None:
         cap = default_y_max(g.grid.base)
-        z_lo = min(top, cap)
-        partial = np.diag(_second_moments(g.grid, contrasts, z_lo, rows)[0])
+        z_lo = min(int(ys.max()) + 1, cap)
+        partial = np.diag(_moments(g, contrasts, z_lo))
         y_max = _certified_y_max(g, contrasts, partial, z_lo, cap)
-    if isinstance(g.grid, ProductGrid):
-        moments = _second_moments(g.grid, contrasts, y_max, rows)[0]
-    else:
-        moments = _banded_moments(g, contrasts, y_max, rows)
-    return thetas, np.outer(thetas, thetas) * moments
+    return thetas, np.outer(thetas, thetas) * _moments(g, contrasts, y_max)
 
 
 def asymptotic_variance(g: MixingWeights, y, y_max: int | None = None) -> float | np.ndarray:

@@ -12,8 +12,10 @@ recursion's earlier loop, one step at a time with every check in the
 step, kept as the bit-for-bit reference for the blocked loop, and
 ``lattice_reference`` is the lattice loop with its rows built by numpy's
 broadcast product, the reference for the ``dgemm`` row.
-``full_width_estimates`` is the interval query with its variance sum over
+``full_width_estimates`` is the interval query with its variance sums over
 every atom of the grid, the reference for the certified band.
+``atom_count_matrix`` and ``interval_coverage`` draw and score the
+lockstep streams of the interval-coverage criterion.
 """
 
 import math
@@ -25,9 +27,11 @@ from scipy.special import pdtrc, roots_legendre
 from scipy.stats import poisson, rv_discrete
 
 from streameb import engine, inference
-from streameb.inference import default_y_max
+from streameb.evaluation import batched_newton_stream
+from streameb.inference import credible_intervals, default_y_max, ratio_estimate
 from streameb.model import (
     DegenerateLikelihoodError,
+    Grid,
     KernelMatrixCache,
     MixingWeights,
     log_kernel_rows,
@@ -199,39 +203,43 @@ def lattice_reference(state, ys):
     return n, v / blas.dasum(v)
 
 
-def full_width_moments(g, contrasts, z, rows):
+def full_width_moments(g, contrasts, z):
     """``sum p(z') s(z') s(z')^T`` over z' = 0..z, every posterior over the whole grid.
 
     The variance sum as it ran before the band: blocks of
-    ``inference._BLOCK_ENTRIES // d`` rows from ``rows`` (the query's
-    ``inference._table_rows``), accumulated in the same order.
+    ``inference._BLOCK_ENTRIES // d`` full-width rows, accumulated in the
+    same order.
     """
     zs = np.arange(z + 1)
     step = max(1, inference._BLOCK_ENTRIES // len(g.grid))
     out = np.zeros((len(contrasts), len(contrasts)))
     for start in range(0, len(zs), step):
-        log_p, post = rows(zs[start : start + step])
+        log_p, post = log_mixture(log_kernel_rows(g.grid, zs[start : start + step]), g.weights)
         s = post @ contrasts.T
         out += (np.exp(log_p)[:, None] * s).T @ s
     return 0.5 * (out + out.T)
 
 
 def full_width_estimates(g, ys, y_max=None):
-    """``inference._estimates`` on a scalar grid with the full-width variance sum.
+    """``inference._estimates`` on a scalar grid with every variance sum full-width.
 
     Returns ``(theta, V, z)``: the pair estimates, their second-moment
-    matrix and the truncation point, ``y_max`` or the certified one.
+    matrix and the truncation point, ``y_max`` or the one certified from
+    full-width partial sums.  The pairs read one table of the rows 0..top.
     """
     ys = np.asarray(ys)
     top = int(ys.max()) + 1
-    rows = inference._table_rows(g, top)
-    thetas, contrasts = inference._pair_estimates(g, ys, rows)
+    log_p, post = log_mixture(log_kernel_rows(g.grid, np.arange(top + 1)), g.weights)
+    thetas = (ys + 1) * np.exp(log_p[ys + 1] - log_p[ys])
+    active = g.support_mask()
+    contrasts = np.zeros((len(ys), len(g.grid)))
+    contrasts[:, active] = (post[ys + 1][:, active] - post[ys][:, active]) / g.weights[active]
     if y_max is None:
         cap = default_y_max(g.grid)
         z_lo = min(top, cap)
-        partial = np.diag(full_width_moments(g, contrasts, z_lo, rows))
+        partial = np.diag(full_width_moments(g, contrasts, z_lo))
         y_max = inference._certified_y_max(g, contrasts, partial, z_lo, cap)
-    moments = full_width_moments(g, contrasts, y_max, rows)
+    moments = full_width_moments(g, contrasts, y_max)
     return thetas, np.outer(thetas, thetas) * moments, y_max
 
 
@@ -403,3 +411,49 @@ def coordinate_columns(grid):
     for j in range(grid.k):
         cols[j] = np.tile(np.repeat(grid.base.points, d ** (grid.k - 1 - j)), d**j)
     return cols
+
+
+_DRAW_BLOCK = 1 << 22  # draws per block of rows: 32 MB float temporaries
+
+
+def atom_count_matrix(atoms, probs, reps: int, n: int, rng) -> np.ndarray:
+    """``(reps, n)`` Poisson counts at rates drawn from a grid-atoms prior.
+
+    The same draws as ``rng.poisson(rng.choice(atoms, size=(reps, n), p=probs))``,
+    made in blocks of rows: first every atom index, then every count.  Both
+    are kept in the narrowest unsigned type that holds them; the count
+    matrix is widened when a block's largest count overflows it.
+    """
+    atoms = np.asarray(atoms, dtype=float)
+    rows = max(1, _DRAW_BLOCK // n)
+    blocks = [slice(lo, lo + rows) for lo in range(0, reps, rows)]
+    idx = np.empty((reps, n), dtype=np.min_scalar_type(len(atoms) - 1))
+    for b in blocks:
+        idx[b] = rng.choice(len(atoms), size=idx[b].shape, p=probs)
+    ys = np.empty((reps, n), dtype=np.uint8)
+    for b in blocks:
+        counts = rng.poisson(atoms[idx[b]])
+        top = int(counts.max())
+        if top > np.iinfo(ys.dtype).max:
+            ys = ys.astype(np.min_scalar_type(top))
+        ys[b] = counts
+    return ys
+
+
+def interval_coverage(atoms, probs, rate, level, ys, reps, n_small, n_big, seed) -> dict:
+    """``{y: share of streams whose interval at n_small covers their n_big estimate}``.
+
+    ``reps`` seeded streams of ``n_big`` counts from the grid-atoms prior
+    (``atoms`` with ``probs``) run in lockstep on the atoms' grid.
+    """
+    grid = Grid(atoms)
+    y_matrix = atom_count_matrix(atoms, probs, reps, n_big, np.random.default_rng(seed))
+    final, snaps = batched_newton_stream(grid, rate, y_matrix, checkpoints=(n_small,))
+    cache = KernelMatrixCache(grid)  # NewtonState requires one; intervals do not read it
+    hits = dict.fromkeys(ys, 0)
+    for r in range(reps):
+        state = engine.NewtonState(MixingWeights(grid, snaps[n_small][r]), n_small, rate, cache)
+        g_big = MixingWeights(grid, final[r])
+        for rep in credible_intervals(state, ys, level):
+            hits[rep.y] += rep.ci_low <= ratio_estimate(g_big, rep.y) <= rep.ci_high
+    return {y: h / reps for y, h in hits.items()}

@@ -24,7 +24,6 @@ from streameb.engine import LearningRate, init, update, update_stream
 from streameb.evaluation import (
     ExperimentConfig,
     generate_compound,
-    interval_coverage,
     regret,
     regret_decay_diagnostic,
     run_stream_experiment,
@@ -263,7 +262,7 @@ def test_interval_coverage_of_the_long_run_estimate():
     # Asymptotic check, not a finite-n guarantee: nominal 90% intervals at
     # n=5e3 should cover the same stream's n=5e5 estimate in >= 80% of runs.
     t0 = time.perf_counter()
-    coverage = interval_coverage(
+    coverage = oracles.interval_coverage(
         FIVE_ATOMS, FIVE_PROBS, LearningRate(1.0, 0.75), 0.90, [0, 1, 2],
         reps=200, n_small=5_000, n_big=500_000, seed=42,
     )

@@ -338,6 +338,23 @@ class TestCountLists:
         err = capsys.readouterr().err
         assert err.count("--d ") == 2 and err.count("--checkpoints ") == 1
 
+    @pytest.mark.parametrize(
+        "windows", ["", "5", "0:5:9", "a:5", "0:5,", "20:10", "-5:10", "40:50", "30:30", "0:31"]
+    )
+    def test_bench_refuses_a_window_outside_the_updates(self, capsys, windows):
+        # 30 timed updates: 0 <= lo <= hi <= 30 with lo < 30, else the window is empty
+        capsys.readouterr()
+        assert main(["bench", "--d", "200", "--n", "30", "--windows", windows]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "--windows" in err
+
+    def test_bench_takes_windows_up_to_the_last_update(self, capsys):
+        capsys.readouterr()
+        assert main(["--no-meta", "bench", "--d", "200", "--n", "30", "--windows", "0:0,20:30"]) == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+        assert [r[1:3] for r in rows] == [["0", "0"], ["20", "30"]]
+        assert all(float(r[3]) > 0 for r in rows)
+
 
 class TestBenchAndRegret:
     def test_bench_emits_rows(self, tmp_path):

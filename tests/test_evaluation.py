@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +10,6 @@ from streameb.engine import LearningRate, init, update_stream
 from streameb.evaluation import (
     ExperimentConfig,
     MetricRow,
-    atom_count_matrix,
     batched_newton_stream,
     generate_compound,
     metrics_to_csv,
@@ -49,9 +50,9 @@ class TestGenerateCompound:
     @pytest.mark.parametrize("atoms", [[0.5, 2.0, 4.5, 8.0, 13.0], [0.5, 2.0, 4.5, 8.0, 300.0]])
     def test_atom_count_blocks_match_one_draw(self, monkeypatch, atoms):
         # 8-row blocks; the second prior's counts overflow uint8 and widen.
-        monkeypatch.setattr(evaluation, "_DRAW_BLOCK", 8 * 5003)
+        monkeypatch.setattr(oracles, "_DRAW_BLOCK", 8 * 5003)
         probs = [0.15, 0.25, 0.25, 0.2, 0.15]
-        got = atom_count_matrix(atoms, probs, 37, 5003, np.random.default_rng(42))
+        got = oracles.atom_count_matrix(atoms, probs, 37, 5003, np.random.default_rng(42))
         rng = np.random.default_rng(42)
         want = rng.poisson(rng.choice(atoms, size=(37, 5003), p=probs))
         assert np.array_equal(got, want)
@@ -97,6 +98,20 @@ class TestRegret:
                 grid.points, g_b.weights, y
             )
         assert regret(g_a, g_b, 59) == pytest.approx(total, rel=1e-10)
+
+    def test_memory_stays_bounded_on_a_wide_grid(self):
+        # the default cutoff on a grid reaching 8,000 is 9,789 counts: their
+        # rows over d = 2,000 atoms take 157 MB per table, and a mixture
+        # over one table doubles that; rows built in blocks stay small
+        g = MixingWeights.uniform(Grid(np.linspace(4.0, 8000.0, 2000)))
+        assert inference.default_y_max(g.grid) == 9789
+        tracemalloc.start()
+        try:
+            value = regret(g, g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert value == 0.0 and peak < 64e6
 
     def test_asymmetric_in_its_arguments(self):
         grid = Grid([0.5, 2.0, 6.0])
@@ -224,8 +239,8 @@ class TestBatchedStream:
             with pytest.raises(ValueError, match="checkpoints"):
                 batched_newton_stream(grid, rate, ys, checkpoints=bad)
         with pytest.raises(ValueError, match="checkpoints"):
-            evaluation.interval_coverage([0.5, 2.0], [0.5, 0.5], rate, 0.9, [0, 1],
-                                         reps=2, n_small=50, n_big=20, seed=0)
+            oracles.interval_coverage([0.5, 2.0], [0.5, 0.5], rate, 0.9, [0, 1],
+                                      reps=2, n_small=50, n_big=20, seed=0)
 
     def test_start_weights_are_read_as_mixing_weights(self):
         grid, rate = Grid([0.5, 2.0, 5.0]), LearningRate(1.0, 0.8)
@@ -308,7 +323,8 @@ class TestRegretDecay:
 
         for owner in (model, inference, evaluation):  # every name a table could be built through
             monkeypatch.setattr(owner, "log_kernel_rows", counted_rows)
-        monkeypatch.setattr(inference, "log_mixture", counted_mixture)
+        for owner in (inference, evaluation):
+            monkeypatch.setattr(owner, "log_mixture", counted_mixture)
         res = regret_decay_diagnostic(cfg, checkpoints)
         monkeypatch.undo()
         assert len(tables) == 1  # one kernel table for the oracle and every snapshot

@@ -15,7 +15,7 @@ from streameb.engine import (
     serialize_state,
     update_stream,
 )
-from streameb.evaluation import generate_compound
+from streameb.evaluation import generate_compound, regret
 from streameb.gridding import GridSpec, build_equispaced_grid
 from streameb.inference import (
     EstimateReport,
@@ -111,6 +111,18 @@ class TestEstimateTable:
         for report, full_width in zip(reports, _FULL_WIDTH_VARIANCES):
             assert report.variance == pytest.approx(full_width, rel=1e-13, abs=0)
         assert theta.tolist() == ratios == [r.theta_hat for r in reports]
+
+    def test_row_blocks_keep_the_bits(self, monkeypatch):
+        # tables and regrets build their rows in blocks; a row has the same
+        # bits in any block, so three rows per block change nothing
+        g = _paper_default_state().g
+        oracle = MixingWeights.uniform(g.grid)
+        whole = estimate_table(g, 60), regret(g, oracle, 60)
+        monkeypatch.setattr(inference, "_BLOCK_ENTRIES", 3 * len(g.grid))
+        blocked = estimate_table(g, 60), regret(g, oracle, 60)
+        for a, b in zip(whole[0], blocked[0]):
+            assert a.tobytes() == b.tobytes()
+        assert whole[1] == blocked[1]
 
     def test_finite_where_the_linear_pmf_underflows(self):
         # k(y | 0.5) underflows long before y = 20000; the zero-weight atom
@@ -221,6 +233,22 @@ _FULL_WIDTH_VARIANCES = [
 ]
 
 
+# Intervals for y = 0..7 at level 0.95 on ``_serve_like_state()`` read back
+# from its checkpoint bytes, as a `serve-mixed` query prints them; pinned to
+# the last bit, variances included.
+_SERVE_LIKE_CSV = """\
+y,theta_hat,variance,b_n,ci_low,ci_high,level
+0,0.025,2.9508203852341306e-41,16078.521533371797,0.025,0.025,0.95
+1,0.02500000000000001,1.563743457767108e-34,16078.521533371797,0.02500000000000001,0.02500000000000001,0.95
+2,0.02500000000000962,5.873323454176684e-28,16078.521533371797,0.025000000000009244,0.025000000000009993,0.95
+3,0.02500000001924488,2.3497195524911716e-21,16078.521533371797,0.02500000001849562,0.025000000019994143,0.95
+4,0.025000038491530093,9.399680818586754e-15,16078.521533371797,0.02500003699294438,0.025000039990115807,0.95
+5,0.02507698622963188,3.760170371734431e-08,16078.521533371797,0.025073988939410933,0.025079983519852824,0.95
+6,0.17850632106155334,0.14858100204694427,16078.521533371797,0.17254823630877994,0.18446440581432674,0.95
+7,43.024283429094034,228.66832516410634,16078.521533371797,42.790546119600776,43.25802073858729,0.95
+"""
+
+
 def _paper_default_state():
     """500 Weibull(3,5) counts (seed 7) on the paper's grid: d = 1e4, hi > 5e3."""
     _, ys = generate_compound(parse_prior("weibull:3,5"), 500, 7)
@@ -280,41 +308,55 @@ class TestCertifiedTruncation:
         state = _paper_default_state()
         assert len(state.g.grid) == 10_000 and state.g.grid.hi > 5_000
         built = []
-        rows = inference.log_kernel_rows
-        monkeypatch.setattr(inference, "log_kernel_rows",
-                            lambda grid, counts: built.append(len(counts)) or rows(grid, counts))
+        mixture = inference.log_mixture
+        monkeypatch.setattr(inference, "log_mixture",
+                            lambda log_rows, w: built.append(len(log_rows)) or mixture(log_rows, w))
         reports = credible_intervals(state, range(8), 0.95)
         assert 0 < sum(built) < 200
         assert all(r.variance > 0 and r.ci_low < r.theta_hat < r.ci_high for r in reports)
 
-    def test_every_row_of_a_query_is_built_once(self, rng, monkeypatch):
-        # the pairs, the partial sums and the full sum share the rows up to
-        # the largest bumped count, so each count's row is built exactly once
-        built, found = [], []
-        rows, search = inference.log_kernel_rows, inference._certified_y_max
+    def test_each_full_width_row_is_built_once(self, rng, monkeypatch):
+        # the pairs build each distinct count's full-width row once; the
+        # variance sums build their own rows, over the band on a scalar grid
+        calls, shapes, found = [], [], []  # counts per log_kernel_rows call, row blocks mixed
+        rows, mixture, search = inference.log_kernel_rows, inference.log_mixture, inference._certified_y_max
 
         def counted_rows(grid, counts):
-            built.extend(np.asarray(counts).tolist())
+            calls.append(np.asarray(counts).tolist())
             return rows(grid, counts)
+
+        def counted_mixture(log_rows, weights):
+            shapes.append(log_rows.shape)
+            return mixture(log_rows, weights)
 
         def spied_search(*args):
             found.append(search(*args))
             return found[-1]
 
         monkeypatch.setattr(inference, "log_kernel_rows", counted_rows)
+        monkeypatch.setattr(inference, "log_mixture", counted_mixture)
         monkeypatch.setattr(inference, "_certified_y_max", spied_search)
         rate = LearningRate(1.0, 0.99)
         grid = Grid(np.linspace(0.025, 9662.75, 200))
         scalar = update_stream(init(grid, rate), rng.poisson(4.0, 300))
         credible_intervals(scalar, range(8), 0.95)
-        assert found[0] > 8 and sorted(built) == list(range(found[0] + 1))
+        assert calls == [list(range(9))]  # the pairs' rows, the only full-width ones
+        (pairs, width), (partial, partial_width), (summed, band) = shapes
+        assert (pairs, width) == (9, len(grid)) and partial == 9
+        assert found[0] > 8 and summed == found[0] + 1
+        assert max(partial_width, band) < len(grid)
 
-        built.clear()
+        calls.clear()
         lattice = ProductGrid(Grid(np.linspace(0.1, 40.0, 30)), 2)
         g = update_stream(init(lattice, rate), rng.poisson([3.0, 9.0], (300, 2))).g
         asymptotic_variance(g, [4, 11])
-        cube = np.indices((found[-1] + 1,) * 2).reshape(2, -1).T.tolist()  # lexicographic
-        assert found[-1] > 12 and sorted(built) == cube
+        pairs, summed = calls[0], [c for counts in calls[1:] for c in counts]
+
+        def cube(z):  # lexicographic
+            return np.indices((z + 1,) * 2).reshape(2, -1).T.tolist()
+
+        assert pairs == [[4, 11], [4, 12], [5, 11]]
+        assert found[-1] > 12 and summed == cube(12) + cube(found[-1])
 
     def test_negative_counts_are_rejected(self):
         g = MixingWeights(Grid([1.0, 2.0]), [0.5, 0.5])
@@ -390,35 +432,45 @@ class TestCertifiedBand:
 
     @staticmethod
     def _query(monkeypatch, state, ys, y_max=None):
-        """``credible_intervals`` with the truncation point and band width it used."""
-        widths, moments = [], inference._second_moments
+        """``credible_intervals`` with the band width and truncation point of each sum."""
+        bands, moments = [], inference._second_moments
 
-        def spy(grid, contrasts, z, rows):
-            widths.append((contrasts.shape[1], z))
-            return moments(grid, contrasts, z, rows)
+        def spy(g, contrasts, z):
+            bands.append((contrasts.shape[1], z))
+            return moments(g, contrasts, z)
 
         monkeypatch.setattr(inference, "_second_moments", spy)
         reports = credible_intervals(state, ys, 0.95, y_max)
         monkeypatch.undo()
-        return reports, widths[-1]
+        return reports, bands
 
     def _check(self, monkeypatch, state, ys, y_max=None, rel=1e-13):
-        reports, (h, z) = self._query(monkeypatch, state, ys, y_max)
+        reports, bands = self._query(monkeypatch, state, ys, y_max)
         thetas, moments, z_full = oracles.full_width_estimates(state.g, np.array(ys), y_max)
+        h, z = bands[-1]  # the full sum
         assert z == z_full
         assert [r.theta_hat for r in reports] == thetas.tolist()
         assert {r.b_n for r in reports} == {clt_scale(state.rate, state.n)}
         for r, v in zip(reports, np.diag(moments)):
             assert r.variance == pytest.approx(v, rel=rel, abs=0)
-        # every posterior term the band leaves out is exactly zero
-        post = oracles.posterior_table(state.g, z)[1]
-        assert not post[:, h:].any()
+        # every posterior term a band leaves out, in the partial sums and
+        # in the full sum, is exactly zero
+        for width, top in bands:
+            post = oracles.posterior_table(state.g, top)[1]
+            assert not post[:, width:].any()
         return h
 
     def test_serve_and_paper_default_states_agree_with_the_full_width_sum(self, monkeypatch):
         for state in (_serve_like_state(), _paper_default_state()):
             h = self._check(monkeypatch, state, list(range(8)))
             assert h < len(state.g.grid) // 4
+
+    def test_serve_like_checkpoint_keeps_its_pinned_bytes(self):
+        state = deserialize_state(serialize_state(_serve_like_state()))
+        assert len(state.g.grid) == 200
+        reports = credible_intervals(state, range(8), 0.95)
+        csv = EstimateReport.CSV_HEADER + "\n" + "\n".join(r.csv_row() for r in reports) + "\n"
+        assert csv == _SERVE_LIKE_CSV
 
     def test_band_is_the_whole_grid_on_dense_and_five_atom_grids(self, monkeypatch):
         rng = np.random.default_rng(5)
@@ -435,7 +487,7 @@ class TestCertifiedBand:
     def test_zero_weights_and_an_explicit_truncation_point(self, monkeypatch):
         state = _serve_like_state(n=5_000)
         w = state.g.weights.copy()
-        h = self._query(monkeypatch, state, list(range(8)))[1][0]
+        h = self._query(monkeypatch, state, list(range(8)))[1][-1][0]
         inside, beyond, short, far = w.copy(), w.copy(), w.copy(), w.copy()
         inside[[1, 3, h // 2]] = 0.0
         beyond[[h, h + 7]] = 0.0
@@ -453,14 +505,17 @@ class TestCertifiedBand:
         # d = 1e4, and only the first ~900 atoms carry a posterior term that
         # survives exp at any count up to the certified point (Z = 43)
         state = _paper_default_state()
-        calls = []
-        rows = inference.log_kernel_rows
+        calls, shapes = [], []
+        rows, mixture = inference.log_kernel_rows, inference.log_mixture
         monkeypatch.setattr(inference, "log_kernel_rows",
-                            lambda grid, counts: calls.append((len(grid), list(counts))) or rows(grid, counts))
+                            lambda grid, counts: calls.append(list(counts)) or rows(grid, counts))
+        monkeypatch.setattr(inference, "log_mixture",
+                            lambda log_rows, w: shapes.append(log_rows.shape) or mixture(log_rows, w))
         credible_intervals(state, range(8), 0.95)
-        (table_width, table), (band_width, past) = calls
-        assert table_width == 10_000 and table == list(range(9))
-        assert past == list(range(9, 44))
+        assert calls == [list(range(9))]  # the pairs' rows, the only full-width ones
+        (pairs, width), (partial, partial_width), (summed, band_width) = shapes
+        assert (pairs, width) == (9, 10_000)
+        assert partial == 9 and partial_width < 1_000 and summed == 44
         live = oracles.posterior_table(state.g, 43)[1].any(axis=0)
         assert np.flatnonzero(live).max() < band_width < 1_000
 
