@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
+import re
 import sys
 import time
 from dataclasses import dataclass
@@ -44,8 +46,12 @@ class IngestFormat:
       histogram-csv  header ``y,count`` then one pair per line
       event-window   TSV of (entity_id, origin_epoch_s, event_epoch_s); the
                      count for an entity is the number of its events within
-                     ``window_s`` seconds of its origin.  A row with an empty
-                     third field declares an entity with zero events.
+                     ``window_s`` seconds of its origin.  Every row of an
+                     entity gives the same origin, and timestamps are finite.
+                     A row with an empty third field declares an entity with
+                     zero events.
+
+    Counts are optionally signed runs of ASCII digits.
     """
 
     kind: str
@@ -58,24 +64,27 @@ class IngestFormat:
             raise ValueError("event-window ingestion needs a positive window length")
 
 
+# A count field: an optionally signed run of ASCII digits, so ``1_0`` and ``٣`` are refused.
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+
+
+def _lines(path: str) -> list:
+    """``(line number, line)`` for each nonblank line of ``path``; a file with none is refused."""
+    with open(path, "r", encoding="utf-8") as handle:
+        lines = [(ln, line) for ln, line in enumerate(handle.read().splitlines(), 1) if line.strip()]
+    if not lines:
+        raise ValueError(f"{path}: empty input")
+    return lines
+
+
 def read_count_stream(path: str) -> list:
     """Counts-lines parser preserving file order (one integer per line)."""
-    with open(path, "r", encoding="utf-8") as handle:
-        lines = handle.read().splitlines()
     counts = []
-    for ln, line in enumerate(lines, 1):
+    for ln, line in _lines(path):
         line = line.strip()
-        if not line:
-            continue
-        try:
-            y = int(line)
-            if y < 0:
-                raise ValueError
-        except ValueError:
+        if not _INTEGER.fullmatch(line) or int(line) < 0:
             raise ValueError(f"{path}:{ln}: expected a nonnegative integer, got {line!r}")
-        counts.append(y)
-    if not counts:
-        raise ValueError(f"{path}: empty input")
+        counts.append(int(line))
     return counts
 
 
@@ -83,28 +92,20 @@ def ingest(path: str, fmt: IngestFormat) -> CountHistogram:
     """Parse a file into a histogram; malformed lines report their number."""
     if fmt.kind == "counts-lines":
         return CountHistogram.from_counts(read_count_stream(path))
-    with open(path, "r", encoding="utf-8") as handle:
-        lines = handle.read().splitlines()
-    if not any(line.strip() for line in lines):
-        raise ValueError(f"{path}: empty input")
+    lines = _lines(path)
     if fmt.kind == "histogram-csv":
+        if lines[0][0] == 1 and lines[0][1].strip().lower().replace(" ", "") == "y,count":
+            lines = lines[1:]
         pairs = []
-        start = 1 if lines and lines[0].strip().lower().replace(" ", "") == "y,count" else 0
-        for ln, line in enumerate(lines[start:], start + 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                y_str, n_str = line.split(",")
-                pairs.append((int(y_str), int(n_str)))
-            except ValueError:
-                raise ValueError(f"{path}:{ln}: expected 'y,count', got {line!r}")
+        for ln, line in lines:
+            fields = [field.strip() for field in line.split(",")]
+            if len(fields) != 2 or not all(_INTEGER.fullmatch(field) for field in fields):
+                raise ValueError(f"{path}:{ln}: expected 'y,count', got {line.strip()!r}")
+            pairs.append((int(fields[0]), int(fields[1])))
         return CountHistogram.from_pairs(pairs)
-    # event-window
-    events: dict = {}
-    for ln, line in enumerate(lines, 1):
-        if not line.strip():
-            continue
+    # event-window: one count per entity id, each entity with a single origin
+    origins, events = {}, {}
+    for ln, line in lines:
         parts = line.split("\t")
         if len(parts) != 3:
             raise ValueError(f"{path}:{ln}: expected 3 tab-separated fields")
@@ -114,10 +115,17 @@ def ingest(path: str, fmt: IngestFormat) -> CountHistogram:
             event = float(event_s) if event_s else None
         except ValueError:
             raise ValueError(f"{path}:{ln}: bad timestamp")
-        key = (entity, origin)
-        events.setdefault(key, 0)
+        if not math.isfinite(origin) or (event is not None and not math.isfinite(event)):
+            raise ValueError(f"{path}:{ln}: timestamps must be finite")
+        first = origins.setdefault(entity, origin)
+        if origin != first:
+            raise ValueError(
+                f"{path}:{ln}: entity {entity!r} has origin {origin!r}, "
+                f"but {first!r} on its first row"
+            )
+        events.setdefault(entity, 0)
         if event is not None and 0.0 <= event - origin <= fmt.window_s:
-            events[key] += 1
+            events[entity] += 1
     return CountHistogram.from_counts(events.values())
 
 

@@ -29,14 +29,7 @@ from .inference import (  # noqa: F401
     estimate_table,
     ratio_estimate,
 )
-from .model import (
-    CountHistogram,
-    Grid,
-    MixingWeights,
-    _integers,
-    log_kernel_rows,
-    log_mixture,
-)
+from .model import CountHistogram, Grid, MixingWeights, _integers
 from .priors import PriorSpec
 
 
@@ -242,13 +235,13 @@ def regret_decay_diagnostic(cfg: ExperimentConfig, checkpoints) -> RegretDecayRe
         [generate_compound(cfg.prior, n_total, seed)[1] for seed in cfg.seeds]
     )
     _, snaps = batched_newton_stream(grid, cfg.rate, y_rows, checkpoints=checkpoints)
-    log_rows = log_kernel_rows(grid, np.arange(default_y_max(grid) + 2))  # serves every score
-    oracle = _ratio_table(log_mixture(log_rows, g_star.weights)[0])
-    regrets = np.empty((len(cfg.seeds), len(checkpoints)))
-    for ci, c in enumerate(checkpoints):
-        for r in range(len(cfg.seeds)):
-            weights = MixingWeights(grid, snaps[c][r]).weights
-            regrets[r, ci] = _regret_to(log_mixture(log_rows, weights)[0], oracle)
+    # one pass of kernel rows scores the oracle, then each seed's snapshots in checkpoint order
+    weights = [MixingWeights(grid, snaps[c][r]).weights for r in range(len(cfg.seeds))
+               for c in checkpoints]
+    log_star, *log_ps = _log_pmfs(grid, [g_star.weights] + weights, default_y_max(grid) + 1)
+    oracle = _ratio_table(log_star)
+    regrets = np.array([_regret_to(log_p, oracle) for log_p in log_ps])
+    regrets = regrets.reshape(len(cfg.seeds), len(checkpoints))
     log_n = np.log(np.asarray(checkpoints, float))
     design = np.stack([log_n, np.ones_like(log_n)], axis=1)
     slopes = np.array(

@@ -290,9 +290,17 @@ def _grown(buf: np.ndarray, rows: int, keep: int) -> np.ndarray:
 
 
 def _log_kernel(points: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Rows ``log k(y | points)`` for each count in ``ys``, shape (len(ys), d)."""
+    """Rows ``log k(y | points)`` for each count in ``ys``, shape (len(ys), d).
+
+    One array is allocated and the two remaining terms are subtracted in
+    place; IEEE addition commutes, so each entry has the bits of
+    ``-theta + y log theta - lgamma(y + 1)``.
+    """
     ys = np.asarray(ys, dtype=float)[:, None]
-    return -points[None, :] + ys * np.log(points[None, :]) - gammaln(ys + 1.0)
+    rows = ys * np.log(points)
+    rows -= points
+    rows -= gammaln(ys + 1.0)
+    return rows
 
 
 def _integers(values, what: str) -> np.ndarray:
@@ -330,18 +338,17 @@ def log_kernel_rows(grid: Grid | ProductGrid, counts) -> np.ndarray:
     """Log-kernel rows, shape (n, len(grid)), one per count or count vector.
 
     ``counts`` has shape (n,) on a Grid and (n, k) on a ProductGrid.  A
-    lattice row is the outer sum of its k base rows, flattened in the
-    lattice's lexicographic order.  Base rows are computed once per distinct
-    count; each entry is the same elementwise formula whichever counts
-    share the call, so a row has the same bits in every block.
+    lattice row is the outer sum of its k base rows, one per coordinate,
+    flattened in the lattice's lexicographic order.  Each entry is the same
+    elementwise formula whichever counts share the call, so a row has the
+    same bits in every block.
     """
-    counts = _counts(grid, counts)
-    needed, inverse = np.unique(counts, return_inverse=True)
-    table, counts = _log_kernel(grid.base.points, needed), inverse.reshape(counts.shape)
-    first, *rest = counts.reshape(len(counts), -1).T  # one column of counts per coordinate
-    rows = table[first]
+    counts, points = _counts(grid, counts), grid.base.points
+    first, *rest = counts.reshape(len(counts), grid.k).T  # one column of counts per coordinate
+    rows = _log_kernel(points, first)
     for col in rest:
-        rows = (rows[:, :, None] + table[col][:, None, :]).reshape(len(counts), -1)
+        rows = rows[:, :, None] + _log_kernel(points, col)[:, None, :]
+        rows = rows.reshape(len(col), rows.shape[1] * len(points))
     return rows
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -61,6 +62,60 @@ class TestIngest:
         h = ingest(str(path), IngestFormat("event-window", window_s=30.0))
         assert h.entries == {2: 1, 0: 1}
 
+    def test_event_window_keys_entities_by_id(self, tmp_path):
+        # a second origin for entity a is refused, not read as a new entity
+        path = tmp_path / "events.tsv"
+        path.write_text("a\t0\t5\na\t100\t105\nb\t0\t\n")
+        with pytest.raises(ValueError, match=r"events\.tsv:2: entity 'a' has origin 100\.0"):
+            ingest(str(path), IngestFormat("event-window", window_s=30.0))
+        path.write_text("a\t0\t5\na\t0.0\t29\nb\t0\t\n")
+        assert ingest(str(path), IngestFormat("event-window", window_s=30.0)).entries == {
+            2: 1, 0: 1}
+
+    @pytest.mark.parametrize("rows, line", [
+        ("a\tnan\t5\nc\t0\t3\n", 1),
+        ("c\t0\t3\nb\t0\tinf\n", 2),
+        ("c\t0\t3\nb\t-inf\t\n", 2),
+    ])
+    def test_event_window_refuses_non_finite_timestamps(self, tmp_path, capsys, rows, line):
+        path = tmp_path / "events.tsv"
+        path.write_text(rows)
+        with pytest.raises(ValueError, match=f"events\\.tsv:{line}: timestamps must be finite"):
+            ingest(str(path), IngestFormat("event-window", window_s=30.0))
+        assert main(["fit", "--input", str(path), "--format", "event-window",
+                     "--window", "30"]) == 2
+
+    @pytest.mark.parametrize("field", ["1_0", "\u0663", "\uff13", "3.0", "0x3"])
+    def test_counts_lines_take_ascii_digits_only(self, tmp_path, capsys, field):
+        path = tmp_path / "counts.txt"
+        path.write_text(f"2\n{field}\n")
+        with pytest.raises(ValueError, match=r"counts\.txt:2: expected a nonnegative integer"):
+            ingest(str(path), IngestFormat("counts-lines"))
+        assert main(["--no-meta", "baseline", "--method", "robbins", "--format", "counts-lines",
+                     "--input", str(path)]) == 2
+        assert capsys.readouterr().out == ""
+
+    def test_count_signs_keep_their_handling(self, tmp_path):
+        path = tmp_path / "counts.txt"
+        path.write_text("+3\n-0\n")
+        assert ingest(str(path), IngestFormat("counts-lines")).entries == {3: 1, 0: 1}
+        path.write_text("3\n-2\n")
+        with pytest.raises(ValueError, match=r":2: expected a nonnegative integer, got '-2'"):
+            ingest(str(path), IngestFormat("counts-lines"))
+        path.write_text("y,count\n+1, 3\n2 ,+4\n")
+        assert ingest(str(path), IngestFormat("histogram-csv")).entries == {1: 3, 2: 4}
+        path.write_text("y,count\n-1,3\n")
+        with pytest.raises(ValueError, match="counts must be nonnegative"):
+            ingest(str(path), IngestFormat("histogram-csv"))
+
+    @pytest.mark.parametrize("row", ["1_0,3", "1,1_0", "\u0663,3", "1,\u0663", "1,3.0", "1,3,4"])
+    def test_histogram_csv_takes_ascii_digits_only(self, tmp_path, capsys, row):
+        path = tmp_path / "hist.csv"
+        path.write_text(f"y,count\n0,5\n{row}\n")
+        with pytest.raises(ValueError, match=r"hist\.csv:3: expected 'y,count'"):
+            ingest(str(path), IngestFormat("histogram-csv"))
+        assert main(["--no-meta", "baseline", "--method", "robbins", "--input", str(path)]) == 2
+
     def test_event_window_needs_a_window(self):
         with pytest.raises(ValueError):
             IngestFormat("event-window")
@@ -106,6 +161,39 @@ class TestBaselineCommand:
         assert code == 0
         err = capsys.readouterr().err
         assert "'converged': True" in err and "'qp_solves': " in err
+
+
+# sha256 of --no-meta stdout for outputs that read kernel rows: the regret
+# diagnostic's tables, the mix-SQP kernels of the grid baselines and the
+# stream experiment's estimate table.  A change to the row arithmetic that
+# moves one bit of any of them shows here.
+_PINNED_OUTPUTS = {
+    "regret": (
+        ["regret", "--atoms", "grid-atoms:1@0.5,5@0.5", "--gamma", "0.75",
+         "--replications", "3", "--checkpoints", "50,150,400"],
+        "4f4c69e5b08cd813bf6ec3ca8eee6835ded0a14a96939b9e74a266bb7fa7562c",
+    ),
+    "npmle": (
+        ["baseline", "--method", "npmle", "--input", "{accident_csv}"],
+        "1d34c0514f3715aa8afe97df2e3bf690b39e490fe0545956708d66200a382e01",
+    ),
+    "npmd": (
+        ["baseline", "--method", "npmd", "--input", "{accident_csv}"],
+        "e982b30c39ee9d0136e3fcdc9c9272e6ec59090225baad568d4151c23d0c2a3b",
+    ),
+    "fit-weibull": (
+        ["fit", "--prior", "weibull:3,5", "--n", "500", "--seed", "7"],
+        "a5ac807c6db9f86d16c9a560e1740d8fcfa7096fef14e7487be7be34b46e2cc8",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED_OUTPUTS))
+def test_outputs_keep_their_bytes(name, accident_csv, capsys):
+    args, digest = _PINNED_OUTPUTS[name]
+    capsys.readouterr()
+    assert main(["--no-meta"] + [a.format(accident_csv=accident_csv) for a in args]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == digest
 
 
 def test_importing_the_cli_leaves_scipy_optimize_unloaded():

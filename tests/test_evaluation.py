@@ -321,10 +321,9 @@ class TestRegretDecay:
             mixtures.append(log_rows.shape)
             return mixture(log_rows, weights)
 
-        for owner in (model, inference, evaluation):  # every name a table could be built through
+        for owner in (model, inference):  # every name a table could be built through
             monkeypatch.setattr(owner, "log_kernel_rows", counted_rows)
-        for owner in (inference, evaluation):
-            monkeypatch.setattr(owner, "log_mixture", counted_mixture)
+        monkeypatch.setattr(inference, "log_mixture", counted_mixture)
         res = regret_decay_diagnostic(cfg, checkpoints)
         monkeypatch.undo()
         assert len(tables) == 1  # one kernel table for the oracle and every snapshot

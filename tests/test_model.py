@@ -1,6 +1,7 @@
 import math
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from streameb.model import (
     Grid,
     KernelMatrixCache,
     MixingWeights,
+    ProductGrid,
     log_kernel_rows,
     log_mixture,
     mixture_pmf,
@@ -141,6 +143,38 @@ class TestLogPoissonKernel:
             log_poisson_kernel(-1, 1.0)
         with pytest.raises(ValueError):
             log_poisson_kernel(2.5, 1.0)
+
+
+class TestLogKernelRows:
+    def test_unsorted_repeated_counts_match_one_count_calls(self):
+        grid = Grid([0.3, 1.7, 4.0, 55.0])
+        ys = [7, 0, 7, 3, 0, 120, 3]
+        rows = log_kernel_rows(grid, ys)
+        assert rows.shape == (len(ys), len(grid))
+        for y, row in zip(ys, rows):
+            assert row.tobytes() == log_kernel_rows(grid, [y])[0].tobytes()
+
+    def test_lattice_rows_match_one_count_calls(self):
+        grid = ProductGrid(Grid([0.3, 1.7, 4.0]), 3)
+        ys = [(2, 0, 2), (0, 5, 1), (2, 0, 2), (1, 1, 1), (0, 5, 1)]
+        rows = log_kernel_rows(grid, ys)
+        assert rows.shape == (len(ys), grid.size)
+        for y, row in zip(ys, rows):
+            assert row.tobytes() == log_kernel_rows(grid, [y])[0].tobytes()
+
+    def test_no_counts_give_no_rows(self):
+        assert log_kernel_rows(Grid([1.0, 2.0, 3.0]), []).shape == (0, 3)
+
+    def test_peak_memory_near_the_output(self):
+        # 1,000 rows over 2,000 atoms are 16 MB; building them takes no second array
+        grid = Grid(np.linspace(0.5, 4000.0, 2000))
+        tracemalloc.start()
+        try:
+            rows = log_kernel_rows(grid, np.arange(1000))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * rows.nbytes
 
 
 class TestKernelCache:
