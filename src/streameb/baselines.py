@@ -104,38 +104,52 @@ def _nonnegative_qp(
     coordinate leaves the support.  ``a`` has one row per distinct count, so
     the d x d Hessian ``a' a`` is never formed.  Returns y and the number of
     linear systems solved.
+
+    Reused between solves: the support is one index array, and its column
+    block ``a_S`` is gathered from ``a`` only when a coordinate enters; a
+    coordinate that leaves takes its column out of the block, with no new
+    gather.  The gradient that picks the next coordinate reuses that block
+    and the solution on the support that the last solve formed.  Every
+    float operation and its order are those of a fresh gather per solve.
     """
     y = np.zeros(a.shape[1]) if start is None else start.copy()
     ax = a @ x
-    support = np.flatnonzero(y).tolist()
+    support = np.flatnonzero(y)
+    a_s, y_s = a[:, support], y[support]
     solves, entering = 0, None
     for _ in range(4 * a.shape[1] + 10):
-        while support:
-            a_s, cur = a[:, support], y[support]
+        while support.size:
+            cur = y[support]
             hess = a_s.T @ a_s
-            hess.flat[:: len(support) + 1] += 1e-10
+            hess.ravel()[:: support.size + 1] += 1e-10
             _, _, delta, info = dgesv(hess, a_s.T @ (a_s @ cur - ax) + g[support])
             solves += 1
             if info != 0:
                 raise np.linalg.LinAlgError("Singular matrix")
-            z = cur - delta
-            if z.min() > 0:
-                y[support] = z
+            y_s = cur - delta
+            if y_s[y_s.argmin()] > 0:  # = y_s.min() > 0, NaN too, at a fraction of its cost
+                y[support] = y_s
                 break
-            hit = np.flatnonzero(z <= 0)
-            ratios = cur[hit] / (cur[hit] - z[hit])
-            moved = cur + ratios.min() * (z - cur)
-            moved[hit[np.argmin(ratios)]] = 0.0
-            y[support] = np.maximum(moved, 0.0)
-            support = [k for k in support if y[k] > 0]
-        if entering is not None and entering not in support:
-            break  # the entering coordinate cannot move: no progress left
-        grad = a.T @ (a[:, support] @ y[support] - ax) + g
+            hit = (y_s <= 0).nonzero()[0]
+            held = cur[hit]
+            ratios = held / (held - y_s[hit])
+            first = ratios.argmin()
+            moved = cur + ratios[first] * (y_s - cur)
+            moved[hit[first]] = 0.0
+            y_s = np.maximum(moved, 0.0)
+            y[support] = y_s
+            keep = y_s > 0
+            support, y_s = support[keep], y_s[keep]
+            a_s = a_s[:, keep]
+        if entering is not None and not y[entering] > 0:
+            break  # the entering coordinate left the support again: no progress left
+        grad = a.T @ (a_s @ y_s - ax) + g
         grad[support] = 0.0
-        entering = int(np.argmin(grad))
+        entering = int(grad.argmin())
         if grad[entering] >= -tol:
             break
-        support.append(entering)
+        support = np.concatenate((support, [entering]))
+        a_s = a[:, support]
     return y, solves
 
 
@@ -166,22 +180,26 @@ def _run_sqp(h: CountHistogram, cfg: SolverConfig, objective, gain, lam: float, 
     y, qp_solves = None, 0  # y: the last subproblem's solution, the next one's start
     for it in range(1, cfg.max_iters + 1):
         p = kernel @ x
-        value, u, _ = objective(p)
+        value, u, c = objective(p)
         path.append(value)
-        cert = float((u @ kernel).max() / (u @ p))
+        uk = u @ kernel
+        cert = float(uk.max() / (u @ p))
         converged = cert <= 1.0 + cfg.tol
         if converged or it == cfg.max_iters:  # the result is the iterate just checked
             break
         s = scale(value)
-        x, p = s * x, s * p
-        _, u, c = objective(p)
-        grad = lam - u @ kernel
+        if s != 1.0:  # at s = 1 the scaled point is p itself, and so are u, c and uk
+            x, p = s * x, s * p
+            _, u, c = objective(p)
+            uk = u @ kernel
+        grad = lam - uk
         a = np.sqrt(c)[:, None] * kernel
         y, solves = _nonnegative_qp(a, grad, x, y)
         qp_solves += solves
         step = y - x
         dp = kernel @ step
-        t = float(np.min((_PMF_FLOOR - 1.0) * p[dp < 0] / dp[dp < 0], initial=1.0))
+        down = dp < 0
+        t = float(((_PMF_FLOOR - 1.0) * p[down] / dp[down]).min(initial=1.0))
         slope, total = float(grad @ step), float(step.sum())
         while t >= 1e-10 and lam * t * total - gain(p, t * dp) > 0.01 * t * slope:
             t *= 0.5

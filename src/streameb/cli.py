@@ -66,6 +66,26 @@ class IngestFormat:
 
 # A count field: an optionally signed run of ASCII digits, so ``1_0`` and ``٣`` are refused.
 _INTEGER = re.compile(r"[+-]?[0-9]+")
+# A timestamp: an ASCII decimal float; the non-finite spellings parse, to be refused as such.
+_TIMESTAMP = re.compile(
+    r"[+-]?(?:(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?|inf|infinity|nan)", re.IGNORECASE
+)
+
+
+def _ascii_ints(fields) -> list:
+    """Integers from ``fields``, each an ``_INTEGER`` once the blanks around it are stripped."""
+    fields = [field.strip() for field in fields]
+    if not all(_INTEGER.fullmatch(field) for field in fields):
+        raise ValueError(f"not an integer: {fields!r}")
+    return [int(field) for field in fields]
+
+
+def _flag_int(text: str) -> int:
+    """argparse type of the integer flags: the ``_INTEGER`` rule of the input files."""
+    try:
+        return _ascii_ints([text])[0]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
 
 
 def _lines(path: str) -> list:
@@ -110,11 +130,11 @@ def ingest(path: str, fmt: IngestFormat) -> CountHistogram:
         if len(parts) != 3:
             raise ValueError(f"{path}:{ln}: expected 3 tab-separated fields")
         entity, origin_s, event_s = (p.strip() for p in parts)
-        try:
-            origin = float(origin_s)
-            event = float(event_s) if event_s else None
-        except ValueError:
-            raise ValueError(f"{path}:{ln}: bad timestamp")
+        for stamp in (origin_s, event_s) if event_s else (origin_s,):
+            if not _TIMESTAMP.fullmatch(stamp):
+                raise ValueError(f"{path}:{ln}: bad timestamp {stamp!r}")
+        origin = float(origin_s)
+        event = float(event_s) if event_s else None
         if not math.isfinite(origin) or (event is not None and not math.isfinite(event)):
             raise ValueError(f"{path}:{ln}: timestamps must be finite")
         first = origins.setdefault(entity, origin)
@@ -145,7 +165,7 @@ def _emit(text: str, args) -> None:
 def _parse_int_list(text: str, flag: str):
     """Comma-separated integers; an empty list or an empty field is refused."""
     try:
-        return [int(field) for field in text.split(",")]
+        return _ascii_ints(text.split(","))
     except ValueError:
         raise ValueError(f"{flag} needs comma-separated integers, got {text!r}") from None
 
@@ -155,7 +175,7 @@ def _parse_y_range(text: str):
     if ".." not in text:
         return _parse_int_list(text, "--y")
     try:
-        lo, hi = (int(bound) for bound in text.split(".."))
+        lo, hi = _ascii_ints(text.split(".."))
     except ValueError:
         raise ValueError(f"--y needs a range lo..hi of integers, got {text!r}") from None
     if hi < lo:
@@ -171,7 +191,7 @@ def _parse_windows(text: str, n: int):
     windows = []
     for field in text.split(","):
         try:
-            lo, hi = (int(bound) for bound in field.split(":"))
+            lo, hi = _ascii_ints(field.split(":"))
         except ValueError:
             raise ValueError(f"--windows needs comma-separated lo:hi pairs, got {text!r}") from None
         if not (0 <= lo <= hi <= n and lo < n):
@@ -311,18 +331,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     fit = sub.add_parser("fit", help="stream counts through the recursion")
     fit.add_argument("--prior", help="synthetic prior, e.g. weibull:5,3")
-    fit.add_argument("--n", type=int, default=500)
+    fit.add_argument("--n", type=_flag_int, default=500)
     fit.add_argument("--input", help="count file to stream instead of a prior")
     fit.add_argument("--format", default="counts-lines")
     fit.add_argument("--window", type=float, help="event-window length in seconds")
     fit.add_argument("--eta", type=float, default=0.025)
-    fit.add_argument("--dcap", type=int, default=10_000)
+    fit.add_argument("--dcap", type=_flag_int, default=10_000)
     fit.add_argument("--m2", type=float,
                      help="moment bound for grid sizing (default: empirical)")
     fit.add_argument("--gamma", type=float, default=0.99)
     fit.add_argument("--alpha", type=float, default=1.0)
-    fit.add_argument("--seed", type=int, default=0)
-    fit.add_argument("--replications", type=int, default=1)
+    fit.add_argument("--seed", type=_flag_int, default=0)
+    fit.add_argument("--replications", type=_flag_int, default=1)
     fit.add_argument("--timing", action="store_true",
                      help="include measured per-update time (not byte-deterministic)")
     fit.add_argument("--state-in", help="resume from this saved state")
@@ -342,9 +362,9 @@ def build_parser() -> argparse.ArgumentParser:
     base.add_argument("--input", required=True)
     base.add_argument("--format", default="histogram-csv")
     base.add_argument("--window", type=float)
-    base.add_argument("--grid-points", type=int, default=1000)
+    base.add_argument("--grid-points", type=_flag_int, default=1000)
     base.add_argument("--grid-lo", type=float, default=1e-3)
-    base.add_argument("--max-iters", type=int, default=500)
+    base.add_argument("--max-iters", type=_flag_int, default=500)
     base.add_argument("--tol", type=float, default=1e-8)
     base.add_argument("--markdown", action="store_true")
     base.add_argument("--verbose", action="store_true")
@@ -352,17 +372,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser("bench", help="per-update timing across grid sizes")
     bench.add_argument("--d", default="1000,10000", help="comma-separated grid sizes")
-    bench.add_argument("--n", type=int, default=1000)
+    bench.add_argument("--n", type=_flag_int, default=1000)
     bench.add_argument("--windows", default="100:200,900:1000")
-    bench.add_argument("--seed", type=int, default=0)
+    bench.add_argument("--seed", type=_flag_int, default=0)
     bench.set_defaults(func=_cmd_bench)
 
     reg = sub.add_parser("regret", help="regret decay against a grid-atoms oracle")
     reg.add_argument("--atoms", required=True, help="e.g. grid-atoms:0.5@0.2,2@0.3,5@0.5")
     reg.add_argument("--gamma", type=float, default=0.75)
     reg.add_argument("--alpha", type=float, default=1.0)
-    reg.add_argument("--seed", type=int, default=0)
-    reg.add_argument("--replications", type=int, default=5)
+    reg.add_argument("--seed", type=_flag_int, default=0)
+    reg.add_argument("--replications", type=_flag_int, default=5)
     reg.add_argument("--checkpoints", default="1000,4000,16000")
     reg.set_defaults(func=_cmd_regret)
     return parser

@@ -16,6 +16,9 @@ broadcast product, the reference for the ``dgemm`` row.
 every atom of the grid, the reference for the certified band.
 ``atom_count_matrix`` and ``interval_coverage`` draw and score the
 lockstep streams of the interval-coverage criterion.
+``nonnegative_qp_reference`` is the mix-SQP subproblem's active set as first
+written, gathering the support's columns afresh for every solve and every
+gradient: the bit-for-bit reference for the solver that reuses them.
 """
 
 import math
@@ -23,6 +26,7 @@ import warnings
 
 import numpy as np
 from scipy.linalg import blas
+from scipy.linalg.lapack import dgesv
 from scipy.special import pdtrc, roots_legendre
 from scipy.stats import poisson, rv_discrete
 
@@ -457,3 +461,44 @@ def interval_coverage(atoms, probs, rate, level, ys, reps, n_small, n_big, seed)
         for rep in credible_intervals(state, ys, level):
             hits[rep.y] += rep.ci_low <= ratio_estimate(g_big, rep.y) <= rep.ci_high
     return {y: h / reps for y, h in hits.items()}
+
+
+def nonnegative_qp_reference(a, g, x, start=None, tol=1e-10):
+    """``baselines._nonnegative_qp`` with a fresh column gather per solve.
+
+    The support is a list; each solve gathers ``a[:, support]`` and
+    ``y[support]``, and the gradient that picks the entering coordinate
+    gathers them again.  Same rule, same float operations in the same order.
+    """
+    y = np.zeros(a.shape[1]) if start is None else start.copy()
+    ax = a @ x
+    support = np.flatnonzero(y).tolist()
+    solves, entering = 0, None
+    for _ in range(4 * a.shape[1] + 10):
+        while support:
+            a_s, cur = a[:, support], y[support]
+            hess = a_s.T @ a_s
+            hess.flat[:: len(support) + 1] += 1e-10
+            _, _, delta, info = dgesv(hess, a_s.T @ (a_s @ cur - ax) + g[support])
+            solves += 1
+            if info != 0:
+                raise np.linalg.LinAlgError("Singular matrix")
+            z = cur - delta
+            if z.min() > 0:
+                y[support] = z
+                break
+            hit = np.flatnonzero(z <= 0)
+            ratios = cur[hit] / (cur[hit] - z[hit])
+            moved = cur + ratios.min() * (z - cur)
+            moved[hit[np.argmin(ratios)]] = 0.0
+            y[support] = np.maximum(moved, 0.0)
+            support = [k for k in support if y[k] > 0]
+        if entering is not None and entering not in support:
+            break
+        grad = a.T @ (a[:, support] @ y[support] - ax) + g
+        grad[support] = 0.0
+        entering = int(np.argmin(grad))
+        if grad[entering] >= -tol:
+            break
+        support.append(entering)
+    return y, solves

@@ -168,6 +168,20 @@ class TestNonnegativeQp:
             assert grad[~on].min() >= -1e-9
         assert objective(warm) == pytest.approx(objective(cold), rel=1e-12)
 
+    def test_solutions_keep_the_bits_of_a_fresh_gather_per_solve(self):
+        # random problems of every size the fits meet and more, cold and warm
+        # starts, so that coordinates enter, leave and re-enter
+        rng = np.random.default_rng(7)
+        for k in range(300):
+            m, d = rng.integers(1, 20), rng.integers(1, 80)
+            a = rng.random((m, d)) * rng.choice([1e-3, 1.0, 10.0])
+            g = rng.normal(size=d) * rng.choice([0.1, 1.0, 10.0])
+            x = rng.dirichlet(np.ones(d))
+            start = None if k % 3 == 0 else np.where(rng.random(d) < 0.3, rng.random(d), 0.0)
+            y, solves = _nonnegative_qp(a, g, x, start)
+            want, want_solves = oracles.nonnegative_qp_reference(a, g, x, start)
+            assert y.tobytes() == want.tobytes() and solves == want_solves
+
     def test_random_histogram_fits_converge_monotonically(self):
         # A few draws of each hard kind: heavy tails, wide supports, near-zero
         # atoms, a handful of counts, coarse and fine grids.
@@ -315,6 +329,24 @@ class TestEstimateTables:
             assert info["qp_solves"] >= info["iterations"] - 1
             out[method] = rows
         assert out["npmle"] != out["npmd"]
+
+    @pytest.mark.parametrize("label, method, iterations, qp_solves", [
+        ("synthetic", "npmle", 7, 120),
+        ("synthetic", "npmd", 6, 105),
+        ("insurance", "npmle", 9, 135),
+        ("insurance", "npmd", 9, 128),
+    ])
+    def test_comparison_fits_keep_their_work(self, accident_histogram, label, method, iterations,
+                                             qp_solves):
+        # the four grid fits of one comparison job (seed 3, job 0: a Weibull(3,5)
+        # histogram of 500 counts, and the insurance one) on the `baseline` grid.
+        # A faster solver must reach the same iterate by the same active-set steps.
+        if label == "synthetic":
+            h = CountHistogram.from_counts(generate_compound(parse_prior("weibull:3,5"), 500, 30_000)[1])
+        else:
+            h = accident_histogram
+        _, info = baseline_estimates(h, method, SolverConfig(baseline_grid(h)))
+        assert (info["iterations"], info["qp_solves"]) == (iterations, qp_solves)
 
     def test_csv_and_markdown_emission(self):
         rows = [(0, 0.5), (1, 1.25)]

@@ -11,7 +11,9 @@ import streameb
 from streameb import cli
 from streameb.cli import IngestFormat, ingest, main
 from streameb.engine import LearningRate, deserialize_state, init, serialize_state
+from streameb.evaluation import generate_compound
 from streameb.model import Grid, MixingWeights, ProductGrid
+from streameb.priors import parse_prior
 
 from .conftest import ACCIDENT_PAIRS
 
@@ -22,6 +24,15 @@ ACCIDENT_CSV = "y,count\n" + "\n".join(f"{y},{n}" for y, n in ACCIDENT_PAIRS) + 
 def accident_csv(tmp_path):
     path = tmp_path / "accident.csv"
     path.write_text(ACCIDENT_CSV)
+    return str(path)
+
+
+@pytest.fixture
+def weibull_counts(tmp_path):
+    """The 500 Weibull(3,5) counts of one comparison job (seed 3, job 0), one per line."""
+    _, ys = generate_compound(parse_prior("weibull:3,5"), 500, 30_000)
+    path = tmp_path / "weibull.txt"
+    path.write_text("\n".join(str(int(y)) for y in ys) + "\n")
     return str(path)
 
 
@@ -84,6 +95,23 @@ class TestIngest:
             ingest(str(path), IngestFormat("event-window", window_s=30.0))
         assert main(["fit", "--input", str(path), "--format", "event-window",
                      "--window", "30"]) == 2
+
+    @pytest.mark.parametrize("stamp", ["1_0", "\u0663", "\uff13", "0x10", "1e", "..5", "5 0"])
+    @pytest.mark.parametrize("column", ["origin", "event"])
+    def test_event_window_takes_ascii_decimal_timestamps_only(self, tmp_path, capsys, stamp, column):
+        path = tmp_path / "events.tsv"
+        row = f"b\t{stamp}\t3\n" if column == "origin" else f"b\t0\t{stamp}\n"
+        path.write_text("c\t0\t3\n" + row)
+        with pytest.raises(ValueError, match=f"events\\.tsv:2: bad timestamp {stamp!r}"):
+            ingest(str(path), IngestFormat("event-window", window_s=30.0))
+        assert main(["fit", "--input", str(path), "--format", "event-window",
+                     "--window", "30"]) == 2
+
+    def test_event_window_reads_every_ascii_decimal_form(self, tmp_path):
+        path = tmp_path / "events.tsv"
+        path.write_text("a\t1e2\t1.05E+2\nb\t+.5\t\nc\t-3.\t-25e-1\nd\t7\t40\n")
+        assert ingest(str(path), IngestFormat("event-window", window_s=30.0)).entries == {
+            1: 2, 0: 2}
 
     @pytest.mark.parametrize("field", ["1_0", "\u0663", "\uff13", "3.0", "0x3"])
     def test_counts_lines_take_ascii_digits_only(self, tmp_path, capsys, field):
@@ -164,7 +192,8 @@ class TestBaselineCommand:
 
 
 # sha256 of --no-meta stdout for outputs that read kernel rows: the regret
-# diagnostic's tables, the mix-SQP kernels of the grid baselines and the
+# diagnostic's tables, the mix-SQP kernels of the grid baselines (on the
+# insurance histogram and on one comparison job's Weibull counts) and the
 # stream experiment's estimate table.  A change to the row arithmetic that
 # moves one bit of any of them shows here.
 _PINNED_OUTPUTS = {
@@ -181,6 +210,14 @@ _PINNED_OUTPUTS = {
         ["baseline", "--method", "npmd", "--input", "{accident_csv}"],
         "e982b30c39ee9d0136e3fcdc9c9272e6ec59090225baad568d4151c23d0c2a3b",
     ),
+    "npmle-weibull": (
+        ["baseline", "--method", "npmle", "--format", "counts-lines", "--input", "{weibull_counts}"],
+        "74d24d758383920e6d3db047c2cbd6e16549592ae1133698c4cff42970903251",
+    ),
+    "npmd-weibull": (
+        ["baseline", "--method", "npmd", "--format", "counts-lines", "--input", "{weibull_counts}"],
+        "7eec6306c385ad69f6665aef247264817cccaaae50f3b9567e02653367e60ce7",
+    ),
     "fit-weibull": (
         ["fit", "--prior", "weibull:3,5", "--n", "500", "--seed", "7"],
         "a5ac807c6db9f86d16c9a560e1740d8fcfa7096fef14e7487be7be34b46e2cc8",
@@ -189,10 +226,11 @@ _PINNED_OUTPUTS = {
 
 
 @pytest.mark.parametrize("name", sorted(_PINNED_OUTPUTS))
-def test_outputs_keep_their_bytes(name, accident_csv, capsys):
+def test_outputs_keep_their_bytes(name, accident_csv, weibull_counts, capsys):
     args, digest = _PINNED_OUTPUTS[name]
+    paths = {"accident_csv": accident_csv, "weibull_counts": weibull_counts}
     capsys.readouterr()
-    assert main(["--no-meta"] + [a.format(accident_csv=accident_csv) for a in args]) == 0
+    assert main(["--no-meta"] + [a.format(**paths) for a in args]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == digest
 
 
@@ -425,6 +463,33 @@ class TestCountLists:
         assert main(["regret", "--atoms", "grid-atoms:1@0.5,5@0.5", "--checkpoints", "50,,400"]) == 2
         err = capsys.readouterr().err
         assert err.count("--d ") == 2 and err.count("--checkpoints ") == 1
+
+    @pytest.mark.parametrize("field", ["1_0", "\u0663", "\uff13"])
+    def test_flag_integers_take_ascii_digits_only(self, state, capsys, field):
+        # the rule of the input files: `1_0` is not 10, nor Arabic-Indic or
+        # fullwidth digits 3
+        calls = [
+            (["estimate", "--state", state, "--y", field], "--y"),
+            (["estimate", "--state", state, "--y", f"0..{field}"], "--y"),
+            (["estimate", "--state", state, "--y", f"0,{field}"], "--y"),
+            (["regret", "--atoms", "grid-atoms:1@0.5,5@0.5", "--checkpoints", f"50,150,{field}"],
+             "--checkpoints"),
+            (["bench", "--d", field, "--n", "30", "--windows", "0:10"], "--d"),
+            (["bench", "--d", "200", "--n", "30", "--windows", f"0:{field}"], "--windows"),
+            (["bench", "--d", "200", "--n", field, "--windows", "0:1"], "--n"),
+        ]
+        capsys.readouterr()
+        for args, flag in calls:
+            assert main(["--no-meta"] + args) == 2, args
+            out, err = capsys.readouterr()
+            assert out == "" and flag in err and field in err
+
+    def test_flag_integers_keep_signs_and_blanks(self, state, capsys):
+        capsys.readouterr()
+        assert main(["--no-meta", "estimate", "--state", state, "--y", " +1 .. 2"]) == 0
+        assert main(["--no-meta", "estimate", "--state", state, "--y", "+0, 3"]) == 0
+        rows = [line.split(",")[0] for line in capsys.readouterr().out.splitlines()]
+        assert rows == ["y", "1", "2", "y", "0", "3"]
 
     @pytest.mark.parametrize(
         "windows", ["", "5", "0:5:9", "a:5", "0:5,", "20:10", "-5:10", "40:50", "30:30", "0:31"]
