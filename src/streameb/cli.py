@@ -31,7 +31,7 @@ from .baselines import SolverConfig
 from .engine import LearningRate
 from .gridding import GridInfeasibleError, GridSpec, build_equispaced_grid
 from .model import CountHistogram, DegenerateLikelihoodError
-from .priors import parse_prior
+from .priors import _DECIMAL, _decimal, parse_prior
 
 VALIDATION_EXIT = 2
 NUMERICAL_EXIT = 3
@@ -66,10 +66,6 @@ class IngestFormat:
 
 # A count field: an optionally signed run of ASCII digits, so ``1_0`` and ``٣`` are refused.
 _INTEGER = re.compile(r"[+-]?[0-9]+")
-# A timestamp: an ASCII decimal float; the non-finite spellings parse, to be refused as such.
-_TIMESTAMP = re.compile(
-    r"[+-]?(?:(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?|inf|infinity|nan)", re.IGNORECASE
-)
 
 
 def _ascii_ints(fields) -> list:
@@ -86,6 +82,22 @@ def _flag_int(text: str) -> int:
         return _ascii_ints([text])[0]
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+
+
+def _flag_float(text: str) -> float:
+    """argparse type of the float flags: the ``_DECIMAL`` rule of timestamps and priors."""
+    try:
+        return _decimal(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a decimal number, got {text!r}") from None
+
+
+def _flag_prior(text: str):
+    """argparse type of ``--prior`` and ``--atoms``: ``parse_prior``, its refusal naming the flag."""
+    try:
+        return parse_prior(text)
+    except ValueError as err:
+        raise argparse.ArgumentTypeError(str(err)) from None
 
 
 def _lines(path: str) -> list:
@@ -131,7 +143,7 @@ def ingest(path: str, fmt: IngestFormat) -> CountHistogram:
             raise ValueError(f"{path}:{ln}: expected 3 tab-separated fields")
         entity, origin_s, event_s = (p.strip() for p in parts)
         for stamp in (origin_s, event_s) if event_s else (origin_s,):
-            if not _TIMESTAMP.fullmatch(stamp):
+            if not _DECIMAL.fullmatch(stamp):
                 raise ValueError(f"{path}:{ln}: bad timestamp {stamp!r}")
         origin = float(origin_s)
         event = float(event_s) if event_s else None
@@ -216,12 +228,28 @@ def _ingest_format(args) -> IngestFormat:
 # -- subcommand bodies --------------------------------------------------------
 
 
+# The fit flags that only one source reads, with their defaults; given beside the
+# other source they are refused, not ignored.
+_FIT_SOURCE_FLAGS = {
+    "prior": {"n": 500, "replications": 1, "timing": False},
+    "input": {"format": "counts-lines", "window": None, "m2": None, "state_in": None,
+              "state_out": None, "skip_degenerate": False},
+}
+
+
 def _cmd_fit(args) -> int:
+    for source, defaults in _FIT_SOURCE_FLAGS.items():
+        for name, default in defaults.items():
+            if getattr(args, name) is None:
+                setattr(args, name, default)
+            elif getattr(args, source) is None:
+                raise ValueError(f"--{name.replace('_', '-')} needs --{source}")
+    if args.m2 is not None and args.state_in:
+        raise ValueError("--m2 sizes a new grid; --state-in resumes on its state's grid")
     rate = LearningRate(args.alpha, args.gamma)
-    if args.prior:
-        prior = parse_prior(args.prior)
+    if args.prior is not None:
         cfg = evaluation.ExperimentConfig(
-            prior=prior, n=args.n, eta=args.eta, d_cap=args.dcap, rate=rate
+            prior=args.prior, n=args.n, eta=args.eta, d_cap=args.dcap, rate=rate
         )
         rows = [
             evaluation.run_stream_experiment(cfg, seed, measure_time=args.timing)
@@ -229,8 +257,6 @@ def _cmd_fit(args) -> int:
         ]
         _emit(evaluation.metrics_to_csv(rows), args)
         return 0
-    if not args.input:
-        raise ValueError("fit needs either --prior or --input")
     fmt = _ingest_format(args)
     if fmt.kind == "counts-lines":
         # the recursion is order-dependent; stream the file in its own order
@@ -300,7 +326,7 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_regret(args) -> int:
-    prior = parse_prior(args.atoms)
+    prior = args.atoms
     if prior.family != "grid-atoms":
         raise ValueError("regret needs a grid-atoms oracle, e.g. grid-atoms:1@0.5,4@0.5")
     checkpoints = _parse_int_list(args.checkpoints, "--checkpoints")
@@ -330,42 +356,45 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     fit = sub.add_parser("fit", help="stream counts through the recursion")
-    fit.add_argument("--prior", help="synthetic prior, e.g. weibull:5,3")
-    fit.add_argument("--n", type=_flag_int, default=500)
-    fit.add_argument("--input", help="count file to stream instead of a prior")
-    fit.add_argument("--format", default="counts-lines")
-    fit.add_argument("--window", type=float, help="event-window length in seconds")
-    fit.add_argument("--eta", type=float, default=0.025)
+    source = fit.add_mutually_exclusive_group(required=True)
+    source.add_argument("--prior", type=_flag_prior, help="synthetic prior, e.g. weibull:5,3")
+    source.add_argument("--input", help="count file to stream instead of a prior")
+    # the flags of one source default to None here and to _FIT_SOURCE_FLAGS in _cmd_fit
+    fit.add_argument("--n", type=_flag_int, help="with --prior: counts per replication (500)")
+    fit.add_argument("--replications", type=_flag_int, help="with --prior: seeds from --seed (1)")
+    fit.add_argument("--timing", action="store_true", default=None,
+                     help="with --prior: include measured per-update time (not byte-deterministic)")
+    fit.add_argument("--format", help="with --input: the file's format (counts-lines)")
+    fit.add_argument("--window", type=_flag_float,
+                     help="with --input: event-window length in seconds")
+    fit.add_argument("--m2", type=_flag_float,
+                     help="with --input: moment bound for grid sizing (default: empirical)")
+    fit.add_argument("--state-in", help="with --input: resume from this saved state")
+    fit.add_argument("--state-out", help="with --input: save the final state here")
+    fit.add_argument("--skip-degenerate", action="store_true", default=None,
+                     help="with --input: skip counts whose likelihood underflows instead of failing")
+    fit.add_argument("--eta", type=_flag_float, default=0.025)
     fit.add_argument("--dcap", type=_flag_int, default=10_000)
-    fit.add_argument("--m2", type=float,
-                     help="moment bound for grid sizing (default: empirical)")
-    fit.add_argument("--gamma", type=float, default=0.99)
-    fit.add_argument("--alpha", type=float, default=1.0)
+    fit.add_argument("--gamma", type=_flag_float, default=0.99)
+    fit.add_argument("--alpha", type=_flag_float, default=1.0)
     fit.add_argument("--seed", type=_flag_int, default=0)
-    fit.add_argument("--replications", type=_flag_int, default=1)
-    fit.add_argument("--timing", action="store_true",
-                     help="include measured per-update time (not byte-deterministic)")
-    fit.add_argument("--state-in", help="resume from this saved state")
-    fit.add_argument("--state-out", help="save the final state here")
-    fit.add_argument("--skip-degenerate", action="store_true",
-                     help="skip counts whose likelihood underflows instead of failing")
     fit.set_defaults(func=_cmd_fit)
 
     est = sub.add_parser("estimate", help="estimates and intervals from a saved state")
     est.add_argument("--state", required=True)
     est.add_argument("--y", required=True, help="counts, e.g. 0..7 or 0,3,9")
-    est.add_argument("--level", type=float, default=0.95)
+    est.add_argument("--level", type=_flag_float, default=0.95)
     est.set_defaults(func=_cmd_estimate)
 
     base = sub.add_parser("baseline", help="classical estimators over a histogram")
     base.add_argument("--method", required=True, choices=baselines.METHODS)
     base.add_argument("--input", required=True)
     base.add_argument("--format", default="histogram-csv")
-    base.add_argument("--window", type=float)
+    base.add_argument("--window", type=_flag_float)
     base.add_argument("--grid-points", type=_flag_int, default=1000)
-    base.add_argument("--grid-lo", type=float, default=1e-3)
+    base.add_argument("--grid-lo", type=_flag_float, default=1e-3)
     base.add_argument("--max-iters", type=_flag_int, default=500)
-    base.add_argument("--tol", type=float, default=1e-8)
+    base.add_argument("--tol", type=_flag_float, default=1e-8)
     base.add_argument("--markdown", action="store_true")
     base.add_argument("--verbose", action="store_true")
     base.set_defaults(func=_cmd_baseline)
@@ -378,9 +407,10 @@ def build_parser() -> argparse.ArgumentParser:
     bench.set_defaults(func=_cmd_bench)
 
     reg = sub.add_parser("regret", help="regret decay against a grid-atoms oracle")
-    reg.add_argument("--atoms", required=True, help="e.g. grid-atoms:0.5@0.2,2@0.3,5@0.5")
-    reg.add_argument("--gamma", type=float, default=0.75)
-    reg.add_argument("--alpha", type=float, default=1.0)
+    reg.add_argument("--atoms", type=_flag_prior, required=True,
+                     help="e.g. grid-atoms:0.5@0.2,2@0.3,5@0.5")
+    reg.add_argument("--gamma", type=_flag_float, default=0.75)
+    reg.add_argument("--alpha", type=_flag_float, default=1.0)
     reg.add_argument("--seed", type=_flag_int, default=0)
     reg.add_argument("--replications", type=_flag_int, default=5)
     reg.add_argument("--checkpoints", default="1000,4000,16000")

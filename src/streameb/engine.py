@@ -322,15 +322,12 @@ def _fold_lockstep(grid: Grid, rate: LearningRate, y_matrix: np.ndarray, w0: np.
 
     where R is the step's (d, reps) slice of scaled kernel rows and
     ``c = a S / (1 - a)``; the sum adds the atoms one at a time, in order.
-    Everything else is done once per block of steps:
+    A step that takes S past ``_RESCALE_AT`` then divides V by its column
+    sums and sets S to 1.  Everything else is done once per block of steps:
 
     - the block's kernel rows are gathered by one ``np.take`` into a
       (steps, d, reps) buffer of at most ``_LOCKSTEP_BLOCK_FLOATS``
       floats, so each step's R is contiguous;
-    - each step's c, and the steps after which S passes ``_RESCALE_AT``
-      (V is then divided by its column sums) or a checkpoint falls, come
-      from the schedule alone, with the same float arithmetic as a
-      per-step loop;
     - the block's betas are checked together, so the first degenerate
       step raises with its count and step, as a per-step check would (the
       steps after it only fill this call's own arrays with inf and NaN).
@@ -355,36 +352,25 @@ def _fold_lockstep(grid: Grid, rate: LearningRate, y_matrix: np.ndarray, w0: np.
             rows, beta = rows_buf[: steps * d * reps].reshape(steps, d, reps), beta_buf[:steps]
             # valid counts never clip; np.take fills the (d, steps, reps) view through a buffer
             np.take(table, counts, axis=1, out=rows.transpose(1, 0, 2), mode="clip")
-            coefs, stops = [], []  # stops: (step, rescale?, checkpoint?) ending a run of steps
-            for j in range(1, steps + 1):
-                a = (alpha + (n + j)) ** neg_gamma
+            for r, b in zip(rows, beta):
+                n += 1
+                a = (alpha + n) ** neg_gamma
                 keep = 1.0 - a
-                coefs.append(a / keep * s)
+                c = a / keep * s
                 s /= keep
-                rescale = s > _RESCALE_AT
-                if rescale:
-                    s = 1.0
-                snap = n + j in checkpoints
-                if rescale or snap:
-                    stops.append((j, rescale, snap))
-            stops.append((steps, False, False))
-            start = 0
-            for stop, rescale, snap in stops:
-                for r, c, b in zip(rows[start:stop], coefs[start:stop], beta[start:stop]):
-                    mul(r, v, q)
-                    reduce(q, 0, None, t)
-                    div(c, t, b)
-                    mul(q, b, q)
-                    add(v, q, v)
-                if rescale:
+                mul(r, v, q)
+                reduce(q, 0, None, t)
+                div(c, t, b)
+                mul(q, b, q)
+                add(v, q, v)
+                if s > _RESCALE_AT:
                     v /= v.sum(axis=0)
-                if snap:
-                    snaps[n + stop] = (v / v.sum(axis=0)).T.copy()
-                start = stop
+                    s = 1.0
+                if n in checkpoints:
+                    snaps[n] = (v / v.sum(axis=0)).T.copy()
             if not beta.max() < math.inf:  # t not positive, an overflow, or a NaN
                 j, bad = divmod(int(np.argmin(beta < math.inf)), reps)
-                raise DegenerateLikelihoodError(int(counts[j, bad]), n + j)
-            n += steps
+                raise DegenerateLikelihoodError(int(counts[j, bad]), n - steps + j)
     return (v / v.sum(axis=0)).T.copy(), snaps
 
 

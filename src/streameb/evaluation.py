@@ -100,18 +100,8 @@ def regret(g_a: MixingWeights, g_b: MixingWeights, y_max: int | None = None) -> 
         raise ValueError("both weight vectors must live on the same grid")
     if y_max is None:
         y_max = default_y_max(g_a.grid)
-    log_a, log_b = _log_pmfs(g_a.grid, [g_a.weights, g_b.weights], y_max + 1)
-    return _regret_to(log_a, _ratio_table(log_b))
-
-
-def _regret_to(log_p: np.ndarray, oracle) -> float:
-    """``regret`` of the mixture with ``log p`` (counts 0..y_max+1) against an oracle.
-
-    ``oracle`` is the oracle's ``(theta_hat, p)`` over the counts 0..y_max,
-    as ``estimate_table`` gives it.
-    """
-    est_b, p_b = oracle
-    return float(np.dot((_ratio_table(log_p)[0] - est_b) ** 2, p_b))
+    theta, p = _ratio_table(_log_pmfs(g_a.grid, [g_a.weights, g_b.weights], y_max + 1))
+    return float(np.dot((theta[0] - theta[1]) ** 2, p[1]))
 
 
 def batched_newton_stream(
@@ -230,23 +220,16 @@ def regret_decay_diagnostic(cfg: ExperimentConfig, checkpoints) -> RegretDecayRe
         raise ValueError("need at least three distinct checkpoints, each >= 1, for a slope fit")
     grid = Grid(cfg.prior.atoms)
     g_star = MixingWeights(grid, cfg.prior.probs)
-    n_total = checkpoints[-1]
-    y_rows = np.stack(
-        [generate_compound(cfg.prior, n_total, seed)[1] for seed in cfg.seeds]
-    )
+    y_rows = np.stack([generate_compound(cfg.prior, checkpoints[-1], seed)[1] for seed in cfg.seeds])
     _, snaps = batched_newton_stream(grid, cfg.rate, y_rows, checkpoints=checkpoints)
     # one pass of kernel rows scores the oracle, then each seed's snapshots in checkpoint order
-    weights = [MixingWeights(grid, snaps[c][r]).weights for r in range(len(cfg.seeds))
-               for c in checkpoints]
-    log_star, *log_ps = _log_pmfs(grid, [g_star.weights] + weights, default_y_max(grid) + 1)
-    oracle = _ratio_table(log_star)
-    regrets = np.array([_regret_to(log_p, oracle) for log_p in log_ps])
+    weights = [snaps[c][r] for r in range(len(cfg.seeds)) for c in checkpoints]
+    theta, p = _ratio_table(_log_pmfs(grid, [g_star.weights] + weights, default_y_max(grid) + 1))
+    regrets = np.array([np.dot((row - theta[0]) ** 2, p[0]) for row in theta[1:]])
     regrets = regrets.reshape(len(cfg.seeds), len(checkpoints))
     log_n = np.log(np.asarray(checkpoints, float))
     design = np.stack([log_n, np.ones_like(log_n)], axis=1)
-    slopes = np.array(
-        [np.linalg.lstsq(design, np.log(row), rcond=None)[0][0] for row in regrets]
-    )
+    slopes = np.array([np.linalg.lstsq(design, np.log(row), rcond=None)[0][0] for row in regrets])
     tv_final = 0.5 * np.abs(snaps[checkpoints[-1]] - g_star.weights[None, :]).sum(axis=1)
     return RegretDecayResult(
         checkpoints=checkpoints,

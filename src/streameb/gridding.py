@@ -9,6 +9,7 @@ distributions below ``2 eta``; the acceptance tests check this numerically.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -16,12 +17,11 @@ import numpy as np
 
 from .model import Grid
 
-_SCAN_CAP = 10**9
-_SCAN_BLOCK = 1 << 15  # 256 kB temporaries: cache-sized, and no 8 MB peak per grid build
+_SIZE_CAP = 10**9
 
 
 class GridInfeasibleError(RuntimeError):
-    """No grid size up to the scan cap satisfies the spacing condition."""
+    """No grid size up to 1e9 satisfies the spacing condition."""
 
 
 @dataclass(frozen=True)
@@ -45,26 +45,33 @@ class GridSpec:
 
 
 def kl_grid_size(spec: GridSpec) -> int:
-    """Smallest n with n > 1/eta and n^(1-k) log(n eta) m_k <= eta^k.
+    """Smallest n with n > 1/eta and n^(1-k) log(n eta) m_k <= eta^k, up to 1e9.
 
-    Found by an ascending scan starting just above 1/eta (vectorized in
-    blocks); the scan is capped at 1e9 to bound pathological specs.
+    The left side rises until n eta = e^(1/(k-1)) and falls after.  So
+    unless the first n above 1/eta fits, every n on the rising side fails,
+    the sizes that fit are those past some point of the falling side, and
+    bisection finds it; the result is then stepped down while the size
+    below it also fits, against rounding.  Sizes past 1e9 raise
+    GridInfeasibleError.
     """
     eta, k, m_k = spec.eta, spec.k, spec.m_k
     target = eta**k
+
+    def fits(n: int) -> bool:
+        ns = np.array([n], dtype=float)
+        return bool(ns ** (1.0 - k) * np.log(ns * eta) * m_k <= target)
+
     start = math.floor(1.0 / eta) + 1
-    lo = start
-    while lo <= _SCAN_CAP:
-        hi = min(lo + _SCAN_BLOCK, _SCAN_CAP + 1)
-        ns = np.arange(lo, hi, dtype=float)
-        ok = ns ** (1.0 - k) * np.log(ns * eta) * m_k <= target
-        idx = np.flatnonzero(ok)
-        if idx.size:
-            return int(lo + idx[0])
-        lo = hi
-    raise GridInfeasibleError(
-        f"no grid size up to {_SCAN_CAP} satisfies eta={eta}, k={k}, m_k={m_k}"
-    )
+    if start <= _SIZE_CAP and fits(start):
+        return start
+    n = start + bisect.bisect_left(range(start, _SIZE_CAP + 1), True, key=fits)
+    if n > _SIZE_CAP:
+        raise GridInfeasibleError(
+            f"no grid size up to {_SIZE_CAP} satisfies eta={eta}, k={k}, m_k={m_k}"
+        )
+    while fits(n - 1):
+        n -= 1
+    return n
 
 
 def build_equispaced_grid(spec: GridSpec) -> Grid:

@@ -135,9 +135,13 @@ def _log_pmfs(grid: Grid, weights: list, top: int) -> np.ndarray:
 
 
 def _ratio_table(log_p: np.ndarray):
-    """``(theta_hat, p)`` over the counts 0..y_max from the ``log p`` of counts 0..y_max+1."""
-    theta_hat = np.arange(1, len(log_p)) * np.exp(log_p[1:] - log_p[:-1])
-    return theta_hat, np.exp(log_p[:-1])
+    """``(theta_hat, p)`` over the counts 0..y_max from the ``log p`` of counts 0..y_max+1.
+
+    ``log p`` may be a block of such rows, one per mixture; each row of the
+    result has the bits of a one-row call.
+    """
+    theta_hat = np.arange(1, log_p.shape[-1]) * np.exp(log_p[..., 1:] - log_p[..., :-1])
+    return theta_hat, np.exp(log_p[..., :-1])
 
 
 def clt_scale(rate: LearningRate, n: int) -> float:

@@ -8,11 +8,25 @@ moments and induced count pmf live with the tests that need them
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
 
 FAMILIES = ("weibull", "uniform", "half-gaussian", "grid-atoms", "gamma")
+
+# A number on the command line or in a file: an ASCII decimal float, so ``1_0``,
+# ``٣`` and ``３`` are refused; the non-finite spellings parse, for the reader to judge.
+_DECIMAL = re.compile(
+    r"[+-]?(?:(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?|inf|infinity|nan)", re.IGNORECASE
+)
+
+
+def _decimal(text: str) -> float:
+    """``float(text)`` for a ``_DECIMAL`` once the blanks around it are stripped."""
+    if not _DECIMAL.fullmatch(text.strip()):
+        raise ValueError(f"not a decimal number: {text!r}")
+    return float(text)
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,15 +95,18 @@ def grid_atoms_prior(atoms, probs) -> PriorSpec:
 
 
 def parse_prior(text: str) -> PriorSpec:
-    """Parse CLI syntax like ``weibull:5,3`` or ``grid-atoms:0.5@0.2,2@0.8``."""
+    """Parse CLI syntax like ``weibull:5,3`` or ``grid-atoms:0.5@0.2,2@0.8``.
+
+    Every number is a ``_DECIMAL``; anything else raises ValueError.
+    """
     name, _, arg = text.partition(":")
     name = name.strip().lower()
     if name == "grid-atoms":
         atoms, probs = [], []
         for piece in arg.split(","):
             a, _, p = piece.partition("@")
-            atoms.append(float(a))
-            probs.append(float(p))
+            atoms.append(_decimal(a))
+            probs.append(_decimal(p))
         return grid_atoms_prior(atoms, probs)
-    params = tuple(float(v) for v in arg.split(",")) if arg else ()
+    params = tuple(_decimal(v) for v in arg.split(",")) if arg else ()
     return PriorSpec(name, params)

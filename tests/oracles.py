@@ -312,6 +312,27 @@ def posterior_weight_covariance(g, y_max=None):
     return full[: d - 1, : d - 1]
 
 
+# -- grid sizing
+
+
+def kl_grid_size_scan(spec, block=1 << 15, cap=10**9):
+    """``gridding.kl_grid_size`` by an ascending scan from just above 1/eta, in blocks.
+
+    Each n is tested with the same float64 expression as the bisection, so
+    the two must agree exactly; the scan stops past ``cap`` and returns None.
+    """
+    eta, k, m_k = spec.eta, spec.k, spec.m_k
+    target = eta**k
+    lo = math.floor(1.0 / eta) + 1
+    while lo <= cap:
+        ns = np.arange(lo, min(lo + block, cap + 1), dtype=float)
+        idx = np.flatnonzero(ns ** (1.0 - k) * np.log(ns * eta) * m_k <= target)
+        if idx.size:
+            return int(lo + idx[0])
+        lo += block
+    return None
+
+
 # -- priors as scipy.stats distributions: frozen continuous ones, or
 # rv_discrete(values=(atoms, probs)) for a prior on finitely many atoms
 

@@ -202,6 +202,10 @@ _PINNED_OUTPUTS = {
          "--replications", "3", "--checkpoints", "50,150,400"],
         "4f4c69e5b08cd813bf6ec3ca8eee6835ded0a14a96939b9e74a266bb7fa7562c",
     ),
+    "regret-benchmark": (  # the configuration of the compare-batch regret task
+        ["regret", "--atoms", "grid-atoms:1@0.5,5@0.5", "--gamma", "0.75", "--replications", "10"],
+        "c9eaf59b9c7d51f4f0c9ba18acb01a25e6feb78176eb410d59fd37c08788b7f2",
+    ),
     "npmle": (
         ["baseline", "--method", "npmle", "--input", "{accident_csv}"],
         "1d34c0514f3715aa8afe97df2e3bf690b39e490fe0545956708d66200a382e01",
@@ -288,10 +292,12 @@ class TestFitEstimateFlow:
         first.write_text("\n".join(str(int(y)) for y in counts[:500]) + "\n")
         second.write_text("\n".join(str(int(y)) for y in counts[500:]) + "\n")
         s_full, s_a, s_b = (tmp_path / n for n in ("full.bin", "a.bin", "b.bin"))
-        # pin the moment bound so every leg sizes the same grid
-        base = ["--no-meta", "fit", "--eta", "0.1", "--dcap", "300", "--m2", "6.0"]
-        assert main(base + ["--input", str(full), "--state-out", str(s_full)]) == 0
-        assert main(base + ["--input", str(first), "--state-out", str(s_a)]) == 0
+        # pin the moment bound so both fresh legs size the same grid; the resumed
+        # leg reads its grid from the state
+        base = ["--no-meta", "fit", "--eta", "0.1", "--dcap", "300"]
+        sized = base + ["--m2", "6.0"]
+        assert main(sized + ["--input", str(full), "--state-out", str(s_full)]) == 0
+        assert main(sized + ["--input", str(first), "--state-out", str(s_a)]) == 0
         assert (
             main(
                 base
@@ -391,6 +397,105 @@ class TestFitEstimateFlow:
 
     def test_fit_without_prior_or_input_fails(self):
         assert main(["fit", "--eta", "0.1"]) == 2
+
+
+class TestFitSources:
+    """``fit`` reads one of --prior and --input; a flag of the other source is refused."""
+
+    @pytest.fixture
+    def counts(self, tmp_path):
+        path = tmp_path / "counts.txt"
+        path.write_text("0\n1\n2\n1\n")
+        return str(path)
+
+    def _refused(self, capsys, args, flag):
+        capsys.readouterr()
+        assert main(["--no-meta", "fit"] + args) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and flag in err
+
+    @pytest.mark.parametrize("extra", [["--n", "50"], ["--n", "500"], ["--replications", "5"],
+                                       ["--timing"]])
+    def test_a_prior_flag_needs_prior(self, counts, capsys, extra):
+        self._refused(capsys, ["--input", counts] + extra, extra[0])
+
+    @pytest.mark.parametrize("extra", [
+        ["--format", "counts-lines"], ["--window", "30"], ["--m2", "5"],
+        ["--state-in", "start.state"], ["--state-out", "end.state"], ["--skip-degenerate"],
+    ])
+    def test_an_input_flag_needs_input(self, tmp_path, capsys, extra):
+        extra = [str(tmp_path / a) if a.endswith(".state") else a for a in extra]
+        self._refused(capsys, ["--prior", "weibull:3,5", "--n", "50"] + extra, extra[0])
+        assert list(tmp_path.iterdir()) == []  # no state written
+
+    def test_m2_is_refused_beside_a_state(self, counts, tmp_path, capsys):
+        state = tmp_path / "s.state"
+        assert main(["--no-meta", "fit", "--input", counts, "--eta", "0.1",
+                     "--state-out", str(state)]) == 0
+        self._refused(capsys, ["--input", counts, "--state-in", str(state), "--m2", "5"], "--m2")
+
+    def test_prior_and_input_are_one_choice(self, counts, capsys):
+        self._refused(capsys, ["--prior", "weibull:3,5", "--input", counts], "--prior")
+
+    def test_a_flag_given_at_its_default_changes_no_byte(self, counts, tmp_path):
+        outs = [tmp_path / f"{i}.csv" for i in range(4)]
+        prior = ["--no-meta", "fit", "--prior", "uniform:0,3", "--eta", "0.1", "--dcap", "200"]
+        given = ["--input", counts, "--eta", "0.1"]
+        assert main(["--out", str(outs[0])] + prior) == 0
+        assert main(["--out", str(outs[1])] + prior + ["--n", "500", "--replications", "1"]) == 0
+        assert main(["--out", str(outs[2]), "--no-meta", "fit"] + given) == 0
+        assert main(["--out", str(outs[3]), "--no-meta", "fit"] + given
+                    + ["--format", "counts-lines"]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+        assert outs[2].read_bytes() == outs[3].read_bytes()
+        assert outs[0].read_text().splitlines()[1].split(",")[2] == "500"
+
+
+class TestFlagDecimals:
+    """Float flags and prior numbers are ASCII decimals, as timestamps are."""
+
+    @pytest.mark.parametrize("field", ["1_0", "\u0663", "\uff13"])
+    def test_a_non_ascii_decimal_is_refused_by_name(self, capsys, field):
+        calls = [
+            (["fit", "--prior", "weibull:3,5", "--eta", field], "--eta"),
+            (["fit", "--prior", "weibull:3,5", "--gamma", field], "--gamma"),
+            (["fit", "--prior", "weibull:3,5", "--alpha", field], "--alpha"),
+            (["fit", "--input", "c.txt", "--window", field], "--window"),
+            (["fit", "--input", "c.txt", "--m2", field], "--m2"),
+            (["fit", "--prior", f"weibull:{field},5"], "--prior"),
+            (["fit", "--prior", f"weibull:3,{field}"], "--prior"),
+            (["estimate", "--state", "s.state", "--y", "0", "--level", field], "--level"),
+            (["baseline", "--method", "npmle", "--input", "h.csv", "--tol", field], "--tol"),
+            (["baseline", "--method", "npmle", "--input", "h.csv", "--grid-lo", field],
+             "--grid-lo"),
+            (["baseline", "--method", "robbins", "--input", "h.csv", "--window", field],
+             "--window"),
+            (["regret", "--atoms", "grid-atoms:1@0.5,5@0.5", "--gamma", field], "--gamma"),
+            (["regret", "--atoms", "grid-atoms:1@0.5,5@0.5", "--alpha", field], "--alpha"),
+            (["regret", "--atoms", f"grid-atoms:{field}@0.5,5@0.5"], "--atoms"),
+            (["regret", "--atoms", f"grid-atoms:1@0.5,5@{field}"], "--atoms"),
+        ]
+        capsys.readouterr()
+        for args, flag in calls:
+            assert main(["--no-meta"] + args) == 2, args
+            out, err = capsys.readouterr()
+            assert out == "" and flag in err and field in err, args
+
+    @pytest.mark.parametrize("text", ["weibull:3_0,5", "weibull:\u0663,5", "weibull:\uff13,5",
+                                      "grid-atoms:1@0.5,5@0.5_0", "uniform:0,0x3", "weibull:3,"])
+    def test_parse_prior_takes_ascii_decimals_only(self, text):
+        with pytest.raises(ValueError, match="not a decimal number"):
+            parse_prior(text)
+
+    def test_every_ascii_decimal_form_is_read(self, capsys):
+        assert parse_prior("weibull: 3 ,+5e0").params == (3.0, 5.0)
+        assert parse_prior("uniform:.5,12.").params == (0.5, 12.0)
+        capsys.readouterr()
+        args = ["--no-meta", "fit", "--prior", "uniform:0,3", "--n", "40", "--dcap", "200"]
+        assert main(args + ["--eta", "0.1", "--gamma", "0.99"]) == 0
+        assert main(args + ["--eta", " 1e-1", "--gamma", "+.99"]) == 0
+        first, second = capsys.readouterr().out.split("method,prior")[1:]
+        assert first == second
 
 
 class TestParserReuse:

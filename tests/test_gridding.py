@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -8,7 +9,13 @@ from streameb.gridding import GridInfeasibleError, GridSpec, build_equispaced_gr
 from streameb.model import Grid, MixingWeights
 from streameb.priors import PriorSpec
 
-from .oracles import binned_discretization, count_pmf, count_second_moment, kl_discretization_gap
+from .oracles import (
+    binned_discretization,
+    count_pmf,
+    count_second_moment,
+    kl_discretization_gap,
+    kl_grid_size_scan,
+)
 
 
 def scan_condition(n, eta, k, m_k):
@@ -48,8 +55,7 @@ class TestKlGridSize:
             assert not scan_condition(d - 1, spec.eta, spec.k, spec.m_k)
 
     def test_block_size_does_not_change_the_size(self):
-        # The scan runs in cache-sized blocks; the sizes must equal those of
-        # a scan in blocks of 1 << 20, the block it used before.  Specs
+        # The sizes must equal those of a scan in blocks of 1 << 20.  Specs
         # share (eta, k) pairs so that the wide-block reference computes
         # n^(1-k) log(n eta) once per pair and block; m_k is set to reach
         # sizes spread log-uniformly from 2/eta to 1e6.
@@ -76,6 +82,31 @@ class TestKlGridSize:
                 assert kl_grid_size(GridSpec(eta=eta, k=k, m_k=m_k)) == want[m_k]
                 checked += 1
         assert checked == 400
+
+    def test_bisection_matches_the_scan(self):
+        # eta from 1e-3 to 1, k from 2 to 6, m_k from 0.01 to 1,000: every
+        # size the scan reaches by 5e5, and the refusals past it
+        checked = 0
+        for eta in np.geomspace(1e-3, 1.0, 9):
+            for k in range(2, 7):
+                for m_k in np.geomspace(0.01, 1000.0, 6):
+                    spec = GridSpec(eta=float(eta), k=k, m_k=float(m_k))
+                    want = kl_grid_size_scan(spec, cap=500_000)
+                    if want is not None:
+                        assert kl_grid_size(spec) == want, spec
+                        checked += 1
+                    else:
+                        assert kl_grid_size_scan(spec, cap=500_000 + 1) is None
+        assert checked > 150
+
+    def test_an_infeasible_spec_is_refused_at_once(self):
+        # m_2 of uniform(150, 250) counts: no size up to 1e9 fits at eta = 0.025
+        t0 = time.perf_counter()
+        with pytest.raises(GridInfeasibleError, match="no grid size up to 1000000000"):
+            kl_grid_size(GridSpec(eta=0.025, k=2, m_k=40_592.0))
+        assert time.perf_counter() - t0 < 0.5  # the scan took 7.2 s
+        with pytest.raises(GridInfeasibleError):  # the first size is already past the cap
+            kl_grid_size(GridSpec(eta=1e-9 / 1.5, k=2, m_k=1.0))
 
     def test_vanishing_moment_gives_minimal_grid(self):
         assert kl_grid_size(GridSpec(eta=1.0, k=2, m_k=1e-12)) == 2

@@ -124,6 +124,26 @@ class TestEstimateTable:
             assert a.tobytes() == b.tobytes()
         assert whole[1] == blocked[1]
 
+    def test_a_block_of_rows_gives_each_row_the_bits_of_a_one_row_call(self, rng):
+        # the regret diagnostic scores the oracle and every snapshot from one
+        # block; the paper-default state spans a wide band of log p, the rough
+        # weights and a point mass a narrow and a steep one
+        paper = _paper_default_state().g
+        points = np.sort(rng.uniform(0.1, 40.0, size=90))
+        blocks = [
+            (paper.grid, [paper.weights, MixingWeights.uniform(paper.grid).weights,
+                          random_weights(rng, paper.grid.points).weights]),
+            (Grid(points), [random_weights(rng, points).weights, np.eye(90)[3]]),
+        ]
+        for grid, ws in blocks:
+            for top in (1, 2, 9, 77):
+                log_p = inference._log_pmfs(grid, ws, top)
+                theta, p = inference._ratio_table(log_p)
+                assert theta.shape == p.shape == (len(ws), top)
+                for row, t, q in zip(log_p, theta, p):
+                    one_t, one_p = inference._ratio_table(row)
+                    assert t.tobytes() == one_t.tobytes() and q.tobytes() == one_p.tobytes()
+
     def test_finite_where_the_linear_pmf_underflows(self):
         # k(y | 0.5) underflows long before y = 20000; the zero-weight atom
         # at 20000 must not enter the row shift
