@@ -62,6 +62,8 @@ class IngestFormat:
             raise ValueError(f"unknown ingest format {self.kind!r}")
         if self.kind == "event-window" and not (self.window_s and self.window_s > 0):
             raise ValueError("event-window ingestion needs a positive window length")
+        if self.kind != "event-window" and self.window_s is not None:
+            raise ValueError(f"--window is read by event-window input only, not {self.kind}")
 
 
 # A count field: an optionally signed run of ASCII digits, so ``1_0`` and ``٣`` are refused.
@@ -228,24 +230,38 @@ def _ingest_format(args) -> IngestFormat:
 # -- subcommand bodies --------------------------------------------------------
 
 
-# The fit flags that only one source reads, with their defaults; given beside the
-# other source they are refused, not ignored.
+# Flags that one path alone reads, with their defaults; given where the command
+# takes another path they are refused, not ignored.  Of fit's flags, a source's
+# belong to it, and a fresh grid's and rate's are refused beside --state-in,
+# whose state brings its own.
 _FIT_SOURCE_FLAGS = {
     "prior": {"n": 500, "replications": 1, "timing": False},
     "input": {"format": "counts-lines", "window": None, "m2": None, "state_in": None,
               "state_out": None, "skip_degenerate": False},
 }
+_FIT_FRESH_FLAGS = {"m2": None, "eta": 0.025, "dcap": 10_000, "gamma": 0.99, "alpha": 1.0}
+_BASELINE_GRID_FLAGS = {"grid_points": 1000, "grid_lo": 1e-3, "max_iters": 500, "tol": 1e-8}
+
+
+def _take_defaults(args, flags: dict, refusal: str | None) -> None:
+    """Set each of ``flags`` not given to its default; one given is refused when ``refusal`` is set."""
+    for name, default in flags.items():
+        if getattr(args, name) is None:
+            setattr(args, name, default)
+        elif refusal:
+            raise ValueError(f"--{name.replace('_', '-')} {refusal}")
 
 
 def _cmd_fit(args) -> int:
-    for source, defaults in _FIT_SOURCE_FLAGS.items():
-        for name, default in defaults.items():
-            if getattr(args, name) is None:
-                setattr(args, name, default)
-            elif getattr(args, source) is None:
-                raise ValueError(f"--{name.replace('_', '-')} needs --{source}")
-    if args.m2 is not None and args.state_in:
-        raise ValueError("--m2 sizes a new grid; --state-in resumes on its state's grid")
+    for source, flags in _FIT_SOURCE_FLAGS.items():
+        _take_defaults(args, flags, f"needs --{source}" if getattr(args, source) is None else None)
+    fresh = "sets up a new grid and rate; --state-in resumes on its state's own"
+    _take_defaults(args, _FIT_FRESH_FLAGS, fresh if args.state_in else None)
+    in_file_order = args.input is not None and args.format == "counts-lines"
+    shuffle = "shuffles histogram and event-window input; counts-lines input streams in file order"
+    _take_defaults(args, {"seed": 0}, shuffle if in_file_order else None)
+    if args.m2 is not None and not args.m2 > 0:
+        raise ValueError(f"--m2 must be positive, got {args.m2!r}")
     rate = LearningRate(args.alpha, args.gamma)
     if args.prior is not None:
         cfg = evaluation.ExperimentConfig(
@@ -271,7 +287,7 @@ def _cmd_fit(args) -> int:
     if args.state_in:
         state = _read_scalar_state(args.state_in)
     else:
-        m2 = args.m2 if args.m2 else float(np.mean(np.array(ys, dtype=float) ** 2))
+        m2 = args.m2 if args.m2 is not None else float(np.mean(np.array(ys, dtype=float) ** 2))
         if m2 <= 0:
             raise ValueError("all counts are zero; supply --m2, a state, or richer data")
         grid = build_equispaced_grid(GridSpec(args.eta, 2, m2, d_cap=args.dcap))
@@ -300,9 +316,14 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_baseline(args) -> int:
+    grid_fit = args.method in ("npmle", "npmd")
+    unread = f"is read by npmle and npmd only, not {args.method}"
+    _take_defaults(args, _BASELINE_GRID_FLAGS, None if grid_fit else unread)
+    if not args.grid_lo >= 1e-3:
+        raise ValueError(f"--grid-lo must be at least 1e-3, got {args.grid_lo!r}")
     h = ingest(args.input, _ingest_format(args))
     cfg = None
-    if args.method in ("npmle", "npmd"):
+    if grid_fit:
         grid = baselines.baseline_grid(h, args.grid_points, args.grid_lo)
         cfg = SolverConfig(grid=grid, max_iters=args.max_iters, tol=args.tol)
     rows, info = baselines.baseline_estimates(h, args.method, cfg)
@@ -359,25 +380,28 @@ def build_parser() -> argparse.ArgumentParser:
     source = fit.add_mutually_exclusive_group(required=True)
     source.add_argument("--prior", type=_flag_prior, help="synthetic prior, e.g. weibull:5,3")
     source.add_argument("--input", help="count file to stream instead of a prior")
-    # the flags of one source default to None here and to _FIT_SOURCE_FLAGS in _cmd_fit
+    # the flags of one path default to None here and to their table's value in _cmd_fit
     fit.add_argument("--n", type=_flag_int, help="with --prior: counts per replication (500)")
     fit.add_argument("--replications", type=_flag_int, help="with --prior: seeds from --seed (1)")
     fit.add_argument("--timing", action="store_true", default=None,
                      help="with --prior: include measured per-update time (not byte-deterministic)")
     fit.add_argument("--format", help="with --input: the file's format (counts-lines)")
     fit.add_argument("--window", type=_flag_float,
-                     help="with --input: event-window length in seconds")
+                     help="with --input: event-window length in seconds (that format only)")
     fit.add_argument("--m2", type=_flag_float,
-                     help="with --input: moment bound for grid sizing (default: empirical)")
+                     help="with --input: positive moment bound for grid sizing (default: "
+                          "empirical); not with --state-in")
     fit.add_argument("--state-in", help="with --input: resume from this saved state")
     fit.add_argument("--state-out", help="with --input: save the final state here")
     fit.add_argument("--skip-degenerate", action="store_true", default=None,
                      help="with --input: skip counts whose likelihood underflows instead of failing")
-    fit.add_argument("--eta", type=_flag_float, default=0.025)
-    fit.add_argument("--dcap", type=_flag_int, default=10_000)
-    fit.add_argument("--gamma", type=_flag_float, default=0.99)
-    fit.add_argument("--alpha", type=_flag_float, default=1.0)
-    fit.add_argument("--seed", type=_flag_int, default=0)
+    fit.add_argument("--eta", type=_flag_float, help="grid spacing (0.025); not with --state-in")
+    fit.add_argument("--dcap", type=_flag_int, help="most grid points (10000); not with --state-in")
+    fit.add_argument("--gamma", type=_flag_float, help="step-size decay (0.99); not with --state-in")
+    fit.add_argument("--alpha", type=_flag_float, help="step-size offset (1.0); not with --state-in")
+    fit.add_argument("--seed", type=_flag_int,
+                     help="first seed with --prior, or the shuffle of a histogram input (0); "
+                          "not with counts-lines input")
     fit.set_defaults(func=_cmd_fit)
 
     est = sub.add_parser("estimate", help="estimates and intervals from a saved state")
@@ -390,11 +414,14 @@ def build_parser() -> argparse.ArgumentParser:
     base.add_argument("--method", required=True, choices=baselines.METHODS)
     base.add_argument("--input", required=True)
     base.add_argument("--format", default="histogram-csv")
-    base.add_argument("--window", type=_flag_float)
-    base.add_argument("--grid-points", type=_flag_int, default=1000)
-    base.add_argument("--grid-lo", type=_flag_float, default=1e-3)
-    base.add_argument("--max-iters", type=_flag_int, default=500)
-    base.add_argument("--tol", type=_flag_float, default=1e-8)
+    base.add_argument("--window", type=_flag_float,
+                      help="event-window length in seconds (that format only)")
+    # the grid fits' flags default to None here and to _BASELINE_GRID_FLAGS in _cmd_baseline
+    base.add_argument("--grid-points", type=_flag_int, help="npmle/npmd: grid size (1000)")
+    base.add_argument("--grid-lo", type=_flag_float,
+                      help="npmle/npmd: lowest grid point, at least 1e-3 (1e-3)")
+    base.add_argument("--max-iters", type=_flag_int, help="npmle/npmd: solver iterations (500)")
+    base.add_argument("--tol", type=_flag_float, help="npmle/npmd: solver tolerance (1e-8)")
     base.add_argument("--markdown", action="store_true")
     base.add_argument("--verbose", action="store_true")
     base.set_defaults(func=_cmd_baseline)

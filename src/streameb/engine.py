@@ -30,7 +30,6 @@ import math
 import struct
 import zlib
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 from scipy.linalg import blas as _blas
@@ -126,13 +125,7 @@ def update(state: NewtonState, y) -> NewtonState:
     return _fold(state, [count], count)
 
 
-def update_stream(
-    state: NewtonState,
-    ys,
-    snapshot_every: int | None = None,
-    on_snapshot: Callable[[NewtonState], None] | None = None,
-    skip_degenerate: bool = False,
-) -> NewtonState:
+def update_stream(state: NewtonState, ys, *, skip_degenerate: bool = False) -> NewtonState:
     """Fold the one-observation update over a sequence, with a low-overhead loop.
 
     ``ys`` holds counts on a Grid and rows of k counts on a ProductGrid.
@@ -149,15 +142,14 @@ def update_stream(
     ``OPENBLAS_NUM_THREADS`` to compare such runs.  The first degenerate
     observation aborts with its stream index attached to the raised error;
     with ``skip_degenerate`` set, offending observations are skipped
-    instead (this biases the fit and is opt-in for that reason).  When
-    ``snapshot_every`` is set, ``on_snapshot`` receives an immutable state
-    snapshot every that many observations; it may call ``update`` and
-    ``update_stream`` itself.
+    instead (this biases the fit and is opt-in for that reason).  Weights
+    at chosen steps of many streams come from the ``checkpoints`` of
+    ``evaluation.batched_newton_stream``.
     """
     if len(ys) == 0:
         return state
     ys = _counts(state.g.grid, ys)
-    return _fold(state, ys.tolist(), int(ys.max()), snapshot_every, on_snapshot, skip_degenerate)
+    return _fold(state, ys.tolist(), int(ys.max()), skip_degenerate)
 
 
 # The scaled weights are folded back to the simplex when S passes this.
@@ -211,14 +203,7 @@ class _LatticeRows:
         return self.out
 
 
-def _state(g: MixingWeights, n: int, rate: LearningRate, cache: KernelMatrixCache) -> NewtonState:
-    """A NewtonState without ``__post_init__``, for ``_fold``: ``rate`` is its input state's."""
-    state = object.__new__(NewtonState)
-    state.__dict__.update(g=g, n=n, rate=rate, cache=cache)  # frozen fields, no __setattr__
-    return state
-
-
-def _fold(state, ys, top, snapshot_every=None, on_snapshot=None, skip_degenerate=False):
+def _fold(state, ys, top, skip_degenerate=False):
     """The recursion over validated observations ``ys`` (a list; ``top`` is their largest count).
 
     The weights are kept unnormalized, as ``v = S w`` with one running
@@ -228,10 +213,10 @@ def _fold(state, ys, top, snapshot_every=None, on_snapshot=None, skip_degenerate
         q = r * v;   T = sum(q);   v += beta q,  beta = a S / ((1 - a) T);
 
     then ``S <- S / (1 - a)``.  In exact arithmetic ``v / S`` is then
-    ``(1 - a) w + a (r * w) / (r . w)``.  ``v`` is normalized only for a
-    result (the end of the call and each snapshot) and when S passes
-    ``_RESCALE_AT``.  An observation is degenerate when T is not positive
-    or beta overflows; it never reaches the weights.
+    ``(1 - a) w + a (r * w) / (r . w)``.  ``v`` is normalized only for
+    the result, at the end of the call, and when S passes ``_RESCALE_AT``.
+    An observation is degenerate when T is not positive or beta overflows;
+    it never reaches the weights.
 
     ``v`` and ``q`` are the only scratch, 2 D floats for both grid kinds.
     A scalar row is read from the cache's table; a lattice row is first
@@ -246,10 +231,9 @@ def _fold(state, ys, top, snapshot_every=None, on_snapshot=None, skip_degenerate
     buffer is freed with it.  A fold takes the pair out of the slot with
     one ``dict.pop``, atomic under the GIL, and puts it back once its
     result is built.  A fold that finds the slot empty, because another
-    thread's fold holds the buffer or an ``on_snapshot`` callback
-    re-entered ``update``, allocates its own; so does the fold after one
-    that raised, whose buffer is dropped.  ``v`` is overwritten by the
-    state's weights, and ``q`` before it is read, so a buffer's old
+    thread's fold holds the buffer, allocates its own; so does the fold
+    after one that raised, whose buffer is dropped.  ``v`` is overwritten
+    by the state's weights, and ``q`` before it is read, so a buffer's old
     contents never reach a result, and a result's weights are a fresh
     read-only vector.
     """
@@ -272,7 +256,6 @@ def _fold(state, ys, top, snapshot_every=None, on_snapshot=None, skip_degenerate
         rows = _LatticeRows(grid, rows, q)
     alpha, neg_gamma = rate.alpha, -rate.gamma
     n, s = state.n, 1.0
-    snap = snapshot_every if on_snapshot else 0
     mul, dasum, daxpy = np.multiply, _blas.dasum, _blas.daxpy
     for i, y in enumerate(ys):
         mul(rows[y], v, q)
@@ -292,11 +275,11 @@ def _fold(state, ys, top, snapshot_every=None, on_snapshot=None, skip_degenerate
         if s > _RESCALE_AT:
             v /= dasum(v)
             s = 1.0
-        if snap and n % snap == 0:
-            on_snapshot(_state(MixingWeights._normalized(grid, v, dasum(v)), n, rate, cache))
     result = state
-    if n != state.n:
-        result = _state(MixingWeights._normalized(grid, v, dasum(v)), n, rate, cache)
+    if n != state.n:  # a NewtonState without __post_init__: rate is the input state's
+        result = object.__new__(NewtonState)
+        g = MixingWeights._normalized(grid, v, dasum(v))
+        result.__dict__.update(g=g, n=n, rate=rate, cache=cache)  # frozen fields, no __setattr__
     cache._scratch["v, q"] = scratch  # after the result's own copy: the next fold may overwrite v
     return result
 

@@ -37,6 +37,7 @@ computed over the whole grid; the tail bound, and so Z, reads them.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -211,11 +212,12 @@ def _tail_bound(g: MixingWeights, contrasts: np.ndarray):
 
 
 def _certified_y_max(g, contrasts, partial, z_lo: int, cap: int) -> int:
-    """First z in [z_lo, cap] whose tail bound is within tolerance of ``partial``.
+    """First z in [z_lo, cap) whose tail bound is within tolerance of ``partial``, else ``cap``.
 
     ``partial`` holds the sums up to ``z_lo``; later partial sums only grow,
-    so the certificate holds at the returned point too.  Returns ``cap``
-    when no point up to it qualifies.
+    so the certificate holds at the returned point too.  The tail bound
+    falls as z grows, so the points that qualify are those from the first
+    one on, and one bisection over [z_lo, cap) finds it.
     """
     target = _TRUNCATION_RTOL * partial
     bound = _tail_bound(g, contrasts)
@@ -223,18 +225,7 @@ def _certified_y_max(g, contrasts, partial, z_lo: int, cap: int) -> int:
     def certified(z):
         return bool((bound(z) <= target).all())
 
-    lo = hi = z_lo
-    while not certified(hi):
-        if hi >= cap:
-            return cap
-        lo, hi = hi, min(cap, 2 * hi)
-    while hi - lo > 1:  # certified(hi) holds; certified(lo) fails unless lo == hi
-        mid = (lo + hi) // 2
-        if certified(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    return z_lo + bisect.bisect_left(range(z_lo, cap), True, key=certified)
 
 
 def _second_moments(g: MixingWeights, contrasts: np.ndarray, z: int):

@@ -293,14 +293,13 @@ class TestFitEstimateFlow:
         second.write_text("\n".join(str(int(y)) for y in counts[500:]) + "\n")
         s_full, s_a, s_b = (tmp_path / n for n in ("full.bin", "a.bin", "b.bin"))
         # pin the moment bound so both fresh legs size the same grid; the resumed
-        # leg reads its grid from the state
-        base = ["--no-meta", "fit", "--eta", "0.1", "--dcap", "300"]
-        sized = base + ["--m2", "6.0"]
+        # leg reads its grid and rate from the state
+        sized = ["--no-meta", "fit", "--eta", "0.1", "--dcap", "300", "--m2", "6.0"]
         assert main(sized + ["--input", str(full), "--state-out", str(s_full)]) == 0
         assert main(sized + ["--input", str(first), "--state-out", str(s_a)]) == 0
         assert (
             main(
-                base
+                ["--no-meta", "fit"]
                 + ["--input", str(second), "--state-in", str(s_a), "--state-out", str(s_b)]
             )
             == 0
@@ -449,6 +448,54 @@ class TestFitSources:
         assert outs[0].read_bytes() == outs[1].read_bytes()
         assert outs[2].read_bytes() == outs[3].read_bytes()
         assert outs[0].read_text().splitlines()[1].split(",")[2] == "500"
+
+
+# Flags that the path a call takes does not read, each with the flag the
+# refusal must name: fit's fresh-grid flags beside --state-in, --seed on a
+# counts-lines input, a nonpositive --m2, --window with a format other than
+# event-window, and baseline's grid-fit flags beside robbins and peb or below
+# their floor.
+_UNREAD_FLAGS = [
+    (["fit", "--input", "{counts}", "--state-in", "{state}", "--gamma", "0.6"], "--gamma"),
+    (["fit", "--input", "{counts}", "--state-in", "{state}", "--alpha", "5"], "--alpha"),
+    (["fit", "--input", "{counts}", "--state-in", "{state}", "--eta", "7"], "--eta"),
+    (["fit", "--input", "{counts}", "--state-in", "{state}", "--dcap", "3"], "--dcap"),
+    (["fit", "--input", "{counts}", "--state-in", "{state}", "--eta", "0.025"], "--eta"),
+    (["fit", "--input", "{counts}", "--seed", "3"], "--seed"),
+    (["fit", "--input", "{counts}", "--format", "counts-lines", "--seed", "0"], "--seed"),
+    (["fit", "--input", "{counts}", "--m2", "0"], "--m2"),
+    (["fit", "--input", "{counts}", "--m2", "-1"], "--m2"),
+    (["fit", "--input", "{counts}", "--window", "30"], "--window"),
+    (["fit", "--input", "{hist}", "--format", "histogram-csv", "--window", "30"], "--window"),
+    (["baseline", "--method", "robbins", "--input", "{hist}", "--window", "30"], "--window"),
+    (["baseline", "--method", "npmle", "--input", "{counts}", "--format", "counts-lines",
+      "--window", "30"], "--window"),
+    (["baseline", "--method", "npmle", "--input", "{hist}", "--grid-lo", "1e-4"], "--grid-lo"),
+    (["baseline", "--method", "npmd", "--input", "{hist}", "--grid-lo", "0"], "--grid-lo"),
+    (["baseline", "--method", "npmle", "--input", "{hist}", "--grid-lo", "-5"], "--grid-lo"),
+    (["baseline", "--method", "robbins", "--input", "{hist}", "--grid-points", "10"],
+     "--grid-points"),
+    (["baseline", "--method", "robbins", "--input", "{hist}", "--grid-lo", "0.5"], "--grid-lo"),
+    (["baseline", "--method", "peb", "--input", "{hist}", "--max-iters", "5"], "--max-iters"),
+    (["baseline", "--method", "peb", "--input", "{hist}", "--tol", "1e-3"], "--tol"),
+]
+
+
+@pytest.mark.parametrize("args, flag", _UNREAD_FLAGS,
+                         ids=[" ".join(args[:1] + args[-2:]) for args, _ in _UNREAD_FLAGS])
+def test_a_flag_the_path_does_not_read_is_refused(args, flag, accident_csv, tmp_path, capsys):
+    paths = {"counts": tmp_path / "counts.txt", "hist": accident_csv, "state": tmp_path / "start.state"}
+    paths["counts"].write_text("0\n1\n2\n1\n")
+    start = init(Grid(np.linspace(0.1, 10.0, 50)), LearningRate(1.0, 0.99))
+    paths["state"].write_bytes(serialize_state(start))
+    before = sorted(tmp_path.iterdir())
+    end = tmp_path / "end.state"
+    extra = ["--state-out", str(end)] if args[0] == "fit" else []
+    capsys.readouterr()
+    assert main(["--no-meta"] + [a.format(**paths) for a in args] + extra) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: {flag} ")
+    assert sorted(tmp_path.iterdir()) == before  # no state written
 
 
 class TestFlagDecimals:

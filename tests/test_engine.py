@@ -210,19 +210,6 @@ class TestUpdateStream:
         assert out.n == 2
         assert np.array_equal(out.g.weights, kept.g.weights)
 
-    def test_snapshots_fire_at_interval(self):
-        grid = Grid([1.0, 2.0])
-        for state, ys in [
-            (init(grid, LearningRate(1.0, 0.99)), [1] * 25),
-            (init(ProductGrid(grid, 2), LearningRate(1.0, 0.99)), [(1, 0)] * 25),
-        ]:
-            seen = []
-            final = update_stream(state, ys, snapshot_every=10, on_snapshot=seen.append)
-            assert [s.n for s in seen] == [10, 20]
-            assert seen[0].g.grid is state.g.grid
-            assert np.array_equal(seen[1].g.weights, update_stream(state, ys[:20]).g.weights)
-            assert final.n == 25
-
     def test_only_the_power_schedule_is_accepted(self):
         grid = Grid([1.0, 2.0, 3.0])
         with pytest.raises(TypeError):
@@ -309,33 +296,6 @@ class TestRetainedScratch:
 
     rate = LearningRate(1.0, 0.99)
     grid = Grid(np.linspace(0.2, 12.0, 200))
-
-    def test_a_snapshot_callback_may_fold_further(self, rng):
-        ys, more = rng.poisson(3.0, 600), rng.poisson(5.0, 50)
-        start = init(self.grid, self.rate)
-        passive = update_stream(start, ys, snapshot_every=100, on_snapshot=lambda snap: None)
-        seen, inner = [], []
-
-        def refold(snap):
-            # The outer fold holds the cache's buffer, so the first inner fold
-            # finds the slot empty; later ones would find what an inner fold
-            # put back, so the slot is emptied before each of them.
-            assert snap.cache is start.cache
-            assert seen or not snap.cache._scratch
-            seen.append((snap, _digest(snap)))
-            snap.cache._scratch.clear()
-            one = update(snap, int(more[0]))
-            snap.cache._scratch.clear()
-            inner.append(update_stream(one, more))
-
-        got = update_stream(start, ys, snapshot_every=100, on_snapshot=refold)
-        assert np.array_equal(got.g.weights.view(np.uint64), passive.g.weights.view(np.uint64))
-        assert [snap.n for snap, _ in seen] == [100, 200, 300, 400, 500, 600]
-        for (snap, digest), folded in zip(seen, inner):
-            assert _digest(snap) == digest  # the outer fold went on without touching it
-            fresh = engine.NewtonState(snap.g, snap.n, self.rate, engine.KernelMatrixCache(self.grid))
-            want = update_stream(update(fresh, int(more[0])), more)
-            assert np.array_equal(folded.g.weights.view(np.uint64), want.g.weights.view(np.uint64))
 
     def test_threads_sharing_a_cache_keep_their_serial_bits(self, monkeypatch):
         start = init(self.grid, self.rate)

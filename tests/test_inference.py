@@ -384,9 +384,10 @@ class TestCertifiedTruncation:
             asymptotic_variance(g, -1)
 
     def test_search_stops_at_the_first_certified_point(self, rng, monkeypatch):
-        # the doubling-and-bisection search must return what a linear scan
-        # from z_lo returns, and the certified result must carry the bits of
-        # a fixed cutoff at that point
+        # the bisection must return what a linear scan from z_lo returns, and
+        # the certified result must carry the bits of a fixed cutoff at that
+        # point; at the edges, z_lo == cap and no certified point below cap,
+        # both return cap
         searches = []  # ((g, contrasts, partial, z_lo, cap), returned point) per query
         search = inference._certified_y_max
 
@@ -396,7 +397,7 @@ class TestCertifiedTruncation:
 
         def first_certified(g, contrasts, partial, z_lo, cap):
             for z in range(z_lo, cap):
-                if np.all(_tail_bound(g, contrasts)(z) <= 1e-12 * partial):
+                if np.all(_tail_bound(g, contrasts)(z) <= inference._TRUNCATION_RTOL * partial):
                     return z
             return cap
 
@@ -418,6 +419,22 @@ class TestCertifiedTruncation:
             z = first_certified(*args)
             assert found == z > args[3]
             assert np.array_equal(cov, asymptotic_variance(g, y, y_max=z))
+
+        # a count past the cap: z_lo is the cap, and there is nothing to search
+        small = update_stream(init(Grid([1.0, 2.0, 4.0]), rate), rng.poisson(2.0, 50)).g
+        cap = default_y_max(small.grid)
+        variance = asymptotic_variance(small, cap + 5)
+        args, found = searches[-1]
+        assert args[3:] == (cap, cap) and found == first_certified(*args) == cap
+        assert variance == asymptotic_variance(small, cap + 5, y_max=cap)
+
+        # no tolerance at all: every bound below the cap is positive, so no
+        # point qualifies and the search returns the cap
+        monkeypatch.setattr(inference, "_TRUNCATION_RTOL", 0.0)
+        cov = asymptotic_variance(g, [4, 11])
+        args, found = searches[-1]
+        assert args[3] < args[4] and found == first_certified(*args) == args[4]
+        assert np.array_equal(cov, asymptotic_variance(g, [4, 11], y_max=args[4]))
 
     def test_interval_where_the_linear_pmf_underflows(self):
         # every rate is at least 760, so p_g(0) and p_g(1) are below 1e-330:
