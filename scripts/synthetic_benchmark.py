@@ -2,8 +2,8 @@
 """Run the synthetic comparison: streaming estimator vs the batch baselines.
 
 For each prior and sample size, draws a compound sample per seed, fits the
-stream and every baseline on it, and reports RMSE/MAD rows plus a median
-summary table.
+stream and every baseline on it (the grid fits on ``baselines.baseline_grid``,
+1,000 points), and reports RMSE/MAD rows plus a median summary table.
 
     python scripts/synthetic_benchmark.py --priors weibull:3,5 uniform:0,3 \
         --n 100 500 --seeds 10 --out results.csv
@@ -31,8 +31,6 @@ def main(argv=None) -> int:
     ap.add_argument("--eta", type=float, default=0.025)
     ap.add_argument("--dcap", type=int, default=10_000)
     ap.add_argument("--gamma", type=float, default=0.99)
-    ap.add_argument("--grid-points", type=int, default=1000)
-    ap.add_argument("--skip-baselines", action="store_true")
     ap.add_argument("--out")
     args = ap.parse_args(argv)
 
@@ -45,8 +43,7 @@ def main(argv=None) -> int:
             )
             for seed in range(args.seeds):
                 rows.append(run_stream_experiment(cfg, seed))
-                if not args.skip_baselines:
-                    rows.extend(baseline_rows(cfg, seed, args.grid_points))
+                rows.extend(baseline_rows(cfg, seed))
             print(f"done: {prior_text} n={n}", file=sys.stderr)
     csv = metrics_to_csv(rows)
     if args.out:

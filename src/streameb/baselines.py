@@ -75,10 +75,14 @@ class SolverResult:
     qp_solves: int                 # linear systems solved across all QP subproblems
 
 
-def baseline_grid(h: CountHistogram, points: int = 1000, lo: float = 1e-3) -> Grid:
-    """Grid of ``streameb baseline``: max(lo, 1e-3) to max + 3 (sqrt(max) + 1)."""
+def baseline_grid(h: CountHistogram) -> Grid:
+    """The one grid of the batch grid fits (``streameb baseline``, ``evaluation.baseline_rows``).
+
+    1,000 evenly spaced points from 1e-3 to max + 3 (sqrt(max) + 1), where
+    max is the largest count; the top is at least 1.
+    """
     top = h.max_count()
-    return Grid(np.linspace(max(lo, 1e-3), max(top + 3.0 * (top**0.5 + 1.0), 1.0), points))
+    return Grid(np.linspace(1e-3, max(top + 3.0 * (top**0.5 + 1.0), 1.0), 1000))
 
 
 def robbins_estimate(h: CountHistogram, y: int) -> float:
@@ -89,15 +93,13 @@ def robbins_estimate(h: CountHistogram, y: int) -> float:
     return (y + 1) * h.entries.get(int(y) + 1, 0) / n_y
 
 
-def _nonnegative_qp(
-    a: np.ndarray, g: np.ndarray, x: np.ndarray, start: np.ndarray | None = None, tol: float = 1e-10
-):
+def _nonnegative_qp(a: np.ndarray, g: np.ndarray, x: np.ndarray, start: np.ndarray | None = None):
     """argmin over y >= 0 of |a (y - x)|^2 / 2 + g . (y - x), by a primal active set.
 
     Starts from the support of ``start``, a feasible point (the previous
     subproblem's solution; the empty support when it is None), and solves on
     that support first.  Then it adds the free coordinate whose gradient is
-    below ``-tol`` and most negative, and solves again.  Each Newton step on
+    below -1e-10 and most negative, and solves again.  Each Newton step on
     the support solves ``a_S' a_S`` plus a 1e-10 ridge for the correction to
     the current y, so the ridge damps the correction rather than pulling y
     toward zero; when a coordinate reaches zero the step stops there and the
@@ -146,7 +148,7 @@ def _nonnegative_qp(
         grad = a.T @ (a_s @ y_s - ax) + g
         grad[support] = 0.0
         entering = int(grad.argmin())
-        if grad[entering] >= -tol:
+        if grad[entering] >= -1e-10:
             break
         support = np.concatenate((support, [entering]))
         a_s = a[:, support]
@@ -276,6 +278,10 @@ def nb_log_likelihood(h: CountHistogram, shape: float, rate: float) -> float:
 
 
 _BOUNDARY_LOG = np.log(1e8)
+_BOUNDARY_WARNING = (
+    "marginal likelihood is maximized toward the equidispersed "
+    "boundary (shape, rate -> inf); returning the safeguarded fit"
+)
 
 
 def fit_gamma_hyperprior(h: CountHistogram) -> GammaHyper:
@@ -287,18 +293,14 @@ def fit_gamma_hyperprior(h: CountHistogram) -> GammaHyper:
     no overdispersion push shape and rate to infinity together; a finite
     safeguard is returned with a warning in that case.
     """
-    if len(h.entries) < 2:
-        warnings.warn("degenerate data (single distinct count); boundary fit returned")
     mean = sum(y * n for y, n in h.entries.items()) / h.total
     var = sum((y - mean) ** 2 * n for y, n in h.entries.items()) / h.total
     shape_cap = float(np.exp(_BOUNDARY_LOG))
-    if var <= mean or len(h.entries) < 2:
-        # No overdispersion to explain: the likelihood climbs toward the
-        # equidispersed limit (shape, rate -> inf with their ratio fixed).
-        warnings.warn(
-            "marginal likelihood is maximized toward the equidispersed "
-            "boundary (shape, rate -> inf); returning the safeguarded fit"
-        )
+    if var <= mean:
+        # No overdispersion to explain (a single distinct count has variance
+        # 0): the likelihood climbs toward the equidispersed limit (shape,
+        # rate -> inf with their ratio fixed).
+        warnings.warn(_BOUNDARY_WARNING)
         return GammaHyper(shape_cap, shape_cap / max(mean, 1e-8))
     from scipy.optimize import minimize_scalar  # deferred: only this fit needs it
 
@@ -314,10 +316,7 @@ def fit_gamma_hyperprior(h: CountHistogram) -> GammaHyper:
     if not res.success and not near_boundary:
         raise ConvergenceError(f"negative binomial fit failed: {res.message}")
     if near_boundary:
-        warnings.warn(
-            "marginal likelihood is maximized toward the equidispersed "
-            "boundary (shape, rate -> inf); returning the safeguarded fit"
-        )
+        warnings.warn(_BOUNDARY_WARNING)
     shape = float(np.exp(log_shape))
     return GammaHyper(shape, shape / mean)
 

@@ -94,6 +94,13 @@ def _flag_float(text: str) -> float:
         raise argparse.ArgumentTypeError(f"expected a decimal number, got {text!r}") from None
 
 
+def _flag_path(text: str) -> str:
+    """argparse type of the output and state paths: an empty path is refused, not ignored."""
+    if not text:
+        raise argparse.ArgumentTypeError("expected a path, got ''")
+    return text
+
+
 def _flag_prior(text: str):
     """argparse type of ``--prior`` and ``--atoms``: ``parse_prior``, its refusal naming the flag."""
     try:
@@ -169,7 +176,7 @@ def _meta_line(args) -> str:
 
 def _emit(text: str, args) -> None:
     body = text if args.no_meta else _meta_line(args) + "\n" + text
-    if args.out:
+    if args.out is not None:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(body)
     else:
@@ -240,7 +247,6 @@ _FIT_SOURCE_FLAGS = {
               "state_out": None, "skip_degenerate": False},
 }
 _FIT_FRESH_FLAGS = {"m2": None, "eta": 0.025, "dcap": 10_000, "gamma": 0.99, "alpha": 1.0}
-_BASELINE_GRID_FLAGS = {"grid_points": 1000, "grid_lo": 1e-3, "max_iters": 500, "tol": 1e-8}
 
 
 def _take_defaults(args, flags: dict, refusal: str | None) -> None:
@@ -256,7 +262,7 @@ def _cmd_fit(args) -> int:
     for source, flags in _FIT_SOURCE_FLAGS.items():
         _take_defaults(args, flags, f"needs --{source}" if getattr(args, source) is None else None)
     fresh = "sets up a new grid and rate; --state-in resumes on its state's own"
-    _take_defaults(args, _FIT_FRESH_FLAGS, fresh if args.state_in else None)
+    _take_defaults(args, _FIT_FRESH_FLAGS, fresh if args.state_in is not None else None)
     in_file_order = args.input is not None and args.format == "counts-lines"
     shuffle = "shuffles histogram and event-window input; counts-lines input streams in file order"
     _take_defaults(args, {"seed": 0}, shuffle if in_file_order else None)
@@ -284,7 +290,7 @@ def _cmd_fit(args) -> int:
         h = ingest(args.input, fmt)
         ascending = np.repeat(h.support(), h.multiplicities().astype(np.int64))
         ys = np.random.default_rng(args.seed).permutation(ascending)
-    if args.state_in:
+    if args.state_in is not None:
         state = _read_scalar_state(args.state_in)
     else:
         m2 = args.m2 if args.m2 is not None else float(np.mean(np.array(ys, dtype=float) ** 2))
@@ -296,7 +302,7 @@ def _cmd_fit(args) -> int:
     state = engine.update_stream(state, ys, skip_degenerate=args.skip_degenerate)
     if args.skip_degenerate:
         print(f"# skipped {len(ys) - (state.n - n_before)} of {len(ys)} counts", file=sys.stderr)
-    if args.state_out:
+    if args.state_out is not None:
         with open(args.state_out, "wb") as handle:
             handle.write(engine.serialize_state(state))
     table = inference.estimate_table(state.g, h.max_count())[0].tolist()
@@ -316,16 +322,8 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_baseline(args) -> int:
-    grid_fit = args.method in ("npmle", "npmd")
-    unread = f"is read by npmle and npmd only, not {args.method}"
-    _take_defaults(args, _BASELINE_GRID_FLAGS, None if grid_fit else unread)
-    if not args.grid_lo >= 1e-3:
-        raise ValueError(f"--grid-lo must be at least 1e-3, got {args.grid_lo!r}")
     h = ingest(args.input, _ingest_format(args))
-    cfg = None
-    if grid_fit:
-        grid = baselines.baseline_grid(h, args.grid_points, args.grid_lo)
-        cfg = SolverConfig(grid=grid, max_iters=args.max_iters, tol=args.tol)
+    cfg = SolverConfig(baselines.baseline_grid(h)) if args.method in ("npmle", "npmd") else None
     rows, info = baselines.baseline_estimates(h, args.method, cfg)
     if args.markdown:
         _emit(baselines.estimates_to_markdown({args.method: rows}), args)
@@ -372,7 +370,7 @@ def _cmd_regret(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="streameb", description=__doc__.split("\n")[0])
-    parser.add_argument("--out", help="write output here instead of stdout")
+    parser.add_argument("--out", type=_flag_path, help="write output here instead of stdout")
     parser.add_argument("--no-meta", action="store_true", help="suppress the timestamp header")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -391,8 +389,10 @@ def build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--m2", type=_flag_float,
                      help="with --input: positive moment bound for grid sizing (default: "
                           "empirical); not with --state-in")
-    fit.add_argument("--state-in", help="with --input: resume from this saved state")
-    fit.add_argument("--state-out", help="with --input: save the final state here")
+    fit.add_argument("--state-in", type=_flag_path,
+                     help="with --input: resume from this saved state")
+    fit.add_argument("--state-out", type=_flag_path,
+                     help="with --input: save the final state here")
     fit.add_argument("--skip-degenerate", action="store_true", default=None,
                      help="with --input: skip counts whose likelihood underflows instead of failing")
     fit.add_argument("--eta", type=_flag_float, help="grid spacing (0.025); not with --state-in")
@@ -416,12 +416,6 @@ def build_parser() -> argparse.ArgumentParser:
     base.add_argument("--format", default="histogram-csv")
     base.add_argument("--window", type=_flag_float,
                       help="event-window length in seconds (that format only)")
-    # the grid fits' flags default to None here and to _BASELINE_GRID_FLAGS in _cmd_baseline
-    base.add_argument("--grid-points", type=_flag_int, help="npmle/npmd: grid size (1000)")
-    base.add_argument("--grid-lo", type=_flag_float,
-                      help="npmle/npmd: lowest grid point, at least 1e-3 (1e-3)")
-    base.add_argument("--max-iters", type=_flag_int, help="npmle/npmd: solver iterations (500)")
-    base.add_argument("--tol", type=_flag_float, help="npmle/npmd: solver tolerance (1e-8)")
     base.add_argument("--markdown", action="store_true")
     base.add_argument("--verbose", action="store_true")
     base.set_defaults(func=_cmd_baseline)

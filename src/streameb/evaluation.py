@@ -175,17 +175,17 @@ def run_stream_experiment(cfg: ExperimentConfig, seed: int, measure_time: bool =
     )
 
 
-def baseline_rows(cfg: ExperimentConfig, seed: int, grid_points: int = 1000) -> list:
+def baseline_rows(cfg: ExperimentConfig, seed: int) -> list:
     """One row per ``baselines.METHODS`` entry on the draws of ``run_stream_experiment``.
 
     Each method fits the histogram of the same seeded counts the stream
-    sees, the grid methods on ``baselines.baseline_grid`` at the solver
-    defaults, and is scored against the latent rates.  The rows carry no
+    sees, the grid methods on ``baselines.baseline_grid`` (1,000 points) at
+    the solver defaults, and is scored against the latent rates.  The rows carry no
     step-size fields and no timing, so they are deterministic under the seed.
     """
     thetas, ys = generate_compound(cfg.prior, cfg.n, seed)
     h = CountHistogram.from_counts(ys)
-    solver = baselines.SolverConfig(baselines.baseline_grid(h, grid_points))
+    solver = baselines.SolverConfig(baselines.baseline_grid(h))
     nan = float("nan")
     rows = []
     for method in baselines.METHODS:
@@ -240,29 +240,27 @@ def regret_decay_diagnostic(cfg: ExperimentConfig, checkpoints) -> RegretDecayRe
     )
 
 
-def timing_harness(
-    d_values, n_updates: int, windows, seed: int = 0, warmup: int = 20,
-    chunk: int = 50, repeats: int = 7,
-):
+def timing_harness(d_values, n_updates: int, windows, seed: int = 0):
     """Median per-update wall time (ms) per grid size and update window.
 
-    Streams ``n_updates`` synthetic counts through a fresh state for each
-    grid size, timing chunks of ``chunk`` consecutive updates.  The whole
-    stream is repeated ``repeats`` times and each chunk keeps its fastest
-    repetition.  Repetitions are interleaved across grid sizes (each one
-    visits every grid size in turn), so a slow period of the machine lands
-    on all sizes alike instead of on one size's whole block, and the
-    minimum filters it out; ``warmup`` leading updates are discarded.
-    Returns rows ``(d, window_lo, window_hi, median_ms)`` in ``d_values``
-    order, where windows index updates after warmup.
+    Streams ``n_updates`` synthetic counts, after 20 warmup updates, through
+    a fresh state for each grid size, timing chunks of 50 consecutive
+    updates.  The whole stream is repeated 7 times and each chunk keeps its
+    fastest repetition.  Repetitions are interleaved across grid sizes (each
+    one visits every grid size in turn), so a slow period of the machine
+    lands on all sizes alike instead of on one size's whole block, and the
+    minimum filters it out; the warmup updates are discarded.  Returns rows
+    ``(d, window_lo, window_hi, median_ms)`` in ``d_values`` order, where
+    windows index updates after warmup.
     """
+    warmup, chunk = 20, 50
     rng = np.random.default_rng(seed)
     runs = []
     for d in d_values:
         grid = Grid(np.linspace(0.2, 12.0, int(d)))
         ys = rng.poisson(3.0, size=n_updates + warmup)
         runs.append((int(d), grid, ys, np.full((len(ys) + chunk - 1) // chunk, np.inf)))
-    for _ in range(repeats):
+    for _ in range(7):
         for _, grid, ys, best in runs:
             state = engine.init(grid, LearningRate(1.0, 0.99))
             state.cache.ensure(int(ys.max()))

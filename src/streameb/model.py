@@ -41,8 +41,8 @@ class DegenerateLikelihoodError(ValueError):
         super().__init__(msg)
 
 
-def _frozen(values, dtype=float) -> np.ndarray:
-    arr = np.array(values, dtype=dtype, copy=True)
+def _frozen(values) -> np.ndarray:
+    arr = np.array(values, dtype=float, copy=True)
     arr.flags.writeable = False
     return arr
 

@@ -484,7 +484,7 @@ def interval_coverage(atoms, probs, rate, level, ys, reps, n_small, n_big, seed)
     return {y: h / reps for y, h in hits.items()}
 
 
-def nonnegative_qp_reference(a, g, x, start=None, tol=1e-10):
+def nonnegative_qp_reference(a, g, x, start=None):
     """``baselines._nonnegative_qp`` with a fresh column gather per solve.
 
     The support is a list; each solve gathers ``a[:, support]`` and
@@ -519,7 +519,7 @@ def nonnegative_qp_reference(a, g, x, start=None, tol=1e-10):
         grad = a.T @ (a[:, support] @ y[support] - ax) + g
         grad[support] = 0.0
         entering = int(np.argmin(grad))
-        if grad[entering] >= -tol:
+        if grad[entering] >= -1e-10:
             break
         support.append(entering)
     return y, solves

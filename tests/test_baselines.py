@@ -51,8 +51,8 @@ class TestSolverConfig:
             SolverConfig(grid, tol=0.0)
 
     def test_baseline_grid_rule(self):
-        grid = baseline_grid(CountHistogram.from_pairs([(0, 3), (16, 1)]), points=50, lo=0.0)
-        assert len(grid) == 50
+        grid = baseline_grid(CountHistogram.from_pairs([(0, 3), (16, 1)]))
+        assert len(grid) == 1000
         assert grid.lo == 1e-3
         assert grid.hi == pytest.approx(16 + 3 * (4 + 1))
 
@@ -191,8 +191,10 @@ class TestNonnegativeQp:
             for n in (5, 50, 500):
                 _, ys = generate_compound(parse_prior(prior), n, 40 + 3 * i + n % 7)
                 h = CountHistogram.from_counts(ys)
+                top = h.max_count()  # baseline_grid's rule, on a coarser and a finer grid
+                hi = max(top + 3.0 * (top**0.5 + 1.0), 1.0)
                 for points in (20, 200):
-                    cfg = SolverConfig(baseline_grid(h, points))
+                    cfg = SolverConfig(Grid(np.linspace(1e-3, hi, points)))
                     for fit, sign in ((fit_npmle, 1.0), (fit_min_hellinger, -1.0)):
                         res = fit(h, cfg)
                         assert res.converged, (prior, n, points, fit.__name__)
@@ -265,8 +267,10 @@ class TestGammaFit:
         assert hyper.shape / hyper.rate == pytest.approx(4.0, rel=0.05)
 
     def test_degenerate_single_count_warns(self):
-        with pytest.warns(UserWarning):
+        # one distinct count has variance 0 <= mean: one boundary warning, no other
+        with pytest.warns(UserWarning) as record:
             fit_gamma_hyperprior(CountHistogram.from_pairs([(3, 100)]))
+        assert len(record) == 1 and "equidispersed boundary" in str(record[0].message)
 
     def test_fit_is_a_likelihood_maximum(self):
         # At the maximum the rate's score equation gives shape / rate = mean.

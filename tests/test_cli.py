@@ -452,9 +452,8 @@ class TestFitSources:
 
 # Flags that the path a call takes does not read, each with the flag the
 # refusal must name: fit's fresh-grid flags beside --state-in, --seed on a
-# counts-lines input, a nonpositive --m2, --window with a format other than
-# event-window, and baseline's grid-fit flags beside robbins and peb or below
-# their floor.
+# counts-lines input, a nonpositive --m2, and --window with a format other
+# than event-window.
 _UNREAD_FLAGS = [
     (["fit", "--input", "{counts}", "--state-in", "{state}", "--gamma", "0.6"], "--gamma"),
     (["fit", "--input", "{counts}", "--state-in", "{state}", "--alpha", "5"], "--alpha"),
@@ -470,14 +469,6 @@ _UNREAD_FLAGS = [
     (["baseline", "--method", "robbins", "--input", "{hist}", "--window", "30"], "--window"),
     (["baseline", "--method", "npmle", "--input", "{counts}", "--format", "counts-lines",
       "--window", "30"], "--window"),
-    (["baseline", "--method", "npmle", "--input", "{hist}", "--grid-lo", "1e-4"], "--grid-lo"),
-    (["baseline", "--method", "npmd", "--input", "{hist}", "--grid-lo", "0"], "--grid-lo"),
-    (["baseline", "--method", "npmle", "--input", "{hist}", "--grid-lo", "-5"], "--grid-lo"),
-    (["baseline", "--method", "robbins", "--input", "{hist}", "--grid-points", "10"],
-     "--grid-points"),
-    (["baseline", "--method", "robbins", "--input", "{hist}", "--grid-lo", "0.5"], "--grid-lo"),
-    (["baseline", "--method", "peb", "--input", "{hist}", "--max-iters", "5"], "--max-iters"),
-    (["baseline", "--method", "peb", "--input", "{hist}", "--tol", "1e-3"], "--tol"),
 ]
 
 
@@ -498,6 +489,41 @@ def test_a_flag_the_path_does_not_read_is_refused(args, flag, accident_csv, tmp_
     assert sorted(tmp_path.iterdir()) == before  # no state written
 
 
+# The grid fits run at one configuration (``baseline_grid``, the solver
+# defaults), so their old grid and solver flags are unknown flags.
+@pytest.mark.parametrize("flag, value", [("--grid-points", "10"), ("--grid-lo", "0.5"),
+                                         ("--max-iters", "5"), ("--tol", "1e-3")])
+def test_a_removed_baseline_flag_is_refused(flag, value, accident_csv, tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    capsys.readouterr()
+    args = ["--no-meta", "--out", str(out), "baseline", "--method", "npmle", "--input",
+            accident_csv, flag, value]
+    assert main(args) == 2
+    stdout, err = capsys.readouterr()
+    assert stdout == "" and f"unrecognized arguments: {flag} {value}" in err
+    assert not out.exists()
+
+
+# An empty path is refused by name, not read as "no path given".
+@pytest.mark.parametrize("args, flag", [
+    (["--out", "", "fit", "--input", "{counts}", "--dcap", "200"], "--out"),
+    (["--out", "", "estimate", "--state", "{state}", "--y", "0..1"], "--out"),
+    (["fit", "--input", "{counts}", "--state-in", ""], "--state-in"),
+    (["fit", "--input", "{counts}", "--dcap", "200", "--state-out", ""], "--state-out"),
+], ids=["fit --out", "estimate --out", "--state-in", "--state-out"])
+def test_an_empty_path_is_refused(args, flag, tmp_path, capsys):
+    paths = {"counts": tmp_path / "counts.txt", "state": tmp_path / "s.state"}
+    paths["counts"].write_text("0\n1\n2\n1\n")
+    start = init(Grid(np.linspace(0.1, 10.0, 50)), LearningRate(1.0, 0.99))
+    paths["state"].write_bytes(serialize_state(start))
+    before = sorted(tmp_path.iterdir())
+    capsys.readouterr()
+    assert main(["--no-meta"] + [a.format(**paths) for a in args]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and f"argument {flag}: expected a path" in err
+    assert sorted(tmp_path.iterdir()) == before
+
+
 class TestFlagDecimals:
     """Float flags and prior numbers are ASCII decimals, as timestamps are."""
 
@@ -512,9 +538,6 @@ class TestFlagDecimals:
             (["fit", "--prior", f"weibull:{field},5"], "--prior"),
             (["fit", "--prior", f"weibull:3,{field}"], "--prior"),
             (["estimate", "--state", "s.state", "--y", "0", "--level", field], "--level"),
-            (["baseline", "--method", "npmle", "--input", "h.csv", "--tol", field], "--tol"),
-            (["baseline", "--method", "npmle", "--input", "h.csv", "--grid-lo", field],
-             "--grid-lo"),
             (["baseline", "--method", "robbins", "--input", "h.csv", "--window", field],
              "--window"),
             (["regret", "--atoms", "grid-atoms:1@0.5,5@0.5", "--gamma", field], "--gamma"),

@@ -380,7 +380,7 @@ class TestRegretDecay:
 
 class TestTimingHarness:
     def test_row_shape_and_monotone_grid_cost(self):
-        rows = timing_harness([500, 5000], 260, [(50, 250)], repeats=2)
+        rows = timing_harness([500, 5000], 260, [(50, 250)])
         by_d = {d: ms for d, lo, hi, ms in rows}
         assert set(by_d) == {500, 5000}
         assert by_d[5000] > by_d[500]

@@ -21,7 +21,7 @@ def _script(name):
 
 def test_synthetic_benchmark_rows_come_from_the_shared_routine(tmp_path, capsys):
     out, again = tmp_path / "rows.csv", tmp_path / "again.csv"
-    args = ["--n", "60", "--seeds", "1", "--eta", "0.1", "--dcap", "400", "--grid-points", "100"]
+    args = ["--n", "60", "--seeds", "1", "--eta", "0.1", "--dcap", "400"]
     for path in (out, again):
         assert _script("synthetic_benchmark").main(args + ["--out", str(path)]) == 0
     assert out.read_bytes() == again.read_bytes()
@@ -30,10 +30,19 @@ def test_synthetic_benchmark_rows_come_from_the_shared_routine(tmp_path, capsys)
     assert stream.startswith("stream,weibull,60,")
     cfg = ExperimentConfig(prior=parse_prior("weibull:3,5"), n=60, eta=0.1, d_cap=400,
                            rate=LearningRate(1.0, 0.99))
-    expected = baseline_rows(cfg, 0, 100)
+    expected = baseline_rows(cfg, 0)
     assert [r.method for r in expected] == list(METHODS)
     assert rest == [r.csv_row() for r in expected]
     assert "| RMSE |" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("flag", [["--grid-points", "100"], ["--skip-baselines"]])
+def test_synthetic_benchmark_has_no_grid_or_skip_flag(flag, capsys):
+    # the grid fits run on baseline_grid, and the script always runs them
+    with pytest.raises(SystemExit) as exc:
+        _script("synthetic_benchmark").main(["--n", "60", "--seeds", "1"] + flag)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
 
 
 def _canned_run(workload, seed, commit, op_ms, rss, correct=True):

@@ -1,12 +1,16 @@
 """The names the benchmark harness resolves, its workloads' own checks,
-and the package's public names."""
+the package's public names, and the README's account of the CLI flags."""
 
+import argparse
 import importlib.util
+import re
 from pathlib import Path
 
 import streameb
+from streameb import cli
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
 
 
 def _load(name):
@@ -33,6 +37,27 @@ def test_tracer_finds_every_name_it_patches_and_restores_them():
 def test_every_public_name_resolves():
     missing = [name for name in streameb.__all__ if not hasattr(streameb, name)]
     assert missing == []
+
+
+def _parser_flags(parser) -> set:
+    """Every ``--flag`` of ``parser`` and of its subcommands, ``--help`` aside."""
+    flags = set()
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                flags |= _parser_flags(sub)
+        else:
+            flags |= {o for o in action.option_strings if o.startswith("--") and o != "--help"}
+    return flags
+
+
+def test_readme_command_line_section_names_exactly_the_parser_flags():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    named = set(re.findall(r"--[a-z][a-z0-9-]*", section))
+    defined = _parser_flags(cli.build_parser())
+    assert sorted(defined - named) == []  # a flag the README never mentions
+    assert sorted(named - defined) == []  # a flag the README names that no command has
 
 
 def test_serve_workload_passes_its_own_check(tmp_path, monkeypatch):
