@@ -12,8 +12,8 @@ is the outer product of k per-coordinate rows, written by one BLAS
 recursion is shared.  It has two loop bodies with the same arithmetic:
 ``_fold`` (BLAS calls on one weight vector) behind ``update`` and
 ``update_stream``, and
-``_fold_lockstep`` (numpy calls on a weight matrix) behind
-``evaluation.batched_newton_stream``.
+``_fold_lockstep`` (numpy calls on a weight matrix, row by row on a
+two-atom grid) behind ``evaluation.batched_newton_stream``.
 
 States are immutable; ``update`` returns a new state with fresh, read-only
 weights, sharing the kernel cache, so a held reference is already a
@@ -199,7 +199,8 @@ class _LatticeRows:
         for y in yvec[1:-1]:
             prefix = np.multiply.outer(prefix, scaled[y]).ravel()
         last = scaled[yvec[-1]]
-        _blas.dgemm(1.0, last[:, None], prefix[None, :], beta=0.0, c=self.c, overwrite_c=1)
+        # positional (beta=0, c, trans_a=0, trans_b=0, overwrite_c=1): f2py parses keywords per call
+        _blas.dgemm(1.0, last[:, None], prefix[None, :], 0.0, self.c, 0, 0, 1)
         return self.out
 
 
@@ -269,7 +270,7 @@ def _fold(state, ys, top, skip_degenerate=False):
             err = DegenerateLikelihoodError(tuple(y) if lattice else y, n)
             err.stream_index = i
             raise err
-        daxpy(q, v, a=beta)
+        daxpy(q, v, d, beta)  # positional (n, a): f2py parses keywords on every call
         s /= keep
         n += 1
         if s > _RESCALE_AT:
@@ -305,6 +306,11 @@ def _fold_lockstep(grid: Grid, rate: LearningRate, y_matrix: np.ndarray, w0: np.
 
     where R is the step's (d, reps) slice of scaled kernel rows and
     ``c = a S / (1 - a)``; the sum adds the atoms one at a time, in order.
+    On two atoms the sum is the one addition ``t = Q[0] + Q[1]`` and
+    ``Q *= beta`` is two row products, on row views bound before the loop:
+    the same roundings, for less per-call cost than the reduction and the
+    broadcast.  Other grids keep the general calls: row by row is already
+    slower at five atoms.
     A step that takes S past ``_RESCALE_AT`` then divides V by its column
     sums and sets S to 1.  Everything else is done once per block of steps:
 
@@ -328,6 +334,9 @@ def _fold_lockstep(grid: Grid, rate: LearningRate, y_matrix: np.ndarray, w0: np.
     alpha, neg_gamma = rate.alpha, -rate.gamma
     n, s, snaps = 0, 1.0, {}
     mul, add, reduce, div = np.multiply, np.add, np.add.reduce, np.divide
+    pair = d == 2
+    if pair:
+        q0, q1 = q  # row views, bound once
     with np.errstate(all="ignore"):  # the check after each block catches a degenerate beta
         for lo in range(0, n_steps, block):
             counts = y_matrix[:, lo : lo + block].T  # (steps, reps) view
@@ -342,9 +351,15 @@ def _fold_lockstep(grid: Grid, rate: LearningRate, y_matrix: np.ndarray, w0: np.
                 c = a / keep * s
                 s /= keep
                 mul(r, v, q)
-                reduce(q, 0, None, t)
-                div(c, t, b)
-                mul(q, b, q)
+                if pair:  # the same sums and products as the general calls, for less per-call cost
+                    add(q0, q1, t)
+                    div(c, t, b)
+                    mul(q0, b, q0)
+                    mul(q1, b, q1)
+                else:
+                    reduce(q, 0, None, t)
+                    div(c, t, b)
+                    mul(q, b, q)
                 add(v, q, v)
                 if s > _RESCALE_AT:
                     v /= v.sum(axis=0)

@@ -172,17 +172,19 @@ class TestBatchedStream:
         for c in checkpoints:
             assert np.array_equal(snaps[c], ref_snaps[c]), c
 
-    def test_a_checkpoint_on_the_rescale_step(self, monkeypatch):
+    @pytest.mark.parametrize("points", [[0.5, 2.0, 5.0], [0.5, 5.0]], ids=["3-atoms", "2-atoms"])
+    def test_a_checkpoint_on_the_rescale_step(self, monkeypatch, points):
         # S first passes its rescale point after step 12,361 under this
         # schedule; blocks of 1,000 steps put that step inside a block.
+        # Two atoms take the lockstep's row-by-row step.
         rate = LearningRate(1e-9, 0.51)
         s, rescale_at = 1.0, 0
         while s <= engine._RESCALE_AT:
             rescale_at += 1
             s /= 1.0 - rate(rescale_at)
         assert rescale_at == 12_361
-        monkeypatch.setattr(engine, "_LOCKSTEP_BLOCK_FLOATS", 1000 * 4 * 3)
-        grid = Grid([0.5, 2.0, 5.0])
+        monkeypatch.setattr(engine, "_LOCKSTEP_BLOCK_FLOATS", 1000 * 4 * len(points))
+        grid = Grid(points)
         ys = np.random.default_rng(5).poisson(2.0, size=(4, 12_500))
         checkpoints = (rescale_at - 1, rescale_at, rescale_at + 1)
         final, snaps = batched_newton_stream(grid, rate, ys, checkpoints=checkpoints)
