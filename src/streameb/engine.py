@@ -17,10 +17,18 @@ two-atom grid) behind ``evaluation.batched_newton_stream``.
 
 States are immutable; ``update`` returns a new state with fresh, read-only
 weights, sharing the kernel cache, so a held reference is already a
-consistent snapshot.  The cache also keeps the loop's work buffer between
-calls (``_fold``); no state's weights are a view of it.  Updates are
-strictly sequential (the recursion is order-dependent), and each one costs
-O(d), or O(D) on a lattice, independent of how many observations came before.
+consistent snapshot.  A state keeps the recursion's scaled weights, and its
+weights ``g`` are normalized when read, once: a write does not normalize,
+and the next write continues from where the last one stopped, so any split
+of a stream into ``update`` and ``update_stream`` calls gives the weights
+of one ``update_stream`` call bit for bit.  A saved state is the exception:
+its file holds ``g`` alone, so a loaded state restarts from ``g`` at S = 1,
+and its continuation differs from the in-memory one in the last bits
+(``deserialize_state``).  The cache also keeps the loop's work buffer
+between calls (``_fold``); no state's weights are a view of it.  Updates
+are strictly sequential (the recursion is order-dependent), and each one
+costs O(d), or O(D) on a lattice, independent of how many observations
+came before.
 """
 
 from __future__ import annotations
@@ -87,6 +95,14 @@ class NewtonState:
     for vectors of k independent counts; the cache is over ``grid.base``.
     The schedule must be a :class:`LearningRate`: the paper's guarantees,
     the interval's ``b_n`` and serialization all rest on the power form.
+
+    Besides ``g`` a state holds the recursion's scaled weights ``v = S w``
+    (read-only) and their scale S, from which the next ``_fold``
+    continues.  A state built here starts at ``v = g.weights`` and S = 1.
+    A state made by ``_fold`` holds only ``v`` and S; its ``g`` is
+    normalized from them when first read, and then kept (``__getattr__``).
+    So a read state holds two D-float vectors, ``v`` and ``g.weights``,
+    and an unread one holds one.
     """
 
     g: MixingWeights
@@ -97,6 +113,23 @@ class NewtonState:
     def __post_init__(self):
         if not isinstance(self.rate, LearningRate):
             raise TypeError(f"the schedule must be a LearningRate, not {type(self.rate).__name__}")
+        self.__dict__.update(_grid=self.g.grid, _v=self.g.weights, _s=1.0)  # frozen: no __setattr__
+
+    def __getattr__(self, name):
+        """``g`` of a state made by ``_fold``: ``v / sum(v)``, built on first read.
+
+        The sum is ``dasum`` over a copy on a 64-byte line, as the loop
+        sums ``v`` in its aligned buffer, so it has the bits of a
+        normalization inside the loop.  Threads reading ``g`` for the first
+        time at once may each build it; ``setdefault`` keeps the first, so
+        every reader gets the same object.
+        """
+        if name != "g":  # only reached for attributes the instance does not have
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        aligned = _aligned_empty(len(self._v))
+        aligned[:] = self._v
+        g = MixingWeights._normalized(self._grid, aligned, _blas.dasum(aligned))
+        return self.__dict__.setdefault("g", g)
 
 
 def init(grid: Grid | ProductGrid, rate: LearningRate, g0: MixingWeights | None = None) -> NewtonState:
@@ -116,8 +149,8 @@ def update(state: NewtonState, y) -> NewtonState:
     DegenerateLikelihoodError, leaving the state unchanged, when the
     mixture likelihood of ``y`` underflows.
     """
-    if isinstance(state.g.grid, ProductGrid):
-        y = tuple(_counts(state.g.grid, [y])[0].tolist())
+    if isinstance(state._grid, ProductGrid):  # the grid, not g: reading g would normalize
+        y = tuple(_counts(state._grid, [y])[0].tolist())
         return _fold(state, [y], max(y))
     count = int(y)  # not _counts: no array round trip on the single-count write path
     if count != y or count < 0:
@@ -129,16 +162,21 @@ def update_stream(state: NewtonState, ys, *, skip_degenerate: bool = False) -> N
     """Fold the one-observation update over a sequence, with a low-overhead loop.
 
     ``ys`` holds counts on a Grid and rows of k counts on a ProductGrid.
-    Semantically a repeated ``update``: the weights agree with folded
-    ``update`` calls within 1e-13 on a scalar grid and 1e-12 on a lattice
-    (the loop normalizes less often, see ``_fold``).  The caller's state is
-    untouched if anything raises.  Results are bit-reproducible: identical
-    inputs give bit-identical weights, wherever the allocator places the
-    caller's arrays.  On a long weight vector the OpenBLAS thread count is
-    an input too, since OpenBLAS splits a long ``dasum`` or ``daxpy``
-    across threads and adds the parts in another order: a scalar grid of
-    d = 200,000 and lattices of D = 490,000 and 10^6 give different bits
-    on 1 and 2 threads, while d = 30,000 and D = 10,000 give the same.  Pin
+    Semantically a repeated ``update``, bit for bit: folded ``update``
+    calls, or any split of ``ys`` into ``update_stream`` calls, give the
+    same weights, since each call continues the last one's scaled weights
+    and the weights are normalized when read (see ``_fold``).  Not across
+    ``serialize_state``: a loaded state restarts from the normalized
+    weights, so continuing it differs from continuing the saved state in
+    memory in the last bits (within 1e-13); continuing the same file
+    always gives the same bits.  The caller's state is untouched if
+    anything raises.  Results are bit-reproducible: identical inputs give
+    bit-identical weights, wherever the allocator places the caller's
+    arrays.  On a long weight vector the OpenBLAS thread count is an input
+    too, since OpenBLAS splits a long ``dasum`` or ``daxpy`` across threads
+    and adds the parts in another order: a scalar grid of d = 200,000 and
+    lattices of D = 490,000 and 10^6 give different bits on 1 and 2
+    threads, while d = 30,000 and D = 10,000 give the same.  Pin
     ``OPENBLAS_NUM_THREADS`` to compare such runs.  The first degenerate
     observation aborts with its stream index attached to the raised error;
     with ``skip_degenerate`` set, offending observations are skipped
@@ -148,7 +186,7 @@ def update_stream(state: NewtonState, ys, *, skip_degenerate: bool = False) -> N
     """
     if len(ys) == 0:
         return state
-    ys = _counts(state.g.grid, ys)
+    ys = _counts(state._grid, ys)
     return _fold(state, ys.tolist(), int(ys.max()), skip_degenerate)
 
 
@@ -161,8 +199,8 @@ def _aligned_empty(size: int) -> np.ndarray:
 
     OpenBLAS's ``dasum`` can return a different last bit for the same values
     at a different offset within a 64-byte line, and malloc places a vector
-    at whatever offset its heap's history gives.  Keeping the loop's buffers
-    at one fixed offset makes the recursion independent of that history.
+    at whatever offset its heap's history gives.  Summing only vectors at one
+    fixed offset makes the recursion independent of that history.
     """
     raw = np.empty(size + 8)
     # the buffer's address, without the helper object ``raw.ctypes`` builds per access
@@ -214,8 +252,14 @@ def _fold(state, ys, top, skip_degenerate=False):
         q = r * v;   T = sum(q);   v += beta q,  beta = a S / ((1 - a) T);
 
     then ``S <- S / (1 - a)``.  In exact arithmetic ``v / S`` is then
-    ``(1 - a) w + a (r * w) / (r . w)``.  ``v`` is normalized only for
-    the result, at the end of the call, and when S passes ``_RESCALE_AT``.
+    ``(1 - a) w + a (r * w) / (r . w)``.  The fold starts from the input
+    state's ``v`` and S, and ``v`` is normalized only when S passes
+    ``_RESCALE_AT``: the result keeps ``v`` and S, and its weights are
+    normalized when read (``NewtonState.__getattr__``).  So a fold
+    continues the previous one exactly, and a stream split over many calls
+    gives the bits of one call.  A state from ``init``, the constructor or
+    ``deserialize_state`` starts at its normalized weights with S = 1, so
+    a fold after a save and load is not the fold in memory, bit for bit.
     An observation is degenerate when T is not positive or beta overflows;
     it never reaches the weights.
 
@@ -234,12 +278,12 @@ def _fold(state, ys, top, skip_degenerate=False):
     result is built.  A fold that finds the slot empty, because another
     thread's fold holds the buffer, allocates its own; so does the fold
     after one that raised, whose buffer is dropped.  ``v`` is overwritten
-    by the state's weights, and ``q`` before it is read, so a buffer's old
-    contents never reach a result, and a result's weights are a fresh
-    read-only vector.
+    by the state's scaled weights, and ``q`` before it is read, so a
+    buffer's old contents never reach a result, and the result keeps a
+    fresh read-only copy of ``v``.
     """
-    grid, rate, cache = state.g.grid, state.rate, state.cache
-    d = len(grid)
+    grid, rate, cache = state._grid, state.rate, state.cache
+    d = len(state._v)
     lattice = isinstance(grid, ProductGrid)
     scratch = cache._scratch.pop("v, q", None)  # one C call: no two folds take the same buffer
     if scratch is None or len(scratch[0]) != d:
@@ -247,7 +291,7 @@ def _fold(state, ys, top, skip_degenerate=False):
         buf = _aligned_empty(2 * stride)
         scratch = buf[:d], buf[stride : stride + d]
     v, q = scratch
-    v[:] = state.g.weights
+    v[:] = state._v
     rows = cache._table  # the published rows; read directly when they already reach top
     if top >= len(rows):
         rows = cache.scaled_table(top)
@@ -256,7 +300,7 @@ def _fold(state, ys, top, skip_degenerate=False):
     if lattice:  # the one grid-dependent step: rows[y], a lattice row written into q
         rows = _LatticeRows(grid, rows, q)
     alpha, neg_gamma = rate.alpha, -rate.gamma
-    n, s = state.n, 1.0
+    n, s = state.n, state._s
     mul, dasum, daxpy = np.multiply, _blas.dasum, _blas.daxpy
     for i, y in enumerate(ys):
         mul(rows[y], v, q)
@@ -277,10 +321,11 @@ def _fold(state, ys, top, skip_degenerate=False):
             v /= dasum(v)
             s = 1.0
     result = state
-    if n != state.n:  # a NewtonState without __post_init__: rate is the input state's
+    if n != state.n:  # a NewtonState without __init__: rate is the input state's, g comes when read
+        v = v.copy()
+        v.setflags(write=False)
         result = object.__new__(NewtonState)
-        g = MixingWeights._normalized(grid, v, dasum(v))
-        result.__dict__.update(g=g, n=n, rate=rate, cache=cache)  # frozen fields, no __setattr__
+        result.__dict__.update(n=n, rate=rate, cache=cache, _grid=grid, _v=v, _s=s)  # no __setattr__
     cache._scratch["v, q"] = scratch  # after the result's own copy: the next fold may overwrite v
     return result
 
@@ -388,7 +433,13 @@ def serialize_state(state: NewtonState) -> bytes:
 
 
 def deserialize_state(blob: bytes) -> NewtonState:
-    """Inverse of ``serialize_state``; kdim = 1 gives a Grid, else a ProductGrid."""
+    """Inverse of ``serialize_state``; kdim = 1 gives a Grid, else a ProductGrid.
+
+    The file holds the normalized weights ``g``, not the scaled ``v`` and S
+    a folded state continues from, so the loaded state starts at ``g`` with
+    S = 1, and updates after a load match updates in memory within 1e-13,
+    not bit for bit (see ``update_stream``).
+    """
     if len(blob) < _HEADER.size + 4:
         raise StateFormatError("truncated state blob")
     body, (crc,) = blob[:-4], struct.unpack("<I", blob[-4:])

@@ -10,7 +10,7 @@ import pytest
 import streameb
 from streameb import cli
 from streameb.cli import IngestFormat, ingest, main
-from streameb.engine import LearningRate, deserialize_state, init, serialize_state
+from streameb.engine import LearningRate, deserialize_state, init, serialize_state, update_stream
 from streameb.evaluation import generate_compound
 from streameb.model import Grid, MixingWeights, ProductGrid
 from streameb.priors import parse_prior
@@ -308,6 +308,11 @@ class TestFitEstimateFlow:
         two = deserialize_state(s_b.read_bytes())
         assert one.n == two.n == 1000
         assert np.max(np.abs(one.g.weights - two.g.weights)) < 1e-12
+        # the resumed leg is one update_stream call from the loaded state,
+        # which starts at the saved weights with scale 1: its file has the
+        # bytes of that call
+        resumed = update_stream(deserialize_state(s_a.read_bytes()), counts[500:])
+        assert s_b.read_bytes() == serialize_state(resumed)
 
     def test_estimate_from_state(self, tmp_path, rng):
         counts = tmp_path / "counts.txt"

@@ -66,6 +66,23 @@ class TestInit:
             MixingWeights(grid, [0.9, 0.3])
 
 
+def _bits(state):
+    return state.g.weights.view(np.uint64).tolist()
+
+
+def _assert_batching_invariant(start, ys):
+    """Single updates, one stream call and an uneven split give the same bits."""
+    folded = start
+    for y in ys:
+        folded = update(folded, y)
+    streamed = update_stream(start, ys)
+    split = start
+    for lo, hi in zip((0, 1, 4, 37), (1, 4, 37, len(ys))):  # 1, 3 and 33 counts, then the rest
+        split = update_stream(split, ys[lo:hi])
+    assert folded.n == streamed.n == split.n == len(ys)
+    assert _bits(folded) == _bits(streamed) == _bits(split)
+
+
 class TestUpdate:
     def test_point_mass_is_a_fixed_point(self):
         grid = Grid([2.0])
@@ -134,23 +151,18 @@ class TestUpdateStream:
         state = init(grid, LearningRate(1.0, 0.99))
         a = update(state, 3)
         b = update_stream(state, [3])
-        assert np.max(np.abs(a.g.weights - b.g.weights)) < 1e-15
+        assert _bits(a) == _bits(b)
 
     def test_stream_matches_folded_updates(self, rng):
         # a scalar grid, then k = 2 and k = 3 lattices (one count vector per row)
         cases = [
-            (Grid(np.linspace(0.3, 10, 60)), rng.poisson(3.0, 200), 1e-13),
-            (ProductGrid(Grid(np.linspace(0.3, 10, 12)), 2), rng.poisson(3.0, (200, 2)), 1e-12),
-            (ProductGrid(Grid(np.linspace(0.3, 10, 6)), 3), rng.poisson(3.0, (200, 3)), 1e-12),
+            (Grid(np.linspace(0.3, 10, 60)), rng.poisson(3.0, 200)),
+            (ProductGrid(Grid(np.linspace(0.3, 10, 12)), 2), rng.poisson(3.0, (200, 2))),
+            (ProductGrid(Grid(np.linspace(0.3, 10, 6)), 3), rng.poisson(3.0, (200, 3))),
         ]
         rate = LearningRate(1.0, 0.8)
-        for grid, ys, tol in cases:
-            folded = init(grid, rate)
-            for y in ys:
-                folded = update(folded, y)
-            streamed = update_stream(init(grid, rate), ys)
-            assert streamed.n == folded.n == 200
-            assert np.max(np.abs(streamed.g.weights - folded.g.weights)) < tol
+        for grid, ys in cases:
+            _assert_batching_invariant(init(grid, rate), ys)
 
     def test_stream_matches_folded_updates_across_a_rescale(self, rng):
         # Steps (1e-9 + n)^-0.51 multiply the scale S of the unnormalized
@@ -160,16 +172,11 @@ class TestUpdateStream:
         n = 13_000
         assert sum(-math.log1p(-rate(k)) for k in range(1, n + 1)) > math.log(engine._RESCALE_AT)
         cases = [
-            (Grid(np.linspace(0.3, 10, 40)), rng.poisson(3.0, n), 1e-13),
-            (ProductGrid(Grid(np.linspace(0.3, 10, 6)), 2), rng.poisson(3.0, (n, 2)), 1e-12),
+            (Grid(np.linspace(0.3, 10, 40)), rng.poisson(3.0, n)),
+            (ProductGrid(Grid(np.linspace(0.3, 10, 6)), 2), rng.poisson(3.0, (n, 2))),
         ]
-        for grid, ys, tol in cases:
-            folded = init(grid, rate)
-            for y in ys:
-                folded = update(folded, y)
-            streamed = update_stream(init(grid, rate), ys)
-            assert streamed.n == folded.n == n
-            assert np.max(np.abs(streamed.g.weights - folded.g.weights)) < tol
+        for grid, ys in cases:
+            _assert_batching_invariant(init(grid, rate), ys)
 
     def test_overflowing_step_counts_as_degenerate(self):
         # At y = 152 the kernel row at 0.5 is e^-717.5 of its maximum: a
@@ -256,22 +263,28 @@ class TestUpdateStream:
 
         rate = LearningRate(1.0, 0.99)
         rng = np.random.default_rng(0)
+        slow = LearningRate(1e-9, 0.51)  # S passes the rescale point between counts 12,300 and 13,000
+        log_s = np.cumsum([-math.log1p(-slow(k)) for k in range(1, 13_001)])
+        assert log_s[12_299] < math.log(engine._RESCALE_AT) < log_s[-1]
         cases = [
-            (Grid(np.linspace(0.2, 12.0, 500)), rng.poisson(3.0, 200)),
-            (ProductGrid(Grid(np.linspace(0.2, 12.0, 23)), 2), rng.poisson(3.0, (200, 2))),
+            (Grid(np.linspace(0.2, 12.0, 500)), rng.poisson(3.0, 200), rate),
+            (ProductGrid(Grid(np.linspace(0.2, 12.0, 23)), 2), rng.poisson(3.0, (200, 2)), rate),
+            (Grid(np.linspace(0.2, 12.0, 500)), np.random.default_rng(1).poisson(3.0, 13_000), slow),
         ]
-        for grid, ys in cases:
-            start = init(grid, rate)
-            finals = []
+        for grid, ys, case_rate in cases:
+            start = init(grid, case_rate)
+            want = update_stream(start, ys).g.weights
             for offset in range(0, 64, 8):
                 placed = at_offset(start.g.weights, offset).view(Placed)
                 assert placed.ctypes.data % 64 == offset
                 g = MixingWeights(grid, start.g.weights)
                 object.__setattr__(g, "weights", placed)
-                state = engine.NewtonState(g, 0, rate, start.cache)
-                finals.append(update_stream(state, ys).g.weights)
-            for offset, w in zip(range(0, 64, 8), finals):
-                assert np.array_equal(w, finals[0]), f"offset {offset} differs"
+                state = engine.NewtonState(g, 0, case_rate, start.cache)
+                got = update_stream(state, ys).g.weights
+                assert np.array_equal(got, want), f"offset {offset} differs"
+                for y in ys:
+                    state = update(state, y)
+                assert np.array_equal(state.g.weights, want), f"offset {offset} differs, single updates"
         # The lockstep path, with its start weights at each offset and the
         # heap shifted by a live allocation of a different size each time.
         grid, ys = cases[0][0], rng.poisson(3.0, (3, 200))
@@ -355,12 +368,70 @@ class TestRetainedScratch:
             later = update(later, y % 9)
         assert _digest(state) == digest
         [(v, q)] = state.cache._scratch.values()
-        for s in (state, later):
+        for s in (state, later, update_stream(later, [1, 2])):
             w = s.g.weights
             assert not w.flags.writeable and w.base is None
             assert not np.shares_memory(w, v.base)
+            assert not s._v.flags.writeable and not np.shares_memory(s._v, v.base)
             with pytest.raises(ValueError):
                 w[0] = 0.5
+
+
+class TestWeightsNormalizedWhenRead:
+    """A fold's result keeps the scaled weights; ``g`` is built when first read."""
+
+    rate = LearningRate(1.0, 0.99)
+    grid = Grid(np.linspace(0.2, 12.0, 200))
+
+    def test_reading_g_mid_chain_leaves_the_later_bits_alone(self, rng):
+        quiet = read = init(self.grid, self.rate)
+        for i, y in enumerate(rng.poisson(3.0, 300).tolist()):
+            quiet, read = update(quiet, y), update(read, y)
+            if i % 7 == 0:
+                assert read.g.weights.sum() == pytest.approx(1.0, abs=1e-14)
+        assert "g" not in vars(quiet)
+        assert _bits(read) == _bits(quiet)
+
+    def test_g_is_built_once_as_a_fresh_read_only_vector(self):
+        state = update_stream(init(self.grid, self.rate), [1, 4, 2])
+        assert "g" not in vars(state)  # the write did not normalize
+        g = state.g
+        assert state.g is g and vars(state)["g"] is g
+        w = g.weights
+        assert not w.flags.writeable and w.base is None
+        assert not np.shares_memory(w, state._v)
+        with pytest.raises(AttributeError):
+            state.g = g
+        with pytest.raises(AttributeError):
+            state.grid  # only g is built on demand
+
+    def test_concurrent_first_reads_agree(self):
+        start = init(self.grid, self.rate)
+        ys = np.random.default_rng(3).poisson(3.0, 500)
+        want = _bits(update_stream(start, ys))
+        states = [update_stream(start, ys) for _ in range(40)]  # none read yet
+        barrier = threading.Barrier(4)
+        seen = [None] * 4
+
+        def reader(i):
+            barrier.wait()
+            seen[i] = [s.g for s in (states if i % 2 else states[::-1])]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often, mid-read
+        try:
+            threads = [threading.Thread(target=reader, args=(i,)) for i in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        seen = [got if i % 2 else got[::-1] for i, got in enumerate(seen)]
+        for j, state in enumerate(states):
+            assert all(got[j] is state.g for got in seen)  # one object per state
+            assert state.g.weights.view(np.uint64).tolist() == want
 
 
 class TestStreamInvariants:
@@ -436,6 +507,24 @@ class TestSerialization:
         back = deserialize_state(serialize_state(state))
         assert back.n == 1000
         assert np.array_equal(back.g.weights, state.g.weights)
+
+    def test_a_loaded_state_continues_within_rounding_of_memory(self, rng):
+        # the file holds g, not the scaled weights a folded state continues
+        # from, so a loaded state restarts at g with S = 1: its updates are a
+        # fresh lineage, deterministic, and equal the in-memory ones only
+        # within rounding
+        grid = Grid(np.linspace(0.5, 8, 32))
+        rate = LearningRate(1.0, 0.99)
+        state = update_stream(init(grid, rate), rng.poisson(3.0, 1000))
+        ys = rng.poisson(3.0, 1000)
+        blob = serialize_state(state)
+        loaded = update_stream(deserialize_state(blob), ys)
+        restarted = engine.NewtonState(state.g, state.n, rate, state.cache)
+        assert _bits(loaded) == _bits(update_stream(restarted, ys))
+        assert _bits(loaded) == _bits(update_stream(deserialize_state(blob), ys))
+        in_memory = update_stream(state, ys)
+        assert loaded.n == in_memory.n == 2000
+        assert np.max(np.abs(loaded.g.weights - in_memory.g.weights)) < 1e-13
 
     def test_corruption_is_detected(self):
         state = init(Grid([1.0, 2.0]), LearningRate(1.0, 0.99))
