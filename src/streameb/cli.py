@@ -1,9 +1,11 @@
-"""Command-line front end: ingestion, fitting, estimation, benchmarks.
+"""Command-line front end: ingestion, simulation, fitting, estimation, benchmarks.
 
 Subcommands
 -----------
-fit       stream counts (from a file or a synthetic prior) through the
-          recursion; writes metric rows and, optionally, a resumable state
+simulate  stream draws from a synthetic prior through the recursion;
+          writes one metric row (RMSE, MAD) per replication
+fit       stream a count file through the recursion; writes its estimates
+          and, optionally, a resumable state
 estimate  point estimates and credible intervals from a saved state
 baseline  classical estimators over a count histogram
 bench     per-update timing across grid sizes
@@ -56,9 +58,10 @@ class IngestFormat:
 
     kind: str
     window_s: float | None = None
+    KINDS = ("counts-lines", "histogram-csv", "event-window")
 
     def __post_init__(self):
-        if self.kind not in ("counts-lines", "histogram-csv", "event-window"):
+        if self.kind not in self.KINDS:
             raise ValueError(f"unknown ingest format {self.kind!r}")
         if self.kind == "event-window" and not (self.window_s and self.window_s > 0):
             raise ValueError("event-window ingestion needs a positive window length")
@@ -78,12 +81,19 @@ def _ascii_ints(fields) -> list:
     return [int(field) for field in fields]
 
 
-def _flag_int(text: str) -> int:
-    """argparse type of the integer flags: the ``_INTEGER`` rule of the input files."""
+def _flag_int(text: str, least: float = -math.inf) -> int:
+    """argparse type of the integer flags: the ``_INTEGER`` rule of the input files, >= ``least``."""
     try:
-        return _ascii_ints([text])[0]
+        value = _ascii_ints([text])[0]
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < least:
+        raise argparse.ArgumentTypeError(f"expected an integer of at least {least}, got {text!r}")
+    return value
+
+
+_flag_seed = functools.partial(_flag_int, least=0)
+_flag_count = functools.partial(_flag_int, least=1)
 
 
 def _flag_float(text: str) -> float:
@@ -237,16 +247,10 @@ def _ingest_format(args) -> IngestFormat:
 # -- subcommand bodies --------------------------------------------------------
 
 
-# Flags that one path alone reads, with their defaults; given where the command
-# takes another path they are refused, not ignored.  Of fit's flags, a source's
-# belong to it, and a fresh grid's and rate's are refused beside --state-in,
-# whose state brings its own.
-_FIT_SOURCE_FLAGS = {
-    "prior": {"n": 500, "replications": 1, "timing": False},
-    "input": {"format": "counts-lines", "window": None, "m2": None, "state_in": None,
-              "state_out": None, "skip_degenerate": False},
-}
-_FIT_FRESH_FLAGS = {"m2": None, "eta": 0.025, "dcap": 10_000, "gamma": 0.99, "alpha": 1.0}
+# The grid and rate flags' defaults: simulate's argparse defaults.  fit's
+# flags default to None, so that beside --state-in, whose state brings its own
+# grid and rate, one given (or --m2) is refused, not ignored.
+_GRID_FLAGS = {"eta": 0.025, "dcap": 10_000, "gamma": 0.99, "alpha": 1.0}
 
 
 def _take_defaults(args, flags: dict, refusal: str | None) -> None:
@@ -258,27 +262,23 @@ def _take_defaults(args, flags: dict, refusal: str | None) -> None:
             raise ValueError(f"--{name.replace('_', '-')} {refusal}")
 
 
+def _cmd_simulate(args) -> int:
+    seeds = tuple(range(args.seed, args.seed + args.replications))
+    cfg = evaluation.ExperimentConfig(prior=args.prior, n=args.n, eta=args.eta, d_cap=args.dcap,
+                                      rate=LearningRate(args.alpha, args.gamma), seeds=seeds)
+    rows = [evaluation.run_stream_experiment(cfg, s, measure_time=args.timing) for s in cfg.seeds]
+    _emit(evaluation.metrics_to_csv(rows), args)
+    return 0
+
+
 def _cmd_fit(args) -> int:
-    for source, flags in _FIT_SOURCE_FLAGS.items():
-        _take_defaults(args, flags, f"needs --{source}" if getattr(args, source) is None else None)
     fresh = "sets up a new grid and rate; --state-in resumes on its state's own"
-    _take_defaults(args, _FIT_FRESH_FLAGS, fresh if args.state_in is not None else None)
-    in_file_order = args.input is not None and args.format == "counts-lines"
+    _take_defaults(args, {"m2": None, **_GRID_FLAGS}, fresh if args.state_in is not None else None)
     shuffle = "shuffles histogram and event-window input; counts-lines input streams in file order"
-    _take_defaults(args, {"seed": 0}, shuffle if in_file_order else None)
+    _take_defaults(args, {"seed": 0}, shuffle if args.format == "counts-lines" else None)
     if args.m2 is not None and not args.m2 > 0:
         raise ValueError(f"--m2 must be positive, got {args.m2!r}")
     rate = LearningRate(args.alpha, args.gamma)
-    if args.prior is not None:
-        cfg = evaluation.ExperimentConfig(
-            prior=args.prior, n=args.n, eta=args.eta, d_cap=args.dcap, rate=rate
-        )
-        rows = [
-            evaluation.run_stream_experiment(cfg, seed, measure_time=args.timing)
-            for seed in range(args.seed, args.seed + args.replications)
-        ]
-        _emit(evaluation.metrics_to_csv(rows), args)
-        return 0
     fmt = _ingest_format(args)
     if fmt.kind == "counts-lines":
         # the recursion is order-dependent; stream the file in its own order
@@ -368,40 +368,45 @@ def _cmd_regret(args) -> int:
 # -- parser -------------------------------------------------------------------
 
 
+def _add_grid_flags(cmd, seed_help: str) -> None:
+    """Add the grid, rate and seed flags of ``simulate`` and ``fit``, defaulting to None."""
+    cmd.add_argument("--eta", type=_flag_float, help="grid spacing (0.025)")
+    cmd.add_argument("--dcap", type=_flag_int, help="most grid points (10000)")
+    cmd.add_argument("--gamma", type=_flag_float, help="step-size decay (0.99)")
+    cmd.add_argument("--alpha", type=_flag_float, help="step-size offset (1.0)")
+    cmd.add_argument("--seed", type=_flag_seed, help=seed_help)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="streameb", description=__doc__.split("\n")[0])
     parser.add_argument("--out", type=_flag_path, help="write output here instead of stdout")
     parser.add_argument("--no-meta", action="store_true", help="suppress the timestamp header")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    fit = sub.add_parser("fit", help="stream counts through the recursion")
-    source = fit.add_mutually_exclusive_group(required=True)
-    source.add_argument("--prior", type=_flag_prior, help="synthetic prior, e.g. weibull:5,3")
-    source.add_argument("--input", help="count file to stream instead of a prior")
-    # the flags of one path default to None here and to their table's value in _cmd_fit
-    fit.add_argument("--n", type=_flag_int, help="with --prior: counts per replication (500)")
-    fit.add_argument("--replications", type=_flag_int, help="with --prior: seeds from --seed (1)")
-    fit.add_argument("--timing", action="store_true", default=None,
-                     help="with --prior: include measured per-update time (not byte-deterministic)")
-    fit.add_argument("--format", help="with --input: the file's format (counts-lines)")
+    sim = sub.add_parser("simulate", help="stream draws from a synthetic prior; RMSE/MAD rows")
+    sim.add_argument("--prior", type=_flag_prior, required=True, help="e.g. weibull:5,3")
+    sim.add_argument("--n", type=_flag_int, default=500, help="counts per replication (500)")
+    sim.add_argument("--replications", type=_flag_count, default=1, help="seeds from --seed (1)")
+    sim.add_argument("--timing", action="store_true",
+                     help="include measured per-update time (not byte-deterministic)")
+    _add_grid_flags(sim, "first seed (0)")
+    sim.set_defaults(func=_cmd_simulate, seed=0, **_GRID_FLAGS)
+
+    fit = sub.add_parser("fit", help="stream a count file through the recursion")
+    fit.add_argument("--input", required=True, help="count file to stream")
+    fit.add_argument("--format", default="counts-lines", choices=IngestFormat.KINDS)
     fit.add_argument("--window", type=_flag_float,
-                     help="with --input: event-window length in seconds (that format only)")
+                     help="event-window length in seconds (that format only)")
     fit.add_argument("--m2", type=_flag_float,
-                     help="with --input: positive moment bound for grid sizing (default: "
-                          "empirical); not with --state-in")
+                     help="positive moment bound for grid sizing (default: empirical)")
     fit.add_argument("--state-in", type=_flag_path,
-                     help="with --input: resume from this saved state")
-    fit.add_argument("--state-out", type=_flag_path,
-                     help="with --input: save the final state here")
-    fit.add_argument("--skip-degenerate", action="store_true", default=None,
-                     help="with --input: skip counts whose likelihood underflows instead of failing")
-    fit.add_argument("--eta", type=_flag_float, help="grid spacing (0.025); not with --state-in")
-    fit.add_argument("--dcap", type=_flag_int, help="most grid points (10000); not with --state-in")
-    fit.add_argument("--gamma", type=_flag_float, help="step-size decay (0.99); not with --state-in")
-    fit.add_argument("--alpha", type=_flag_float, help="step-size offset (1.0); not with --state-in")
-    fit.add_argument("--seed", type=_flag_int,
-                     help="first seed with --prior, or the shuffle of a histogram input (0); "
-                          "not with counts-lines input")
+                     help="resume from this saved state, on its own grid and rate: "
+                          "refuses --m2, --eta, --dcap, --gamma and --alpha")
+    fit.add_argument("--state-out", type=_flag_path, help="save the final state here")
+    fit.add_argument("--skip-degenerate", action="store_true",
+                     help="skip counts whose likelihood underflows instead of failing")
+    _add_grid_flags(fit, "shuffle of a histogram or event-window input (0); "
+                         "refused on counts-lines input, which streams in file order")
     fit.set_defaults(func=_cmd_fit)
 
     est = sub.add_parser("estimate", help="estimates and intervals from a saved state")
@@ -413,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
     base = sub.add_parser("baseline", help="classical estimators over a histogram")
     base.add_argument("--method", required=True, choices=baselines.METHODS)
     base.add_argument("--input", required=True)
-    base.add_argument("--format", default="histogram-csv")
+    base.add_argument("--format", default="histogram-csv", choices=IngestFormat.KINDS)
     base.add_argument("--window", type=_flag_float,
                       help="event-window length in seconds (that format only)")
     base.add_argument("--markdown", action="store_true")
@@ -424,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--d", default="1000,10000", help="comma-separated grid sizes")
     bench.add_argument("--n", type=_flag_int, default=1000)
     bench.add_argument("--windows", default="100:200,900:1000")
-    bench.add_argument("--seed", type=_flag_int, default=0)
+    bench.add_argument("--seed", type=_flag_seed, default=0)
     bench.set_defaults(func=_cmd_bench)
 
     reg = sub.add_parser("regret", help="regret decay against a grid-atoms oracle")
@@ -432,8 +437,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="e.g. grid-atoms:0.5@0.2,2@0.3,5@0.5")
     reg.add_argument("--gamma", type=_flag_float, default=0.75)
     reg.add_argument("--alpha", type=_flag_float, default=1.0)
-    reg.add_argument("--seed", type=_flag_int, default=0)
-    reg.add_argument("--replications", type=_flag_int, default=5)
+    reg.add_argument("--seed", type=_flag_seed, default=0)
+    reg.add_argument("--replications", type=_flag_count, default=5)
     reg.add_argument("--checkpoints", default="1000,4000,16000")
     reg.set_defaults(func=_cmd_regret)
     return parser

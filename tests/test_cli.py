@@ -223,7 +223,7 @@ _PINNED_OUTPUTS = {
         "7eec6306c385ad69f6665aef247264817cccaaae50f3b9567e02653367e60ce7",
     ),
     "fit-weibull": (
-        ["fit", "--prior", "weibull:3,5", "--n", "500", "--seed", "7"],
+        ["simulate", "--prior", "weibull:3,5", "--n", "500", "--seed", "7"],
         "a5ac807c6db9f86d16c9a560e1740d8fcfa7096fef14e7487be7be34b46e2cc8",
     ),
 }
@@ -255,7 +255,7 @@ class TestFitEstimateFlow:
         code = main(
             [
                 "--out", str(out), "--no-meta",
-                "fit", "--prior", "weibull:5,3", "--n", "60", "--eta", "0.1",
+                "simulate", "--prior", "weibull:5,3", "--n", "60", "--eta", "0.1",
                 "--dcap", "400", "--gamma", "0.99", "--alpha", "1", "--seed", "7",
             ]
         )
@@ -266,7 +266,7 @@ class TestFitEstimateFlow:
 
     def test_fit_is_byte_deterministic_with_no_meta(self, tmp_path):
         args = [
-            "--no-meta", "fit", "--prior", "uniform:0,3", "--n", "40",
+            "--no-meta", "simulate", "--prior", "uniform:0,3", "--n", "40",
             "--eta", "0.1", "--dcap", "200", "--seed", "5",
         ]
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -277,11 +277,11 @@ class TestFitEstimateFlow:
     def test_fit_meta_line_present_by_default(self, tmp_path):
         out = tmp_path / "m.csv"
         code = main(
-            ["--out", str(out), "fit", "--prior", "uniform:0,3", "--n", "20",
+            ["--out", str(out), "simulate", "--prior", "uniform:0,3", "--n", "20",
              "--eta", "0.2", "--dcap", "100", "--seed", "1"]
         )
         assert code == 0
-        assert out.read_text().startswith("# streameb fit")
+        assert out.read_text().startswith("# streameb simulate generated_at=")
 
     def test_fit_resume_equivalence(self, tmp_path, rng):
         counts = rng.poisson(2.0, 1000)
@@ -336,9 +336,6 @@ class TestFitEstimateFlow:
 
     def test_fit_and_estimate_print_the_same_estimates(self, tmp_path, capsys):
         # the paper-default state: 500 Weibull(3,5) counts at seed 7, d = 10,000
-        from streameb.evaluation import generate_compound
-        from streameb.priors import parse_prior
-
         counts, state = tmp_path / "counts.txt", tmp_path / "s.bin"
         ys = generate_compound(parse_prior("weibull:3,5"), 500, 7)[1]
         counts.write_text("\n".join(str(int(y)) for y in ys) + "\n")
@@ -399,67 +396,32 @@ class TestFitEstimateFlow:
         assert [float(est) for _, _, est in rows] == pytest.approx([0.5] * 3, rel=1e-9)
         assert deserialize_state(end.read_bytes()).n == 2
 
-    def test_fit_without_prior_or_input_fails(self):
+    def test_fit_without_prior_or_input_fails(self, capsys):
         assert main(["fit", "--eta", "0.1"]) == 2
+        assert "required: --input" in capsys.readouterr().err
 
 
-class TestFitSources:
-    """``fit`` reads one of --prior and --input; a flag of the other source is refused."""
-
-    @pytest.fixture
-    def counts(self, tmp_path):
-        path = tmp_path / "counts.txt"
-        path.write_text("0\n1\n2\n1\n")
-        return str(path)
-
-    def _refused(self, capsys, args, flag):
-        capsys.readouterr()
-        assert main(["--no-meta", "fit"] + args) == 2
-        out, err = capsys.readouterr()
-        assert out == "" and flag in err
-
-    @pytest.mark.parametrize("extra", [["--n", "50"], ["--n", "500"], ["--replications", "5"],
-                                       ["--timing"]])
-    def test_a_prior_flag_needs_prior(self, counts, capsys, extra):
-        self._refused(capsys, ["--input", counts] + extra, extra[0])
-
-    @pytest.mark.parametrize("extra", [
-        ["--format", "counts-lines"], ["--window", "30"], ["--m2", "5"],
-        ["--state-in", "start.state"], ["--state-out", "end.state"], ["--skip-degenerate"],
-    ])
-    def test_an_input_flag_needs_input(self, tmp_path, capsys, extra):
-        extra = [str(tmp_path / a) if a.endswith(".state") else a for a in extra]
-        self._refused(capsys, ["--prior", "weibull:3,5", "--n", "50"] + extra, extra[0])
-        assert list(tmp_path.iterdir()) == []  # no state written
-
-    def test_m2_is_refused_beside_a_state(self, counts, tmp_path, capsys):
-        state = tmp_path / "s.state"
-        assert main(["--no-meta", "fit", "--input", counts, "--eta", "0.1",
-                     "--state-out", str(state)]) == 0
-        self._refused(capsys, ["--input", counts, "--state-in", str(state), "--m2", "5"], "--m2")
-
-    def test_prior_and_input_are_one_choice(self, counts, capsys):
-        self._refused(capsys, ["--prior", "weibull:3,5", "--input", counts], "--prior")
-
-    def test_a_flag_given_at_its_default_changes_no_byte(self, counts, tmp_path):
-        outs = [tmp_path / f"{i}.csv" for i in range(4)]
-        prior = ["--no-meta", "fit", "--prior", "uniform:0,3", "--eta", "0.1", "--dcap", "200"]
-        given = ["--input", counts, "--eta", "0.1"]
-        assert main(["--out", str(outs[0])] + prior) == 0
-        assert main(["--out", str(outs[1])] + prior + ["--n", "500", "--replications", "1"]) == 0
-        assert main(["--out", str(outs[2]), "--no-meta", "fit"] + given) == 0
-        assert main(["--out", str(outs[3]), "--no-meta", "fit"] + given
-                    + ["--format", "counts-lines"]) == 0
-        assert outs[0].read_bytes() == outs[1].read_bytes()
-        assert outs[2].read_bytes() == outs[3].read_bytes()
-        assert outs[0].read_text().splitlines()[1].split(",")[2] == "500"
+def test_a_flag_given_at_its_default_changes_no_byte(tmp_path):
+    counts = tmp_path / "counts.txt"
+    counts.write_text("0\n1\n2\n1\n")
+    outs = [tmp_path / f"{i}.csv" for i in range(4)]
+    sim = ["--no-meta", "simulate", "--prior", "uniform:0,3", "--eta", "0.1", "--dcap", "200"]
+    fit = ["--no-meta", "fit", "--input", str(counts), "--eta", "0.1"]
+    assert main(["--out", str(outs[0])] + sim) == 0
+    assert main(["--out", str(outs[1])] + sim + ["--n", "500", "--replications", "1"]) == 0
+    assert main(["--out", str(outs[2])] + fit) == 0
+    assert main(["--out", str(outs[3])] + fit + ["--format", "counts-lines"]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+    assert outs[2].read_bytes() == outs[3].read_bytes()
+    assert outs[0].read_text().splitlines()[1].split(",")[2] == "500"
 
 
 # Flags that the path a call takes does not read, each with the flag the
-# refusal must name: fit's fresh-grid flags beside --state-in, --seed on a
-# counts-lines input, a nonpositive --m2, and --window with a format other
+# refusal must name: fit's fresh-grid flags and --m2 beside --state-in, --seed
+# on a counts-lines input, a nonpositive --m2, and --window with a format other
 # than event-window.
 _UNREAD_FLAGS = [
+    (["fit", "--input", "{counts}", "--state-in", "{state}", "--m2", "5"], "--m2"),
     (["fit", "--input", "{counts}", "--state-in", "{state}", "--gamma", "0.6"], "--gamma"),
     (["fit", "--input", "{counts}", "--state-in", "{state}", "--alpha", "5"], "--alpha"),
     (["fit", "--input", "{counts}", "--state-in", "{state}", "--eta", "7"], "--eta"),
@@ -494,19 +456,55 @@ def test_a_flag_the_path_does_not_read_is_refused(args, flag, accident_csv, tmp_
     assert sorted(tmp_path.iterdir()) == before  # no state written
 
 
-# The grid fits run at one configuration (``baseline_grid``, the solver
-# defaults), so their old grid and solver flags are unknown flags.
-@pytest.mark.parametrize("flag, value", [("--grid-points", "10"), ("--grid-lo", "0.5"),
-                                         ("--max-iters", "5"), ("--tol", "1e-3")])
-def test_a_removed_baseline_flag_is_refused(flag, value, accident_csv, tmp_path, capsys):
-    out = tmp_path / "out.csv"
+# A flag that the command does not have is an unknown flag: the grid fits run
+# at one configuration (``baseline_grid``, the solver defaults), so their old
+# grid and solver flags are unknown, and so is each of simulate's and fit's
+# flags on the other.
+_BASE, _FIT = "baseline --method npmle --input {hist} ", "fit --input {counts} "
+_SIM, _REG = "simulate --prior weibull:3,5 --n 50 ", "regret --atoms grid-atoms:1@0.5,5@0.5 "
+_FOREIGN_FLAGS = {  # id: the call, ending in the flag and its value
+    "--grid-points-10": _BASE + "--grid-points 10", "--grid-lo-0.5": _BASE + "--grid-lo 0.5",
+    "--max-iters-5": _BASE + "--max-iters 5", "--tol-1e-3": _BASE + "--tol 1e-3",
+    "fit --prior": _FIT + "--prior weibull:3,5",
+    "fit --n 50": _FIT + "--n 50", "fit --n 500": _FIT + "--n 500",
+    "fit --replications": _FIT + "--replications 5", "fit --timing": _FIT + "--timing",
+    "simulate --input": _SIM + "--input {counts}", "simulate --m2": _SIM + "--m2 5",
+    "simulate --format": _SIM + "--format counts-lines", "simulate --window": _SIM + "--window 30",
+    "simulate --state-in": _SIM + "--state-in {tmp}/start.state",
+    "simulate --state-out": _SIM + "--state-out {tmp}/end.state",
+    "simulate --skip-degenerate": _SIM + "--skip-degenerate",
+}
+
+
+@pytest.mark.parametrize("name", _FOREIGN_FLAGS)
+def test_a_removed_baseline_flag_is_refused(name, accident_csv, tmp_path, capsys):
+    counts = tmp_path / "counts.txt"
+    counts.write_text("0\n1\n2\n1\n")
+    args = _FOREIGN_FLAGS[name].format(hist=accident_csv, counts=counts, tmp=tmp_path).split()
+    flag = [a for a in args if a.startswith("--")][-1]
+    before = sorted(tmp_path.iterdir())
     capsys.readouterr()
-    args = ["--no-meta", "--out", str(out), "baseline", "--method", "npmle", "--input",
-            accident_csv, flag, value]
-    assert main(args) == 2
-    stdout, err = capsys.readouterr()
-    assert stdout == "" and f"unrecognized arguments: {flag} {value}" in err
-    assert not out.exists()
+    assert main(["--no-meta", "--out", str(tmp_path / "out.csv")] + args) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and f"unrecognized arguments: {' '.join(args[args.index(flag):])}" in err
+    assert sorted(tmp_path.iterdir()) == before  # no output or state written
+
+
+# A seed below 0, fewer than one replication or an unknown format is refused by
+# name when the flags are parsed, and nothing runs.
+@pytest.mark.parametrize("call", [
+    _SIM + "--replications 0", _SIM + "--replications -2", _REG + "--replications 0",
+    _REG + "--replications -2", _SIM + "--seed -1", _REG + "--seed -1",
+    "fit --input {hist} --format histogram-csv --seed -1",
+    "bench --d 200 --n 30 --windows 0:10 --seed -1",
+    _FIT + "--format bogus", _BASE + "--format bogus",
+], ids=lambda call: " ".join(call.split()[:1] + call.split()[-2:]))
+def test_a_value_outside_the_flag_range_is_refused_by_name(call, accident_csv, capsys):
+    args = call.format(hist=accident_csv, counts="counts.txt").split()
+    capsys.readouterr()
+    assert main(["--no-meta"] + args) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and f"argument {args[-2]}: " in err
 
 
 # An empty path is refused by name, not read as "no path given".
@@ -535,13 +533,13 @@ class TestFlagDecimals:
     @pytest.mark.parametrize("field", ["1_0", "\u0663", "\uff13"])
     def test_a_non_ascii_decimal_is_refused_by_name(self, capsys, field):
         calls = [
-            (["fit", "--prior", "weibull:3,5", "--eta", field], "--eta"),
-            (["fit", "--prior", "weibull:3,5", "--gamma", field], "--gamma"),
-            (["fit", "--prior", "weibull:3,5", "--alpha", field], "--alpha"),
+            (["simulate", "--prior", "weibull:3,5", "--eta", field], "--eta"),
+            (["simulate", "--prior", "weibull:3,5", "--gamma", field], "--gamma"),
+            (["simulate", "--prior", "weibull:3,5", "--alpha", field], "--alpha"),
             (["fit", "--input", "c.txt", "--window", field], "--window"),
             (["fit", "--input", "c.txt", "--m2", field], "--m2"),
-            (["fit", "--prior", f"weibull:{field},5"], "--prior"),
-            (["fit", "--prior", f"weibull:3,{field}"], "--prior"),
+            (["simulate", "--prior", f"weibull:{field},5"], "--prior"),
+            (["simulate", "--prior", f"weibull:3,{field}"], "--prior"),
             (["estimate", "--state", "s.state", "--y", "0", "--level", field], "--level"),
             (["baseline", "--method", "robbins", "--input", "h.csv", "--window", field],
              "--window"),
@@ -566,7 +564,7 @@ class TestFlagDecimals:
         assert parse_prior("weibull: 3 ,+5e0").params == (3.0, 5.0)
         assert parse_prior("uniform:.5,12.").params == (0.5, 12.0)
         capsys.readouterr()
-        args = ["--no-meta", "fit", "--prior", "uniform:0,3", "--n", "40", "--dcap", "200"]
+        args = ["--no-meta", "simulate", "--prior", "uniform:0,3", "--n", "40", "--dcap", "200"]
         assert main(args + ["--eta", "0.1", "--gamma", "0.99"]) == 0
         assert main(args + ["--eta", " 1e-1", "--gamma", "+.99"]) == 0
         first, second = capsys.readouterr().out.split("method,prior")[1:]

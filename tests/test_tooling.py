@@ -1,9 +1,11 @@
 """The names the benchmark harness resolves, its workloads' own checks,
-the package's public names, and the README's account of the CLI flags."""
+the package's public names, and the README's account of the CLI flags
+and examples."""
 
 import argparse
 import importlib.util
 import re
+import shlex
 from pathlib import Path
 
 import streameb
@@ -58,6 +60,21 @@ def test_readme_command_line_section_names_exactly_the_parser_flags():
     defined = _parser_flags(cli.build_parser())
     assert sorted(defined - named) == []  # a flag the README never mentions
     assert sorted(named - defined) == []  # a flag the README names that no command has
+
+
+def test_readme_examples_parse():
+    # the flag-drift check above passes while a flag has some command; this one
+    # catches an example that gives a flag to a command that lacks it
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = "".join(re.findall(r"```bash\n(.*?)```", readme, re.S)).replace("\\\n", " ")
+    calls = [shlex.split(line)[1:] for line in blocks.splitlines() if line.startswith("streameb ")]
+    refused = []
+    for argv in calls:
+        try:
+            cli.build_parser().parse_args(argv)
+        except SystemExit:
+            refused.append(" ".join(argv))
+    assert len(calls) >= 8 and refused == []
 
 
 def test_serve_workload_passes_its_own_check(tmp_path, monkeypatch):
