@@ -76,7 +76,7 @@ class SolverResult:
 
 
 def baseline_grid(h: CountHistogram) -> Grid:
-    """The one grid of the batch grid fits (``streameb baseline``, ``evaluation.baseline_rows``).
+    """The one grid of the batch grid fits (``baseline_estimates``, ``evaluation.baseline_rows``).
 
     1,000 evenly spaced points from 1e-3 to max + 3 (sqrt(max) + 1), where
     max is the largest count; the top is at least 1.
@@ -334,6 +334,7 @@ METHODS = ("robbins", "npmle", "npmd", "peb")
 def baseline_estimates(h: CountHistogram, method: str, cfg: SolverConfig | None = None):
     """Estimate table {observed y -> estimate} for one method.
 
+    The grid methods fit on ``cfg``, by default ``SolverConfig(baseline_grid(h))``.
     Returns ``(rows, info)`` where rows is a list of (y, estimate) over the
     observed support and info carries fit diagnostics (objective value for
     the grid methods, hyperparameters for the parametric one).
@@ -343,8 +344,7 @@ def baseline_estimates(h: CountHistogram, method: str, cfg: SolverConfig | None 
     if method == "robbins":
         rows = [(y, robbins_estimate(h, y)) for y in ys]
     elif method in ("npmle", "npmd"):
-        if cfg is None:
-            raise ValueError(f"{method} needs a SolverConfig")
+        cfg = SolverConfig(baseline_grid(h)) if cfg is None else cfg
         res = fit_npmle(h, cfg) if method == "npmle" else fit_min_hellinger(h, cfg)
         table = estimate_table(res.weights, ys[-1])[0].tolist()
         rows = [(y, table[y]) for y in ys]

@@ -11,6 +11,10 @@ baseline  classical estimators over a count histogram
 bench     per-update timing across grid sizes
 regret    decay of the regret along a stream against a grid-atoms oracle
 
+``simulate`` and ``fit`` size their grid by ``gridding.stream_grid``, and
+``baseline``'s grid fits run on ``baselines.baseline_grid``.  A flag value
+out of its range is refused, naming the flag, when the flags are parsed.
+
 Exit codes: 0 success, 2 flag/input validation error, 3 numerical failure.
 Outputs are deterministic for fixed flags and seed; the one timestamp header
 line is suppressed by --no-meta.
@@ -29,9 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import baselines, engine, evaluation, inference
-from .baselines import SolverConfig
 from .engine import LearningRate
-from .gridding import GridInfeasibleError, GridSpec, build_equispaced_grid
+from .gridding import GridInfeasibleError, stream_grid
 from .model import CountHistogram, DegenerateLikelihoodError
 from .priors import _DECIMAL, _decimal, parse_prior
 
@@ -94,6 +97,12 @@ def _flag_int(text: str, least: float = -math.inf) -> int:
 
 _flag_seed = functools.partial(_flag_int, least=0)
 _flag_count = functools.partial(_flag_int, least=1)
+_flag_dcap = functools.partial(_flag_int, least=2)
+
+
+def _flag_sizes(text: str) -> list:
+    """argparse type of ``bench --d``: comma-separated grid sizes, each at least 1."""
+    return [_flag_count(field) for field in text.split(",")]
 
 
 def _flag_float(text: str) -> float:
@@ -102,6 +111,14 @@ def _flag_float(text: str) -> float:
         return _decimal(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected a decimal number, got {text!r}") from None
+
+
+def _flag_positive(text: str) -> float:
+    """argparse type of ``--eta``, ``--m2`` and ``--window``: a ``_flag_float`` above 0."""
+    value = _flag_float(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"expected a positive decimal number, got {text!r}")
+    return value
 
 
 def _flag_path(text: str) -> str:
@@ -276,8 +293,6 @@ def _cmd_fit(args) -> int:
     _take_defaults(args, {"m2": None, **_GRID_FLAGS}, fresh if args.state_in is not None else None)
     shuffle = "shuffles histogram and event-window input; counts-lines input streams in file order"
     _take_defaults(args, {"seed": 0}, shuffle if args.format == "counts-lines" else None)
-    if args.m2 is not None and not args.m2 > 0:
-        raise ValueError(f"--m2 must be positive, got {args.m2!r}")
     rate = LearningRate(args.alpha, args.gamma)
     fmt = _ingest_format(args)
     if fmt.kind == "counts-lines":
@@ -293,11 +308,7 @@ def _cmd_fit(args) -> int:
     if args.state_in is not None:
         state = _read_scalar_state(args.state_in)
     else:
-        m2 = args.m2 if args.m2 is not None else float(np.mean(np.array(ys, dtype=float) ** 2))
-        if m2 <= 0:
-            raise ValueError("all counts are zero; supply --m2, a state, or richer data")
-        grid = build_equispaced_grid(GridSpec(args.eta, 2, m2, d_cap=args.dcap))
-        state = engine.init(grid, rate)
+        state = engine.init(stream_grid(ys, args.eta, args.dcap, args.m2), rate)
     n_before = state.n
     state = engine.update_stream(state, ys, skip_degenerate=args.skip_degenerate)
     if args.skip_degenerate:
@@ -323,8 +334,7 @@ def _cmd_estimate(args) -> int:
 
 def _cmd_baseline(args) -> int:
     h = ingest(args.input, _ingest_format(args))
-    cfg = SolverConfig(baselines.baseline_grid(h)) if args.method in ("npmle", "npmd") else None
-    rows, info = baselines.baseline_estimates(h, args.method, cfg)
+    rows, info = baselines.baseline_estimates(h, args.method)
     if args.markdown:
         _emit(baselines.estimates_to_markdown({args.method: rows}), args)
     else:
@@ -336,8 +346,7 @@ def _cmd_baseline(args) -> int:
 
 def _cmd_bench(args) -> int:
     windows = _parse_windows(args.windows, args.n)
-    ds = _parse_int_list(args.d, "--d")
-    rows = evaluation.timing_harness(ds, args.n, windows, seed=args.seed)
+    rows = evaluation.timing_harness(args.d, args.n, windows, seed=args.seed)
     text = "d,window_lo,window_hi,median_ms\n"
     text += "\n".join(f"{d},{lo},{hi},{ms!r}" for d, lo, hi, ms in rows) + "\n"
     _emit(text, args)
@@ -345,12 +354,9 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_regret(args) -> int:
-    prior = args.atoms
-    if prior.family != "grid-atoms":
-        raise ValueError("regret needs a grid-atoms oracle, e.g. grid-atoms:1@0.5,4@0.5")
     checkpoints = _parse_int_list(args.checkpoints, "--checkpoints")
     cfg = evaluation.ExperimentConfig(
-        prior=prior,
+        prior=args.atoms,
         n=max(checkpoints),
         rate=LearningRate(args.alpha, args.gamma),
         seeds=tuple(range(args.seed, args.seed + args.replications)),
@@ -370,8 +376,8 @@ def _cmd_regret(args) -> int:
 
 def _add_grid_flags(cmd, seed_help: str) -> None:
     """Add the grid, rate and seed flags of ``simulate`` and ``fit``, defaulting to None."""
-    cmd.add_argument("--eta", type=_flag_float, help="grid spacing (0.025)")
-    cmd.add_argument("--dcap", type=_flag_int, help="most grid points (10000)")
+    cmd.add_argument("--eta", type=_flag_positive, help="grid spacing (0.025)")
+    cmd.add_argument("--dcap", type=_flag_dcap, help="most grid points, at least 2 (10000)")
     cmd.add_argument("--gamma", type=_flag_float, help="step-size decay (0.99)")
     cmd.add_argument("--alpha", type=_flag_float, help="step-size offset (1.0)")
     cmd.add_argument("--seed", type=_flag_seed, help=seed_help)
@@ -385,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sim = sub.add_parser("simulate", help="stream draws from a synthetic prior; RMSE/MAD rows")
     sim.add_argument("--prior", type=_flag_prior, required=True, help="e.g. weibull:5,3")
-    sim.add_argument("--n", type=_flag_int, default=500, help="counts per replication (500)")
+    sim.add_argument("--n", type=_flag_count, default=500, help="counts per replication (500)")
     sim.add_argument("--replications", type=_flag_count, default=1, help="seeds from --seed (1)")
     sim.add_argument("--timing", action="store_true",
                      help="include measured per-update time (not byte-deterministic)")
@@ -395,9 +401,9 @@ def build_parser() -> argparse.ArgumentParser:
     fit = sub.add_parser("fit", help="stream a count file through the recursion")
     fit.add_argument("--input", required=True, help="count file to stream")
     fit.add_argument("--format", default="counts-lines", choices=IngestFormat.KINDS)
-    fit.add_argument("--window", type=_flag_float,
+    fit.add_argument("--window", type=_flag_positive,
                      help="event-window length in seconds (that format only)")
-    fit.add_argument("--m2", type=_flag_float,
+    fit.add_argument("--m2", type=_flag_positive,
                      help="positive moment bound for grid sizing (default: empirical)")
     fit.add_argument("--state-in", type=_flag_path,
                      help="resume from this saved state, on its own grid and rate: "
@@ -419,14 +425,15 @@ def build_parser() -> argparse.ArgumentParser:
     base.add_argument("--method", required=True, choices=baselines.METHODS)
     base.add_argument("--input", required=True)
     base.add_argument("--format", default="histogram-csv", choices=IngestFormat.KINDS)
-    base.add_argument("--window", type=_flag_float,
+    base.add_argument("--window", type=_flag_positive,
                       help="event-window length in seconds (that format only)")
     base.add_argument("--markdown", action="store_true")
     base.add_argument("--verbose", action="store_true")
     base.set_defaults(func=_cmd_baseline)
 
     bench = sub.add_parser("bench", help="per-update timing across grid sizes")
-    bench.add_argument("--d", default="1000,10000", help="comma-separated grid sizes")
+    bench.add_argument("--d", type=_flag_sizes, default="1000,10000",
+                       help="comma-separated grid sizes")
     bench.add_argument("--n", type=_flag_int, default=1000)
     bench.add_argument("--windows", default="100:200,900:1000")
     bench.add_argument("--seed", type=_flag_seed, default=0)

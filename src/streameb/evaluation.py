@@ -8,7 +8,10 @@ one grid through their per-count estimates, weighted by the oracle's pmf:
     sum_y (est_a(y) - est_b(y))^2 * p_{g_b}(y)
 
 truncated at ``y_max``, by default ``grid.hi + 20 sqrt(grid.hi)``; at that
-depth the neglected Poisson tail mass is far below 1e-8.
+depth the neglected Poisson tail mass is far below 1e-8.  ``regret`` and the
+decay diagnostic take this sum from ``_regrets``, which scores any number of
+weight vectors against one oracle in one pass of kernel rows.  The stream
+experiment sizes its grid by ``gridding.stream_grid``, as ``fit`` does.
 """
 
 from __future__ import annotations
@@ -20,7 +23,8 @@ import numpy as np
 
 from . import baselines, engine
 from .engine import LearningRate
-from .gridding import GridSpec, build_equispaced_grid
+# build_equispaced_grid stays importable here: perfbench/tracing.py patches it.
+from .gridding import build_equispaced_grid, stream_grid  # noqa: F401
 # ratio_estimate stays importable here: perfbench/tracing.py patches it.
 from .inference import (  # noqa: F401
     _log_pmfs,
@@ -94,14 +98,22 @@ def rmse_mad(thetas, estimates):
     return float(np.sqrt(np.mean(err**2))), float(np.mean(np.abs(err)))
 
 
+def _regrets(oracle: MixingWeights, weights, y_max: int | None = None) -> np.ndarray:
+    """The regret of each weight vector of ``weights`` against ``oracle``, on its grid.
+
+    One pass of kernel rows scores the oracle and every vector.
+    """
+    if y_max is None:
+        y_max = default_y_max(oracle.grid)
+    theta, p = _ratio_table(_log_pmfs(oracle.grid, [oracle.weights, *weights], y_max + 1))
+    return np.array([np.dot((row - theta[0]) ** 2, p[0]) for row in theta[1:]])
+
+
 def regret(g_a: MixingWeights, g_b: MixingWeights, y_max: int | None = None) -> float:
     """Expected squared estimate gap between g_a and the oracle g_b."""
     if not g_a.grid.same_points(g_b.grid):
         raise ValueError("both weight vectors must live on the same grid")
-    if y_max is None:
-        y_max = default_y_max(g_a.grid)
-    theta, p = _ratio_table(_log_pmfs(g_a.grid, [g_a.weights, g_b.weights], y_max + 1))
-    return float(np.dot((theta[0] - theta[1]) ** 2, p[1]))
+    return float(_regrets(g_b, [g_a.weights], y_max)[0])
 
 
 def batched_newton_stream(
@@ -141,19 +153,15 @@ def batched_newton_stream(
 def run_stream_experiment(cfg: ExperimentConfig, seed: int, measure_time: bool = False) -> MetricRow:
     """One replication of the synthetic protocol.
 
-    Draw (theta_i, Y_i) pairs, size the grid from the empirical second
-    moment of the counts, stream the counts through the recursion from a
-    uniform start, then score the per-count estimates against the latent
-    rates.  All-zero samples have no usable moment bound and are an error.
+    Draw (theta_i, Y_i) pairs, size the grid from the counts by
+    ``gridding.stream_grid`` (which refuses all-zero counts), stream the
+    counts through the recursion from a uniform start, then score the
+    per-count estimates against the latent rates.
     The stream is timed only with ``measure_time`` set; otherwise the
     timing field is NaN and the row is fully deterministic under the seed.
     """
     thetas, ys = generate_compound(cfg.prior, cfg.n, seed)
-    m2 = float(np.mean(np.asarray(ys, float) ** 2))
-    if m2 <= 0:
-        raise ValueError("all counts are zero; the empirical moment bound is degenerate")
-    spec = GridSpec(eta=cfg.eta, k=2, m_k=m2, d_cap=cfg.d_cap)
-    grid = build_equispaced_grid(spec)
+    grid = stream_grid(ys, cfg.eta, cfg.d_cap)
     start = engine.init(grid, cfg.rate)
     t0 = time.perf_counter()
     g = engine.update_stream(start, ys).g
@@ -214,7 +222,7 @@ def regret_decay_diagnostic(cfg: ExperimentConfig, checkpoints) -> RegretDecayRe
     fit.
     """
     if cfg.prior.family != "grid-atoms":
-        raise ValueError("the oracle must be a grid-atoms prior (exact on its grid)")
+        raise ValueError("the oracle must be a grid-atoms prior, e.g. grid-atoms:1@0.5,4@0.5")
     checkpoints = tuple(sorted({int(c) for c in checkpoints}))
     if len(checkpoints) < 3 or checkpoints[0] < 1:
         raise ValueError("need at least three distinct checkpoints, each >= 1, for a slope fit")
@@ -222,11 +230,8 @@ def regret_decay_diagnostic(cfg: ExperimentConfig, checkpoints) -> RegretDecayRe
     g_star = MixingWeights(grid, cfg.prior.probs)
     y_rows = np.stack([generate_compound(cfg.prior, checkpoints[-1], seed)[1] for seed in cfg.seeds])
     _, snaps = batched_newton_stream(grid, cfg.rate, y_rows, checkpoints=checkpoints)
-    # one pass of kernel rows scores the oracle, then each seed's snapshots in checkpoint order
     weights = [snaps[c][r] for r in range(len(cfg.seeds)) for c in checkpoints]
-    theta, p = _ratio_table(_log_pmfs(grid, [g_star.weights] + weights, default_y_max(grid) + 1))
-    regrets = np.array([np.dot((row - theta[0]) ** 2, p[0]) for row in theta[1:]])
-    regrets = regrets.reshape(len(cfg.seeds), len(checkpoints))
+    regrets = _regrets(g_star, weights).reshape(len(cfg.seeds), len(checkpoints))
     log_n = np.log(np.asarray(checkpoints, float))
     design = np.stack([log_n, np.ones_like(log_n)], axis=1)
     slopes = np.array([np.linalg.lstsq(design, np.log(row), rcond=None)[0][0] for row in regrets])

@@ -5,6 +5,10 @@ The grid size is the smallest integer ``n`` with ``n > 1/eta`` and
 the count distribution.  Binning a prior onto that grid keeps the truncated
 Kullback-Leibler divergence between the exact and discretized count
 distributions below ``2 eta``; the acceptance tests check this numerically.
+
+``stream_grid`` is the one grid rule of the streaming fits, ``simulate``'s
+synthetic draws and ``fit``'s count files alike: the second moment (k = 2)
+of the counts, at spacing eta, under the size cap.
 """
 
 from __future__ import annotations
@@ -88,3 +92,15 @@ def build_equispaced_grid(spec: GridSpec) -> Grid:
         points = np.linspace(spec.eta, d_full * spec.eta, spec.d_cap)
     return Grid(points)
 
+
+def stream_grid(ys, eta: float, d_cap: int | None, m2: float | None = None) -> Grid:
+    """The streaming fits' grid: ``GridSpec(eta, 2, m2, d_cap)`` for the counts ``ys``.
+
+    ``m2`` defaults to the empirical second moment of ``ys``; counts that
+    are all zero have none to size a grid from and are refused.
+    """
+    if m2 is None:
+        m2 = float(np.mean(np.asarray(ys, dtype=float) ** 2))
+        if m2 <= 0:
+            raise ValueError("all counts are zero: their second moment sizes no grid")
+    return build_equispaced_grid(GridSpec(eta, 2, m2, d_cap=d_cap))

@@ -67,10 +67,6 @@ class Grid:
         return int(self.points.size)
 
     @property
-    def lo(self) -> float:
-        return float(self.points[0])
-
-    @property
     def hi(self) -> float:
         return float(self.points[-1])
 
@@ -174,10 +170,9 @@ class MixingWeights:
 
 @dataclass(frozen=True, eq=False)
 class CountHistogram:
-    """Observed counts as a multiset of (y, multiplicity) pairs."""
+    """Observed counts as a multiset of (y, multiplicity) pairs; ``total`` is their number."""
 
     entries: dict
-    total: int
 
     def __post_init__(self):
         ys = _integers(list(self.entries), "counts")
@@ -189,9 +184,7 @@ class CountHistogram:
         # insertion order is kept: moment fits sum over the entries in it
         clean = dict(zip(ys.tolist(), n_ys.tolist()))
         object.__setattr__(self, "entries", clean)
-        total = sum(clean.values())
-        if self.total != total:
-            raise ValueError(f"total {self.total} != sum of multiplicities {total}")
+        object.__setattr__(self, "total", sum(clean.values()))
 
     @classmethod
     def from_pairs(cls, pairs) -> "CountHistogram":
@@ -203,7 +196,7 @@ class CountHistogram:
         entries = {}
         for y, n_y in zip(ys, n_ys):
             entries[y] = entries.get(y, 0) + n_y
-        return cls(entries, sum(entries.values()))
+        return cls(entries)
 
     @classmethod
     def from_counts(cls, ys) -> "CountHistogram":
@@ -211,7 +204,7 @@ class CountHistogram:
         counts = _integers(ys if isinstance(ys, np.ndarray) else list(ys), "counts")
         values, first, n_ys = np.unique(counts, return_index=True, return_counts=True)
         order = np.argsort(first)  # first appearance, the order of a loop over ys
-        return cls(dict(zip(values[order].tolist(), n_ys[order].tolist())), len(counts))
+        return cls(dict(zip(values[order].tolist(), n_ys[order].tolist())))
 
     def support(self) -> np.ndarray:
         return np.array(sorted(self.entries), dtype=int)

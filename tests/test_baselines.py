@@ -53,7 +53,7 @@ class TestSolverConfig:
     def test_baseline_grid_rule(self):
         grid = baseline_grid(CountHistogram.from_pairs([(0, 3), (16, 1)]))
         assert len(grid) == 1000
-        assert grid.lo == 1e-3
+        assert grid.points[0] == 1e-3
         assert grid.hi == pytest.approx(16 + 3 * (4 + 1))
 
 
@@ -334,6 +334,12 @@ class TestEstimateTables:
             out[method] = rows
         assert out["npmle"] != out["npmd"]
 
+    @pytest.mark.parametrize("method", ["npmle", "npmd"])
+    def test_grid_methods_default_to_the_baseline_grid(self, accident_histogram, method):
+        explicit = SolverConfig(baseline_grid(accident_histogram))
+        expected = baseline_estimates(accident_histogram, method, explicit)
+        assert baseline_estimates(accident_histogram, method) == expected  # same bits
+
     @pytest.mark.parametrize("label, method, iterations, qp_solves", [
         ("synthetic", "npmle", 7, 120),
         ("synthetic", "npmd", 6, 105),
@@ -364,5 +370,3 @@ class TestEstimateTables:
     def test_unknown_method_is_rejected(self, accident_histogram):
         with pytest.raises(ValueError):
             baseline_estimates(accident_histogram, "bayes")
-        with pytest.raises(ValueError):
-            baseline_estimates(accident_histogram, "npmle", None)

@@ -418,8 +418,7 @@ def test_a_flag_given_at_its_default_changes_no_byte(tmp_path):
 
 # Flags that the path a call takes does not read, each with the flag the
 # refusal must name: fit's fresh-grid flags and --m2 beside --state-in, --seed
-# on a counts-lines input, a nonpositive --m2, and --window with a format other
-# than event-window.
+# on a counts-lines input, and --window with a format other than event-window.
 _UNREAD_FLAGS = [
     (["fit", "--input", "{counts}", "--state-in", "{state}", "--m2", "5"], "--m2"),
     (["fit", "--input", "{counts}", "--state-in", "{state}", "--gamma", "0.6"], "--gamma"),
@@ -429,8 +428,6 @@ _UNREAD_FLAGS = [
     (["fit", "--input", "{counts}", "--state-in", "{state}", "--eta", "0.025"], "--eta"),
     (["fit", "--input", "{counts}", "--seed", "3"], "--seed"),
     (["fit", "--input", "{counts}", "--format", "counts-lines", "--seed", "0"], "--seed"),
-    (["fit", "--input", "{counts}", "--m2", "0"], "--m2"),
-    (["fit", "--input", "{counts}", "--m2", "-1"], "--m2"),
     (["fit", "--input", "{counts}", "--window", "30"], "--window"),
     (["fit", "--input", "{hist}", "--format", "histogram-csv", "--window", "30"], "--window"),
     (["baseline", "--method", "robbins", "--input", "{hist}", "--window", "30"], "--window"),
@@ -490,14 +487,21 @@ def test_a_removed_baseline_flag_is_refused(name, accident_csv, tmp_path, capsys
     assert sorted(tmp_path.iterdir()) == before  # no output or state written
 
 
-# A seed below 0, fewer than one replication or an unknown format is refused by
-# name when the flags are parsed, and nothing runs.
+# A seed below 0, fewer than one replication or count, a grid cap below 2, a
+# spacing, moment bound or window that is not positive, a grid size below 1 or
+# an unknown format is refused by name when the flags are parsed, and nothing
+# runs.
+_WINDOWS = "--format event-window --window "
+_BENCH = "bench --n 30 --windows 0:10 "
 @pytest.mark.parametrize("call", [
     _SIM + "--replications 0", _SIM + "--replications -2", _REG + "--replications 0",
     _REG + "--replications -2", _SIM + "--seed -1", _REG + "--seed -1",
-    "fit --input {hist} --format histogram-csv --seed -1",
-    "bench --d 200 --n 30 --windows 0:10 --seed -1",
+    "fit --input {hist} --format histogram-csv --seed -1", _BENCH + "--d 200 --seed -1",
     _FIT + "--format bogus", _BASE + "--format bogus",
+    "simulate --prior weibull:3,5 --n 0", _SIM + "--dcap 0", _SIM + "--dcap 1", _FIT + "--dcap 1",
+    _SIM + "--eta 0", _FIT + "--eta -0.5", _FIT + "--m2 0", _FIT + "--m2 -1",
+    _FIT + _WINDOWS + "0", "baseline --method robbins --input {hist} " + _WINDOWS + "-30",
+    _BENCH + "--d 0", _BENCH + "--d -5", _BENCH + "--d 200,0",
 ], ids=lambda call: " ".join(call.split()[:1] + call.split()[-2:]))
 def test_a_value_outside_the_flag_range_is_refused_by_name(call, accident_csv, capsys):
     args = call.format(hist=accident_csv, counts="counts.txt").split()

@@ -10,6 +10,7 @@ from streameb.engine import LearningRate, init, update_stream
 from streameb.evaluation import (
     ExperimentConfig,
     MetricRow,
+    _regrets,
     batched_newton_stream,
     generate_compound,
     metrics_to_csv,
@@ -112,6 +113,18 @@ class TestRegret:
         finally:
             tracemalloc.stop()
         assert value == 0.0 and peak < 64e6
+
+    def test_is_one_row_of_the_shared_sum(self):
+        # regret and the decay diagnostic both read _regrets; a vector scored
+        # beside others keeps the bits it has alone
+        grid = Grid([0.5, 2.0, 6.0])
+        oracle = MixingWeights(grid, [0.2, 0.3, 0.5])
+        rows = [np.array(w) for w in ([0.6, 0.3, 0.1], [0.1, 0.3, 0.6], [0.2, 0.3, 0.5])]
+        together = _regrets(oracle, rows)
+        for w, value in zip(rows, together):
+            g = MixingWeights(grid, w)
+            assert regret(g, oracle) == _regrets(oracle, [g.weights])[0] == value
+        assert together[2] == 0.0
 
     def test_asymmetric_in_its_arguments(self):
         grid = Grid([0.5, 2.0, 6.0])
@@ -290,7 +303,7 @@ class TestRunStreamExperiment:
     def test_all_zero_counts_are_an_error(self):
         prior = grid_atoms_prior([1e-8], [1.0])
         cfg = ExperimentConfig(prior=prior, n=5, eta=0.5, d_cap=10)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="all counts are zero"):
             run_stream_experiment(cfg, seed=0)
 
 

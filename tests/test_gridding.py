@@ -5,7 +5,13 @@ import numpy as np
 import pytest
 from scipy.stats import halfnorm, rv_discrete, uniform, weibull_min
 
-from streameb.gridding import GridInfeasibleError, GridSpec, build_equispaced_grid, kl_grid_size
+from streameb.gridding import (
+    GridInfeasibleError,
+    GridSpec,
+    build_equispaced_grid,
+    kl_grid_size,
+    stream_grid,
+)
 from streameb.model import Grid, MixingWeights
 from streameb.priors import PriorSpec
 
@@ -140,7 +146,7 @@ class TestBuildEquispacedGrid:
         grid = build_equispaced_grid(spec)
         full = kl_grid_size(GridSpec(eta=0.025, k=2, m_k=27.0))
         assert len(grid) == 10_000
-        assert grid.lo == pytest.approx(0.025)
+        assert grid.points[0] == pytest.approx(0.025)
         assert grid.hi == pytest.approx(full * 0.025)
         gaps = np.diff(grid.points)
         assert np.allclose(gaps, gaps[0], rtol=1e-12)
@@ -148,6 +154,23 @@ class TestBuildEquispacedGrid:
     def test_cap_larger_than_needed_is_ignored(self):
         grid = build_equispaced_grid(GridSpec(eta=0.5, k=2, m_k=1e-12, d_cap=50))
         assert len(grid) == 3
+
+
+class TestStreamGrid:
+    def test_is_the_equispaced_grid_of_the_second_moment(self):
+        ys = np.array([0, 3, 7, 2, 0, 11])
+        m2 = float(np.mean(ys.astype(float) ** 2))
+        for m2_given, m_k in ((None, m2), (40.0, 40.0)):
+            expected = build_equispaced_grid(GridSpec(0.05, 2, m_k, d_cap=300))
+            grid = stream_grid(ys, 0.05, 300, m2_given)
+            assert np.array_equal(grid.points, expected.points)
+        uncapped = stream_grid(ys.tolist(), 0.5, None)
+        assert np.array_equal(uncapped.points, build_equispaced_grid(GridSpec(0.5, 2, m2)).points)
+
+    def test_refuses_all_zero_counts(self):
+        with pytest.raises(ValueError, match="all counts are zero"):
+            stream_grid([0, 0, 0], 0.1, 100)
+        assert len(stream_grid([0, 0, 0], 0.1, 100, m2=4.0)) > 1  # a given bound sizes it
 
 
 class TestBinnedDiscretization:

@@ -640,7 +640,7 @@ class TestCredibleInterval:
         assert rep.ci_low == pytest.approx(rep.theta_hat - half)
         assert rep.ci_high == pytest.approx(rep.theta_hat + half)
         assert rep.ci_low <= rep.theta_hat <= rep.ci_high
-        assert grid.lo <= rep.theta_hat <= grid.hi
+        assert grid.points[0] <= rep.theta_hat <= grid.hi
         assert rep.b_n == pytest.approx(clt_scale(state.rate, 200), rel=1e-12)
 
     def test_needs_observations_and_a_power_schedule(self):

@@ -45,6 +45,18 @@ def test_synthetic_benchmark_has_no_grid_or_skip_flag(flag, capsys):
     assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("args", [
+    ["--eta", "1_0"], ["--n", "\u0663\u0660"], ["--seeds", "0"], ["--priors", "bogus:1"],
+    ["--n", "0"], ["--dcap", "1"],
+], ids=" ".join)
+def test_synthetic_benchmark_refuses_a_bad_flag_value_by_name(args, capsys):
+    # the CLI's flag types: ASCII digits and decimals only, and each value in range
+    with pytest.raises(SystemExit) as exc:
+        _script("synthetic_benchmark").main(args)
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == "" and f"argument {args[0]}: " in err
+
+
 def _canned_run(workload, seed, commit, op_ms, rss, correct=True):
     """What perfbench/run.py prints for one run, cut to the lines the recorder reads."""
     metrics = {"op_ms_p50": {"value": op_ms, "unit": "ms"},

@@ -8,6 +8,8 @@ import re
 import shlex
 from pathlib import Path
 
+import pytest
+
 import streameb
 from streameb import cli
 
@@ -15,8 +17,8 @@ ROOT = Path(__file__).resolve().parent.parent
 PERFBENCH = ROOT / "perfbench"
 
 
-def _load(name):
-    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+def _load(name, folder=PERFBENCH):
+    spec = importlib.util.spec_from_file_location(f"{folder.name}_{name}", folder / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -75,6 +77,16 @@ def test_readme_examples_parse():
         except SystemExit:
             refused.append(" ".join(argv))
     assert len(calls) >= 8 and refused == []
+
+
+def test_synthetic_benchmark_usage_example_parses(capsys):
+    # argparse converts every flag before --help, which then exits 0 and runs nothing
+    script = _load("synthetic_benchmark", ROOT / "scripts")
+    lines = script.__doc__.splitlines()  # the docstring's backslash joins its example's two lines
+    [example] = [shlex.split(line)[2:] for line in lines if line.lstrip().startswith("python ")]
+    with pytest.raises(SystemExit) as exc:
+        script.main(example + ["--help"])
+    assert exc.value.code == 0 and example[0] == "--priors" and example[-2] == "--out"
 
 
 def test_serve_workload_passes_its_own_check(tmp_path, monkeypatch):
