@@ -12,10 +12,13 @@ bench     per-update timing across grid sizes
 regret    decay of the regret along a stream against a grid-atoms oracle
 
 ``simulate`` and ``fit`` size their grid by ``gridding.stream_grid``, and
-``baseline``'s grid fits run on ``baselines.baseline_grid``.  A flag value
-out of its range is refused, naming the flag, when the flags are parsed.
+``baseline``'s grid fits run on ``baselines.baseline_grid``.
 
-Exit codes: 0 success, 2 flag/input validation error, 3 numerical failure.
+Every flag value is checked by its argparse type, so a bad one is refused,
+naming the flag, when the flags are parsed.  Only the refusals that weigh
+one flag against another and the input-file errors come when the command
+runs.  Exit codes: 0 success, 2 flag/input validation error, 3 numerical
+failure.
 Outputs are deterministic for fixed flags and seed; the one timestamp header
 line is suppressed by --no-meta.
 """
@@ -76,33 +79,47 @@ class IngestFormat:
 _INTEGER = re.compile(r"[+-]?[0-9]+")
 
 
-def _ascii_ints(fields) -> list:
-    """Integers from ``fields``, each an ``_INTEGER`` once the blanks around it are stripped."""
-    fields = [field.strip() for field in fields]
-    if not all(_INTEGER.fullmatch(field) for field in fields):
-        raise ValueError(f"not an integer: {fields!r}")
-    return [int(field) for field in fields]
-
-
 def _flag_int(text: str, least: float = -math.inf) -> int:
     """argparse type of the integer flags: the ``_INTEGER`` rule of the input files, >= ``least``."""
-    try:
-        value = _ascii_ints([text])[0]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if value < least:
+    field = text.strip()
+    if not _INTEGER.fullmatch(field):
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    if int(field) < least:
         raise argparse.ArgumentTypeError(f"expected an integer of at least {least}, got {text!r}")
-    return value
+    return int(field)
 
 
-_flag_seed = functools.partial(_flag_int, least=0)
+_flag_nonnegative = functools.partial(_flag_int, least=0)
 _flag_count = functools.partial(_flag_int, least=1)
 _flag_dcap = functools.partial(_flag_int, least=2)
 
 
-def _flag_sizes(text: str) -> list:
-    """argparse type of ``bench --d``: comma-separated grid sizes, each at least 1."""
-    return [_flag_count(field) for field in text.split(",")]
+def _flag_list(text: str, item) -> list:
+    """argparse type of a comma-separated list, each field (an empty one too) read by ``item``."""
+    return [item(field) for field in text.split(",")]
+
+
+def _flag_span(text: str, sep: str) -> tuple:
+    """``(lo, hi)`` from a ``--y`` range or ``--windows`` entry ``lo{sep}hi``: ``0 <= lo <= hi``."""
+    lo, found, hi = text.partition(sep)
+    if not found:
+        raise argparse.ArgumentTypeError(f"expected lo{sep}hi, got {text!r}")
+    lo, hi = _flag_nonnegative(lo), _flag_nonnegative(hi)
+    if hi < lo:
+        raise argparse.ArgumentTypeError(f"expected lo{sep}hi with lo <= hi, got {text!r}")
+    return lo, hi
+
+
+def _flag_ys(text: str) -> list:
+    """argparse type of ``estimate --y``: counts ``lo..hi``, both ends included, or a list."""
+    if ".." not in text:
+        return _flag_list(text, _flag_nonnegative)
+    lo, hi = _flag_span(text, "..")
+    return list(range(lo, hi + 1))
+
+
+_flag_counts = functools.partial(_flag_list, item=_flag_count)
+_flag_windows = functools.partial(_flag_list, item=functools.partial(_flag_span, sep=":"))
 
 
 def _flag_float(text: str) -> float:
@@ -210,44 +227,6 @@ def _emit(text: str, args) -> None:
         sys.stdout.write(body)
 
 
-def _parse_int_list(text: str, flag: str):
-    """Comma-separated integers; an empty list or an empty field is refused."""
-    try:
-        return _ascii_ints(text.split(","))
-    except ValueError:
-        raise ValueError(f"{flag} needs comma-separated integers, got {text!r}") from None
-
-
-def _parse_y_range(text: str):
-    """``--y``: an ascending range ``lo..hi``, both ends included, or a list of counts."""
-    if ".." not in text:
-        return _parse_int_list(text, "--y")
-    try:
-        lo, hi = _ascii_ints(text.split(".."))
-    except ValueError:
-        raise ValueError(f"--y needs a range lo..hi of integers, got {text!r}") from None
-    if hi < lo:
-        raise ValueError(f"--y range {text!r} is descending")
-    return list(range(lo, hi + 1))
-
-
-def _parse_windows(text: str, n: int):
-    """``--windows``: comma-separated ``lo:hi`` windows of the ``n`` timed updates.
-
-    Each needs ``0 <= lo <= hi <= n`` and ``lo < n``, so no window is empty.
-    """
-    windows = []
-    for field in text.split(","):
-        try:
-            lo, hi = _ascii_ints(field.split(":"))
-        except ValueError:
-            raise ValueError(f"--windows needs comma-separated lo:hi pairs, got {text!r}") from None
-        if not (0 <= lo <= hi <= n and lo < n):
-            raise ValueError(f"--windows {field!r} needs 0 <= lo <= hi <= {n} (--n) and lo < {n}")
-        windows.append((lo, hi))
-    return windows
-
-
 def _read_scalar_state(path: str) -> engine.NewtonState:
     """A serialized state from ``path``; lattice states have no CLI commands."""
     with open(path, "rb") as handle:
@@ -323,9 +302,8 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
-    ys = _parse_y_range(args.y)
     state = _read_scalar_state(args.state)
-    reports = inference.credible_intervals(state, ys, args.level)
+    reports = inference.credible_intervals(state, args.y, args.level)
     text = inference.EstimateReport.CSV_HEADER + "\n"
     text += "\n".join(r.csv_row() for r in reports) + "\n"
     _emit(text, args)
@@ -345,8 +323,10 @@ def _cmd_baseline(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    windows = _parse_windows(args.windows, args.n)
-    rows = evaluation.timing_harness(args.d, args.n, windows, seed=args.seed)
+    for lo, hi in args.windows:  # each window times at least one of the --n updates
+        if not (lo < args.n and hi <= args.n):
+            raise ValueError(f"--windows {lo}:{hi} needs lo < {args.n} and hi <= {args.n} (--n)")
+    rows = evaluation.timing_harness(args.d, args.n, args.windows, seed=args.seed)
     text = "d,window_lo,window_hi,median_ms\n"
     text += "\n".join(f"{d},{lo},{hi},{ms!r}" for d, lo, hi, ms in rows) + "\n"
     _emit(text, args)
@@ -354,14 +334,13 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_regret(args) -> int:
-    checkpoints = _parse_int_list(args.checkpoints, "--checkpoints")
     cfg = evaluation.ExperimentConfig(
         prior=args.atoms,
-        n=max(checkpoints),
+        n=max(args.checkpoints),
         rate=LearningRate(args.alpha, args.gamma),
         seeds=tuple(range(args.seed, args.seed + args.replications)),
     )
-    res = evaluation.regret_decay_diagnostic(cfg, checkpoints)
+    res = evaluation.regret_decay_diagnostic(cfg, args.checkpoints)
     lines = ["seed,checkpoint,regret"]
     for seed, row in zip(cfg.seeds, res.regrets.tolist()):
         lines += [f"{seed},{c},{value!r}" for c, value in zip(res.checkpoints, row)]
@@ -380,7 +359,7 @@ def _add_grid_flags(cmd, seed_help: str) -> None:
     cmd.add_argument("--dcap", type=_flag_dcap, help="most grid points, at least 2 (10000)")
     cmd.add_argument("--gamma", type=_flag_float, help="step-size decay (0.99)")
     cmd.add_argument("--alpha", type=_flag_float, help="step-size offset (1.0)")
-    cmd.add_argument("--seed", type=_flag_seed, help=seed_help)
+    cmd.add_argument("--seed", type=_flag_nonnegative, help=seed_help)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -399,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.set_defaults(func=_cmd_simulate, seed=0, **_GRID_FLAGS)
 
     fit = sub.add_parser("fit", help="stream a count file through the recursion")
-    fit.add_argument("--input", required=True, help="count file to stream")
+    fit.add_argument("--input", type=_flag_path, required=True, help="count file to stream")
     fit.add_argument("--format", default="counts-lines", choices=IngestFormat.KINDS)
     fit.add_argument("--window", type=_flag_positive,
                      help="event-window length in seconds (that format only)")
@@ -416,14 +395,14 @@ def build_parser() -> argparse.ArgumentParser:
     fit.set_defaults(func=_cmd_fit)
 
     est = sub.add_parser("estimate", help="estimates and intervals from a saved state")
-    est.add_argument("--state", required=True)
-    est.add_argument("--y", required=True, help="counts, e.g. 0..7 or 0,3,9")
+    est.add_argument("--state", type=_flag_path, required=True)
+    est.add_argument("--y", type=_flag_ys, required=True, help="counts, e.g. 0..7 or 0,3,9")
     est.add_argument("--level", type=_flag_float, default=0.95)
     est.set_defaults(func=_cmd_estimate)
 
     base = sub.add_parser("baseline", help="classical estimators over a histogram")
     base.add_argument("--method", required=True, choices=baselines.METHODS)
-    base.add_argument("--input", required=True)
+    base.add_argument("--input", type=_flag_path, required=True)
     base.add_argument("--format", default="histogram-csv", choices=IngestFormat.KINDS)
     base.add_argument("--window", type=_flag_positive,
                       help="event-window length in seconds (that format only)")
@@ -432,11 +411,11 @@ def build_parser() -> argparse.ArgumentParser:
     base.set_defaults(func=_cmd_baseline)
 
     bench = sub.add_parser("bench", help="per-update timing across grid sizes")
-    bench.add_argument("--d", type=_flag_sizes, default="1000,10000",
+    bench.add_argument("--d", type=_flag_counts, default="1000,10000",
                        help="comma-separated grid sizes")
-    bench.add_argument("--n", type=_flag_int, default=1000)
-    bench.add_argument("--windows", default="100:200,900:1000")
-    bench.add_argument("--seed", type=_flag_seed, default=0)
+    bench.add_argument("--n", type=_flag_count, default=1000)
+    bench.add_argument("--windows", type=_flag_windows, default="100:200,900:1000")
+    bench.add_argument("--seed", type=_flag_nonnegative, default=0)
     bench.set_defaults(func=_cmd_bench)
 
     reg = sub.add_parser("regret", help="regret decay against a grid-atoms oracle")
@@ -444,9 +423,9 @@ def build_parser() -> argparse.ArgumentParser:
                      help="e.g. grid-atoms:0.5@0.2,2@0.3,5@0.5")
     reg.add_argument("--gamma", type=_flag_float, default=0.75)
     reg.add_argument("--alpha", type=_flag_float, default=1.0)
-    reg.add_argument("--seed", type=_flag_seed, default=0)
+    reg.add_argument("--seed", type=_flag_nonnegative, default=0)
     reg.add_argument("--replications", type=_flag_count, default=5)
-    reg.add_argument("--checkpoints", default="1000,4000,16000")
+    reg.add_argument("--checkpoints", type=_flag_counts, default="1000,4000,16000")
     reg.set_defaults(func=_cmd_regret)
     return parser
 

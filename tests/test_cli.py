@@ -502,6 +502,7 @@ _BENCH = "bench --n 30 --windows 0:10 "
     _SIM + "--eta 0", _FIT + "--eta -0.5", _FIT + "--m2 0", _FIT + "--m2 -1",
     _FIT + _WINDOWS + "0", "baseline --method robbins --input {hist} " + _WINDOWS + "-30",
     _BENCH + "--d 0", _BENCH + "--d -5", _BENCH + "--d 200,0",
+    "bench --d 200 --n 0", "bench --d 200 --n -5",
 ], ids=lambda call: " ".join(call.split()[:1] + call.split()[-2:]))
 def test_a_value_outside_the_flag_range_is_refused_by_name(call, accident_csv, capsys):
     args = call.format(hist=accident_csv, counts="counts.txt").split()
@@ -517,7 +518,11 @@ def test_a_value_outside_the_flag_range_is_refused_by_name(call, accident_csv, c
     (["--out", "", "estimate", "--state", "{state}", "--y", "0..1"], "--out"),
     (["fit", "--input", "{counts}", "--state-in", ""], "--state-in"),
     (["fit", "--input", "{counts}", "--dcap", "200", "--state-out", ""], "--state-out"),
-], ids=["fit --out", "estimate --out", "--state-in", "--state-out"])
+    (["fit", "--input", ""], "--input"),
+    (["baseline", "--method", "robbins", "--input", ""], "--input"),
+    (["estimate", "--state", "", "--y", "0..1"], "--state"),
+], ids=["fit --out", "estimate --out", "--state-in", "--state-out", "fit --input",
+        "baseline --input", "estimate --state"])
 def test_an_empty_path_is_refused(args, flag, tmp_path, capsys):
     paths = {"counts": tmp_path / "counts.txt", "state": tmp_path / "s.state"}
     paths["counts"].write_text("0\n1\n2\n1\n")
@@ -529,6 +534,33 @@ def test_an_empty_path_is_refused(args, flag, tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out == "" and f"argument {flag}: expected a path" in err
     assert sorted(tmp_path.iterdir()) == before
+
+
+# Each flag's value is checked by its argparse type, so parse_args itself
+# refuses it; only a refusal that weighs one flag against another waits for
+# the command to run.
+@pytest.mark.parametrize("argv, flag", [
+    (["estimate", "--state", "s.state", "--y", "-1"], "--y"),
+    (["estimate", "--state", "s.state", "--y", "7..0"], "--y"),
+    (_REG.split() + ["--checkpoints", "50,0,400"], "--checkpoints"),
+    (["bench", "--windows", "5:2"], "--windows"),
+    (["bench", "--n", "0"], "--n"),
+    (["fit", "--input", ""], "--input"),
+], ids=["--y -1", "--y 7..0", "--checkpoints 50,0,400", "--windows 5:2", "bench --n 0",
+        "--input ''"])
+def test_a_flag_value_is_refused_when_the_flags_are_parsed(argv, flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.build_parser().parse_args(argv)
+    assert exc.value.code == 2 and f"argument {flag}: " in capsys.readouterr().err
+
+
+def test_a_window_past_the_timed_updates_is_refused_when_bench_runs(capsys):
+    argv = ["bench", "--d", "200", "--n", "30", "--windows", "0:40"]
+    assert cli.build_parser().parse_args(argv).windows == [(0, 40)]
+    capsys.readouterr()
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: --windows ")
 
 
 class TestFlagDecimals:
@@ -722,10 +754,13 @@ class TestBenchAndRegret:
         assert main(["regret", "--atoms", "weibull:5,3"]) == 2
 
     def test_regret_rejects_unusable_checkpoints(self, capsys):
-        for checkpoints in ("0,100,200", "200,200,200"):
+        capsys.readouterr()
+        for checkpoints, refusal in [("0,100,200", "argument --checkpoints: "),
+                                     ("200,200,200", "three distinct checkpoints")]:
             args = ["regret", "--atoms", "grid-atoms:1@0.5,5@0.5", "--checkpoints", checkpoints]
             assert main(args) == 2
-        assert capsys.readouterr().err.count("three distinct checkpoints") == 2
+            out, err = capsys.readouterr()
+            assert out == "" and refusal in err
 
     def test_unknown_subcommand_exits_2(self):
         assert main(["frobnicate"]) == 2

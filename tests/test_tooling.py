@@ -43,25 +43,33 @@ def test_every_public_name_resolves():
     assert missing == []
 
 
-def _parser_flags(parser) -> set:
-    """Every ``--flag`` of ``parser`` and of its subcommands, ``--help`` aside."""
-    flags = set()
+def _parser_options(parser):
+    """``(prog, action)`` for every option of ``parser`` and of its subcommands, ``--help`` aside."""
     for action in parser._actions:
         if isinstance(action, argparse._SubParsersAction):
             for sub in action.choices.values():
-                flags |= _parser_flags(sub)
-        else:
-            flags |= {o for o in action.option_strings if o.startswith("--") and o != "--help"}
-    return flags
+                yield from _parser_options(sub)
+        elif not isinstance(action, argparse._HelpAction):
+            yield parser.prog, action
 
 
 def test_readme_command_line_section_names_exactly_the_parser_flags():
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
     named = set(re.findall(r"--[a-z][a-z0-9-]*", section))
-    defined = _parser_flags(cli.build_parser())
+    options = _parser_options(cli.build_parser())
+    defined = {o for _, action in options for o in action.option_strings if o.startswith("--")}
     assert sorted(defined - named) == []  # a flag the README never mentions
     assert sorted(named - defined) == []  # a flag the README names that no command has
+
+
+def test_every_flag_value_has_an_argparse_type_or_choices():
+    # so a bad value is refused, by name, when the flags are parsed, and no
+    # command parses a flag's value itself
+    unchecked = [f"{prog} {action.option_strings[-1]}"
+                 for prog, action in _parser_options(cli.build_parser())
+                 if action.nargs != 0 and action.type is None and action.choices is None]
+    assert unchecked == []
 
 
 def test_readme_examples_parse():
