@@ -50,8 +50,10 @@ from .model import (  # noqa: F401
     Grid,
     MixingWeights,
     ProductGrid,
+    _UNDERFLOW_NATS,
     _counts,
     _log_kernel,
+    _poisson_reach,
     log_kernel_rows,
     log_mixture,
     log_mixture_pmf,
@@ -60,9 +62,6 @@ from .model import (  # noqa: F401
 # Certified truncation: the neglected terms of V(y) are at most this
 # fraction of the terms kept.
 _TRUNCATION_RTOL = 1e-12
-# exp of a shift this far below a row's peak is exactly 0.0 in float64
-# (the smallest subnormal is exp(-745.13)).
-_UNDERFLOW_NATS = 746.0
 # Nats past the certificate's margin at which the band's first width is
 # set: room for a row peak off the Poisson mode (grid spacing, weights),
 # so the first width rarely fails its check and costs a second sum.
@@ -252,21 +251,6 @@ def _second_moments(g: MixingWeights, contrasts: np.ndarray, z: int):
         out += (np.exp(log_p)[:, None] * s).T @ s
         log_ps.append(log_p)
     return 0.5 * (out + out.T), np.concatenate(log_ps)
-
-
-def _poisson_reach(z: int, nats: float) -> float:
-    """The rate theta >= z at which ``log k(z | theta)`` lies ``nats`` below its peak at z.
-
-    Solves ``u - log u = 1 + nats / z`` for u = theta / z > 1 by Newton's
-    method, which decreases monotonically to the root after its first step.
-    """
-    if z == 0:
-        return nats
-    c = 1.0 + nats / z
-    u = c + math.log(c)
-    for _ in range(8):
-        u -= (u - math.log(u) - c) / (1.0 - 1.0 / u)
-    return z * u
 
 
 def _moments(g: MixingWeights, contrasts: np.ndarray, z: int) -> np.ndarray:

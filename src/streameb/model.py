@@ -11,7 +11,9 @@ Outside the recursion every mixture computation, on either grid kind, is
 over rows that ``log_kernel_rows`` computes for the counts asked about.
 ``KernelMatrixCache`` belongs to the recursion alone: it keeps the scaled
 rows the per-count update reads, so a write costs O(d) however many came
-before.
+before.  A new cache row costs its band, the atoms within
+``_UNDERFLOW_NATS`` of its peak, plus an O(d) zero fill, and is written in
+place: no temporary is built.
 """
 
 from __future__ import annotations
@@ -21,12 +23,18 @@ import threading
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
+from scipy.special import gammaln, xlogy
 
 # Construction rejects weight vectors farther than this from the simplex.
 SIMPLEX_TOL = 1e-9
 # Largest product grid accepted: D = d^k weights, and kernel rows of that length.
 LATTICE_CAP = 10**6
+# exp of a shift this far below a row's peak is exactly 0.0 in float64
+# (the smallest subnormal is exp(-745.13)).
+_UNDERFLOW_NATS = 746.0
+# Nats a cache row's band reaches past _UNDERFLOW_NATS: room for the
+# rounding of its log-kernel entries, its peak and its roots.
+_BAND_SLACK_NATS = 1.0
 
 
 class DegenerateLikelihoodError(ValueError):
@@ -230,6 +238,12 @@ class KernelMatrixCache:
     O(d) per row.  Read-side queries build their log rows with
     ``log_kernel_rows`` and never touch a cache.
 
+    A new row is written in place in the buffer, which is allocated zeroed:
+    only the row's band, the atoms within ``_UNDERFLOW_NATS`` of its peak,
+    is computed (see ``_scaled_rows``), so a row costs its band plus the
+    O(d) zero fill of its memory, and no (rows x d) temporary is built.
+    Every entry has the bits of the full-width formula.
+
     The cache also keeps the recursion's work buffer between calls, in
     ``_scratch`` (see ``engine._fold``): every state of a lineage shares the
     cache, so it is the one place the buffer can live and be freed with them.
@@ -239,7 +253,7 @@ class KernelMatrixCache:
         self.grid = grid
         self._lock = threading.Lock()
         empty = np.empty((0, len(grid)))
-        self._buffer = empty  # full capacity; touched only under the lock
+        self._buffer = empty  # full capacity, zero past the table; touched only under the lock
         self._table = empty  # rows 0..max_y
         self._scratch = {}  # at most one entry, taken and put back by engine._fold
 
@@ -258,10 +272,7 @@ class KernelMatrixCache:
             if y >= capacity:
                 rows = y + 1 if lo == 0 else max(y + 1, 2 * capacity)
                 self._buffer = _grown(self._buffer, rows, lo)
-            block = self._buffer[lo : y + 1]
-            block[:] = _log_kernel(self.grid.points, np.arange(lo, y + 1))
-            block -= block.max(axis=1, keepdims=True)
-            np.exp(block, out=block)
+            _scaled_rows(self.grid.points, lo, self._buffer[lo : y + 1])
             self._table = self._buffer[: y + 1]
 
     def scaled_table(self, y_max: int) -> np.ndarray:
@@ -276,10 +287,74 @@ class KernelMatrixCache:
 
 
 def _grown(buf: np.ndarray, rows: int, keep: int) -> np.ndarray:
-    """A buffer of ``rows`` rows whose first ``keep`` rows are copied from ``buf``."""
-    out = np.empty((rows,) + buf.shape[1:])
+    """A zeroed buffer of ``rows`` rows whose first ``keep`` rows are copied from ``buf``."""
+    out = np.zeros((rows,) + buf.shape[1:])
     out[:keep] = buf[:keep]
     return out
+
+
+def _scaled_rows(points: np.ndarray, first: int, block: np.ndarray) -> None:
+    """Write the scaled kernel rows of counts ``first, first + 1, ...`` into the zeroed ``block``.
+
+    Each row is computed on its band alone, in place: the log-kernel with
+    the bits of ``_log_kernel``, shifted by its maximum, exponentiated.
+    ``y log theta - theta`` is concave in theta with its peak at theta = y,
+    so a row's largest entry is at one of the two atoms around y, and the
+    atoms within ``_UNDERFLOW_NATS`` of it lie between the two rates where
+    the kernel falls that far (and ``_BAND_SLACK_NATS`` more) below that
+    entry, two roots of ``_poisson_reach``.  A grid end whose entry lies
+    above that floor bounds the band without a root.  Every atom outside
+    would give exactly 0.0, and the band holds the row's maximum, so each
+    row has the bits of the full-width computation.  Rows that share a
+    band are computed together.
+    """
+    n, d = block.shape
+    ys = np.arange(first, first + n, dtype=float)
+    log_points, lgam = np.log(points), gammaln(ys + 1.0)
+    at = np.searchsorted(points, ys)  # points[at - 1] < y <= points[at]
+    # y log theta - theta at the two atoms around y and at the grid's two ends
+    ends = np.zeros_like(at), np.full_like(at, d - 1)
+    cols = np.stack([np.maximum(at - 1, 0), np.minimum(at, d - 1), *ends])
+    vals = ys * log_points[cols] - points[cols]
+    floor = vals[:2].max(axis=0) - (_UNDERFLOW_NATS + _BAND_SLACK_NATS)
+    nats = (xlogy(ys, ys) - ys - floor).tolist()  # from the peak over all rates down to the floor
+    starts, stops = np.zeros(n, dtype=int), np.full(n, d)
+    for edges, end, lower, side in ((starts, 2, True, "left"), (stops, 3, False, "right")):
+        cut = np.flatnonzero(vals[end] < floor).tolist()
+        reach = [_poisson_reach(first + i, nats[i], lower) for i in cut]
+        edges[cut] = np.searchsorted(points, reach, side)
+    runs = (np.flatnonzero((np.diff(starts) != 0) | (np.diff(stops) != 0)) + 1).tolist()
+    for i, j in zip([0] + runs, runs + [n]):
+        a, b = starts[i], stops[i]
+        band = block[i:j, a:b]
+        np.multiply(ys[i:j, None], log_points[a:b], out=band)
+        band -= points[a:b]
+        band -= lgam[i:j, None]
+        band -= band.max(axis=1, keepdims=True)
+        np.exp(band, out=band)
+
+
+def _poisson_reach(z: int, nats: float, lower: bool = False) -> float:
+    """The rate at which ``log k(z | theta)`` lies ``nats`` below its peak at theta = z.
+
+    The root theta >= z, or theta <= z with ``lower``.  Both solve ``u -
+    log u = 1 + nats / z`` for u = theta / z by Newton's method.  Above 1
+    the iterates decrease monotonically to the root after the first step;
+    below 1 they start under the root and increase monotonically to it.  So
+    an iterate short of the root lies past it, away from z.
+    """
+    if z == 0:
+        return 0.0 if lower else nats
+    c = 1.0 + nats / z
+    if lower:  # exp(-c) and 1 - sqrt(2(c - 1)) both lie under the root
+        u = max(math.exp(-c), 1.0 - math.sqrt(2.0 * (c - 1.0)))
+        if u == 0.0:  # exp(-c) underflowed: 0 is the closest float under the root
+            return 0.0
+    else:
+        u = c + math.log(c)
+    for _ in range(8):
+        u -= (u - math.log(u) - c) / (1.0 - 1.0 / u)
+    return z * u
 
 
 def _log_kernel(points: np.ndarray, ys: np.ndarray) -> np.ndarray:

@@ -13,7 +13,9 @@ step, kept as the bit-for-bit reference for the blocked loop, and
 ``lattice_reference`` is the lattice loop with its rows built by numpy's
 broadcast product, the reference for the ``dgemm`` row.
 ``full_width_estimates`` is the interval query with its variance sums over
-every atom of the grid, the reference for the certified band.
+every atom of the grid, the reference for the certified band, and
+``dense_scaled_rows`` is the kernel cache's full-width block construction,
+the bit-for-bit reference for its banded rows.
 ``atom_count_matrix`` and ``interval_coverage`` draw and score the
 lockstep streams of the interval-coverage criterion.
 ``nonnegative_qp_reference`` is the mix-SQP subproblem's active set as first
@@ -38,6 +40,7 @@ from streameb.model import (
     Grid,
     KernelMatrixCache,
     MixingWeights,
+    _log_kernel,
     log_kernel_rows,
     log_mixture,
 )
@@ -56,6 +59,15 @@ PRIOR_TAIL = 1e-300
 
 def poisson_pmf(y, theta):
     return math.exp(-theta) * theta**y / math.factorial(y)
+
+
+def dense_scaled_rows(points, ys):
+    """The kernel cache's rows as first built: full-width log-kernel rows, each
+    shifted by its maximum and exponentiated in one block."""
+    rows = _log_kernel(points, ys)
+    rows -= rows.max(axis=1, keepdims=True)
+    np.exp(rows, out=rows)
+    return rows
 
 
 def clt_scale_partial_sum(alpha, gamma, n, terms=200_000):

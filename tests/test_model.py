@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from streameb.evaluation import generate_compound
+from streameb.gridding import GridSpec, build_equispaced_grid
 from streameb.inference import estimate_table, ratio_estimate
 from streameb.model import (
     CountHistogram,
@@ -20,6 +22,7 @@ from streameb.model import (
     log_mixture,
     mixture_pmf,
 )
+from streameb.priors import parse_prior
 
 from .conftest import random_weights
 from . import oracles
@@ -178,6 +181,24 @@ class TestLogKernelRows:
         assert peak < 1.25 * rows.nbytes
 
 
+def _paper_grid(d_cap):
+    """The paper's grid (eta = 0.025, k = 2) sized from 500 Weibull(3,5) counts, seed 7."""
+    _, ys = generate_compound(parse_prior("weibull:3,5"), 500, 7)
+    return build_equispaced_grid(GridSpec(0.025, 2, float(np.mean(ys.astype(float) ** 2)), d_cap))
+
+
+# Grids whose kernel rows are narrow bands (paper default, its d = 200 thinning
+# with atoms 50 apart, a sqrt-theta grid) or dense (the rest).
+_CACHE_GRIDS = {
+    "paper-default": lambda: _paper_grid(10_000),
+    "paper-d200": lambda: _paper_grid(200),
+    "dense-30000": lambda: Grid(np.linspace(0.2, 12.0, 30_000)),
+    "lattice-base": lambda: Grid(np.linspace(0.2, 12.0, 100)),
+    "two-atom": lambda: Grid([1.0, 5.0]),
+    "sqrt-theta": lambda: Grid(np.linspace(math.sqrt(0.025), math.sqrt(4.95e6), 4450) ** 2),
+}
+
+
 class TestKernelCache:
     def test_matches_direct_formula(self):
         g = Grid([0.5, 2.0, 7.0])
@@ -222,6 +243,31 @@ class TestKernelCache:
             cache.scaled_table(-1)
         with pytest.raises(ValueError):
             mixture_pmf(g, -1)
+
+    @pytest.mark.parametrize("name", sorted(_CACHE_GRIDS))
+    def test_banded_rows_keep_the_bits_of_the_dense_formula(self, name):
+        # one call; rising calls that extend from a nonzero first row, inside
+        # the capacity and across each geometric regrowth; a jump to a large count
+        grid = _CACHE_GRIDS[name]()
+        jump = min(2000, 3_000_000 // len(grid))
+        for plan in ([40], [3, 4, 5, 9, 20, 45], [5, jump]):
+            cache = KernelMatrixCache(grid)
+            for y in plan:
+                cache.ensure(y)
+            want = oracles.dense_scaled_rows(grid.points, np.arange(plan[-1] + 1))
+            assert np.array_equal(cache.scaled_table(plan[-1]), want), plan
+
+    def test_extension_builds_no_temporary(self):
+        # the new buffer is the one large allocation: no (rows x d) block beside it
+        cache = KernelMatrixCache(_paper_grid(10_000))
+        cache.ensure(23)
+        tracemalloc.start()
+        try:
+            cache.ensure(1000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.15 * cache.scaled_table(1000).nbytes
 
     def test_reads_during_growth_see_complete_rows(self):
         # A reader that trusts max_y must find that row in every table,
