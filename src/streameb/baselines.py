@@ -10,26 +10,28 @@ Four methods over a count histogram:
   to the empirical pmf.
 * ``fit_gamma_hyperprior`` / ``gamma_posterior_mean``: parametric route; the
   marginal of a Gamma(shape, rate) prior is negative binomial, fitted by
-  maximum likelihood (a profile likelihood in the shape), after which the
-  posterior mean is (y+shape)/(1+rate).
+  maximum likelihood, after which the posterior mean is (y+shape)/(1+rate).
+  At the maximum the rate is shape / mean, and the shape is the root of the
+  profile score ``sum_y n_y [psi(y+s) - psi(s)] - N log1p(mean/s)``, found
+  by bisection in log shape down to adjacent floats.  When the variance
+  exceeds the mean that score changes sign exactly once (Aragon, Eberly &
+  Eberly 1992), so the root is the unique maximum and the search cannot
+  fail; otherwise the fit is the boundary safeguard.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg.lapack import dgesv
-from scipy.special import gammaln
+from scipy.special import digamma, gammaln
 
 # ratio_estimate stays importable here: perfbench/tracing.py patches it.
 from .inference import estimate_table, ratio_estimate  # noqa: F401
 from .model import CountHistogram, Grid, MixingWeights, log_kernel_rows
-
-
-class ConvergenceError(RuntimeError):
-    """An optimizer failed to converge; the message carries its trace."""
 
 
 class UndefinedAtCountError(ValueError):
@@ -284,13 +286,42 @@ _BOUNDARY_WARNING = (
 )
 
 
+# B_2k / 2k for k = 1..7: psi(x) ~ log x - 1/(2x) - sum_k (B_2k / 2k) x^(-2k)
+# (Abramowitz & Stegun 6.3.18), highest power first for np.polyval.
+_PSI_SERIES = (1 / 12, -691 / 32760, 1 / 132, -1 / 240, 1 / 252, -1 / 120, 1 / 12)
+
+
+def _digamma_step(ys: np.ndarray, s: float) -> np.ndarray:
+    """``psi(ys + s) - psi(s)`` for counts ``ys``, accurate at large ``s`` too.
+
+    Below s = 10 it is the plain difference.  From there on it is the
+    difference of the two asymptotic series: ``log1p(ys / s)`` plus terms
+    each far smaller than it.  The plain difference of two values near
+    log s keeps an absolute error near 1e-16 log s against a difference
+    near ys / s, so past a shape of ~1e4 it loses the profile score's sign.
+    """
+    if s < 10.0:
+        return digamma(ys + s) - digamma(s)
+    t = ys + s
+    tail = np.polyval(_PSI_SERIES, s**-2.0) * s**-2.0 - np.polyval(_PSI_SERIES, t**-2.0) * t**-2.0
+    return np.log1p(ys / s) + ys / (2.0 * s * t) + tail
+
+
 def fit_gamma_hyperprior(h: CountHistogram) -> GammaHyper:
     """Maximum-likelihood (shape, rate) for the negative binomial marginal.
 
     The likelihood's score in the rate vanishes where ``shape / rate`` is the
-    sample mean, so the fit maximizes the profile likelihood of log shape
-    alone over a bounded interval, with ``rate = shape / mean``.  Data with
-    no overdispersion push shape and rate to infinity together; a finite
+    sample mean, so the fit is a root of the profile score in the shape s,
+    with ``rate = s / mean``::
+
+        d/ds l = sum_y n_y [psi(y + s) - psi(s)] - N log1p(mean / s)
+
+    When the sample variance exceeds the mean this score is positive at
+    small s, negative at large s and changes sign exactly once (Aragon,
+    Eberly & Eberly, Statist. Probab. Lett. 1992), so bisection in log s
+    over [-log 1e8, log 1e8], down to adjacent floats, finds the one
+    maximum and cannot fail.  Data with no overdispersion, or a root at
+    the bracket's end, push shape and rate to infinity together; a finite
     safeguard is returned with a warning in that case.
     """
     mean = sum(y * n for y, n in h.entries.items()) / h.total
@@ -302,22 +333,19 @@ def fit_gamma_hyperprior(h: CountHistogram) -> GammaHyper:
         # rate -> inf with their ratio fixed).
         warnings.warn(_BOUNDARY_WARNING)
         return GammaHyper(shape_cap, shape_cap / max(mean, 1e-8))
-    from scipy.optimize import minimize_scalar  # deferred: only this fit needs it
-
-    def neg(log_shape):
-        shape = np.exp(log_shape)
-        return -nb_log_likelihood(h, shape, shape / mean)
-
-    # The default tolerance (1e-5 in log shape) can stop short of the maximum.
-    bounds = (-_BOUNDARY_LOG, _BOUNDARY_LOG)
-    res = minimize_scalar(neg, bounds=bounds, method="bounded", options={"xatol": 1e-8})
-    log_shape = float(res.x)
-    near_boundary = max(log_shape, log_shape - np.log(mean)) >= _BOUNDARY_LOG - 1e-3
-    if not res.success and not near_boundary:
-        raise ConvergenceError(f"negative binomial fit failed: {res.message}")
-    if near_boundary:
+    ys, n = h.support().astype(float), h.multiplicities()
+    lo, hi = -_BOUNDARY_LOG, _BOUNDARY_LOG
+    log_shape = 0.5 * (lo + hi)
+    while lo < log_shape < hi:
+        s = math.exp(log_shape)
+        if n @ _digamma_step(ys, s) > h.total * math.log1p(mean / s):
+            lo = log_shape
+        else:
+            hi = log_shape
+        log_shape = 0.5 * (lo + hi)
+    if max(log_shape, log_shape - math.log(mean)) >= _BOUNDARY_LOG - 1e-3:
         warnings.warn(_BOUNDARY_WARNING)
-    shape = float(np.exp(log_shape))
+    shape = math.exp(log_shape)
     return GammaHyper(shape, shape / mean)
 
 
@@ -339,6 +367,8 @@ def baseline_estimates(h: CountHistogram, method: str, cfg: SolverConfig | None 
     observed support and info carries fit diagnostics (objective value for
     the grid methods, hyperparameters for the parametric one).
     """
+    if not h.entries:
+        raise ValueError("empty histogram: every method needs at least one count")
     ys = [int(y) for y in h.support()]
     info: dict = {"method": method}
     if method == "robbins":

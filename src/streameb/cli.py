@@ -181,6 +181,8 @@ def ingest(path: str, fmt: IngestFormat) -> CountHistogram:
     if fmt.kind == "histogram-csv":
         if lines[0][0] == 1 and lines[0][1].strip().lower().replace(" ", "") == "y,count":
             lines = lines[1:]
+        if not lines:  # a header and no rows
+            raise ValueError(f"{path}: empty input")
         pairs = []
         for ln, line in lines:
             fields = [field.strip() for field in line.split(",")]
@@ -448,7 +450,7 @@ def main(argv=None) -> int:
         return VALIDATION_EXIT if exc.code else 0
     try:
         return args.func(args)
-    except (DegenerateLikelihoodError, GridInfeasibleError, baselines.ConvergenceError) as err:
+    except (DegenerateLikelihoodError, GridInfeasibleError) as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return NUMERICAL_EXIT
     except (ValueError, OSError, engine.StateFormatError) as err:

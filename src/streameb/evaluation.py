@@ -219,10 +219,13 @@ def regret_decay_diagnostic(cfg: ExperimentConfig, checkpoints) -> RegretDecayRe
     Runs one stream per seed, measures regret against the exact oracle
     weights at each checkpoint, and fits a log-log slope per seed.  Needs at
     least three distinct checkpoints, each at least 1, for a meaningful line
-    fit.
+    fit, and an oracle of at least two atoms.
     """
     if cfg.prior.family != "grid-atoms":
         raise ValueError("the oracle must be a grid-atoms prior, e.g. grid-atoms:1@0.5,4@0.5")
+    if len(cfg.prior.atoms) < 2:
+        raise ValueError("a one-atom oracle leaves every regret 0, so no log-log slope exists; "
+                         "give at least two atoms")
     checkpoints = tuple(sorted({int(c) for c in checkpoints}))
     if len(checkpoints) < 3 or checkpoints[0] < 1:
         raise ValueError("need at least three distinct checkpoints, each >= 1, for a slope fit")

@@ -1,9 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.stats import poisson
 
 from streameb.baselines import (
-    ConvergenceError,
     GammaHyper,
     SolverConfig,
     UndefinedAtCountError,
@@ -284,6 +285,66 @@ class TestGammaFit:
             assert stepped <= best + 1e-9 * abs(best)
 
 
+def _hyperprior_histograms():
+    """34 seeded histograms of each of three kinds, 50 to 3,000 counts each.
+
+    Near-equidispersed Poisson(4) draws (about half have variance <= mean),
+    Poisson draws on Gamma(0.5, scale 10) rates, and a three-rate mixture of
+    0.01, 0.5 and 40.
+    """
+    hists = []
+    for seed in range(34):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(50, 3001))
+        for ys in (rng.poisson(4.0, n), rng.poisson(rng.gamma(0.5, 10.0, n)),
+                   rng.poisson(rng.choice([0.01, 0.5, 40.0], n))):
+            hists.append(CountHistogram.from_counts(ys))
+    return hists
+
+
+class TestGammaFitAgainstBrent:
+    """The score bisection against the bounded Brent search it replaced."""
+
+    def _check(self, h):
+        shape, rate, brent_warned = oracles.gamma_hyperprior_brent(h)
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            hyper = fit_gamma_hyperprior(h)
+        warned = bool(record)
+        assert warned == brent_warned
+        ref = oracles.nb_log_likelihood_direct(h, shape, rate)
+        got = oracles.nb_log_likelihood_direct(h, hyper.shape, hyper.rate)
+        assert got >= ref - 1e-11 * abs(ref)
+        mean = sum(y * n for y, n in h.entries.items()) / h.total
+        assert hyper.shape / hyper.rate == pytest.approx(mean, rel=1e-12)
+        return hyper, warned
+
+    def test_the_direct_likelihood_agrees_with_the_library_at_a_moderate_shape(
+        self, accident_histogram
+    ):
+        direct = oracles.nb_log_likelihood_direct(accident_histogram, 1.7, 0.8)
+        assert nb_log_likelihood(accident_histogram, 1.7, 0.8) == pytest.approx(direct, rel=1e-13)
+
+    def test_seeded_histograms_and_the_insurance_histogram(self, accident_histogram):
+        warned = [self._check(h)[1] for h in _hyperprior_histograms() + [accident_histogram]]
+        assert 0 < sum(warned) < len(warned)  # both sides of the boundary rule are seen
+
+    @pytest.mark.parametrize(
+        "pairs, log_shape",
+        [  # the score's root by 60-digit bisection
+            ([(900, 10_001), (1000, 179_998), (1100, 10_001)], 16.117428278058608),
+            ([(1, 44_455), (4, 111_090), (7, 44_455)], 9.54923737785097),
+        ],
+    )
+    def test_near_cap_root_with_variance_just_above_the_mean(self, pairs, log_shape):
+        # variance = mean + 0.1 (mean 1000) and mean + 0.00095 (mean 4): roots
+        # at shapes 1.0e7 and 1.4e4, which a plain digamma difference
+        # misplaces (at log shape 15.65 and 16.88)
+        hyper, warned = self._check(CountHistogram.from_pairs(pairs))
+        assert not warned
+        assert np.log(hyper.shape) == pytest.approx(log_shape, abs=1e-4)
+
+
 class TestGammaPosteriorMean:
     def test_conjugate_arithmetic(self):
         assert gamma_posterior_mean(GammaHyper(1.0, 1.0), 0) == 0.5
@@ -314,6 +375,11 @@ class TestEstimateTables:
         assert [y for y, _ in rows] == list(range(8))
         assert [round(e, 2) for _, e in rows] == ACCIDENT_ROW
         assert info["method"] == "robbins"
+
+    @pytest.mark.parametrize("method", ["robbins", "npmle", "npmd", "peb"])
+    def test_an_empty_histogram_is_refused(self, method):
+        with pytest.raises(ValueError, match="empty histogram"):
+            baseline_estimates(CountHistogram({}), method)
 
     def test_peb_table_is_monotone_in_y(self, accident_histogram):
         rows, info = baseline_estimates(accident_histogram, "peb")

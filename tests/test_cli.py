@@ -238,15 +238,45 @@ def test_outputs_keep_their_bytes(name, accident_csv, weibull_counts, capsys):
     assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == digest
 
 
-def test_importing_the_cli_leaves_scipy_optimize_unloaded():
-    # only the Gamma-hyperprior fit needs scipy.optimize; commands that never
-    # run it should not pay for importing it
+def test_no_command_or_baseline_loads_scipy_optimize(accident_csv):
+    # the Gamma-hyperprior fit bisects its score with scipy.special alone, so
+    # neither the CLI's import, nor a peb fit through it, nor the comparison
+    # rows of every baseline load any scipy.optimize module
     src = str(Path(streameb.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = "import sys, streameb.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                         check=True)
+    code = "\n".join([
+        "import sys",
+        "from streameb import cli, evaluation, priors",
+        f"argv = ['--out', sys.argv[1], 'baseline', '--method', 'peb', '--input', {accident_csv!r}]",
+        "assert cli.main(argv) == 0",
+        "cfg = evaluation.ExperimentConfig(prior=priors.parse_prior('weibull:3,5'), n=60)",
+        "assert len(evaluation.baseline_rows(cfg, 0)) == 4",
+        "print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))",
+    ])
+    out = subprocess.run([sys.executable, "-c", code, os.devnull], env=env, capture_output=True,
+                         text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("call", [
+    ["baseline", "--method", "robbins"], ["baseline", "--method", "npmle"],
+    ["baseline", "--method", "npmd"], ["baseline", "--method", "peb"],
+    ["fit", "--format", "histogram-csv"],
+], ids=lambda call: " ".join(call))
+def test_a_histogram_with_a_header_and_no_rows_is_refused(call, tmp_path, capsys):
+    path = tmp_path / "header-only.csv"
+    path.write_text("y,count\n")
+    assert main(["--no-meta"] + call + ["--input", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{path}: empty input" in captured.err
+
+
+def test_a_one_atom_regret_oracle_is_refused(capsys):
+    assert main(["--no-meta", "regret", "--atoms", "grid-atoms:1@1", "--gamma", "0.75"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "one-atom oracle leaves every regret 0" in captured.err
 
 
 class TestFitEstimateFlow:

@@ -321,6 +321,13 @@ class TestRegretDecay:
         with pytest.raises(ValueError):
             regret_decay_diagnostic(cfg2, [10, 50, 100])
 
+    def test_a_one_atom_oracle_is_refused(self):
+        # every stream on a one-atom grid is the oracle: all regrets 0, no slope
+        cfg = ExperimentConfig(prior=grid_atoms_prior([1.0], [1.0]), n=100,
+                               rate=LearningRate(1.0, 0.75))
+        with pytest.raises(ValueError, match="one-atom oracle leaves every regret 0"):
+            regret_decay_diagnostic(cfg, [10, 50, 100])
+
     def test_scores_every_snapshot_against_one_oracle_table(self, monkeypatch):
         prior = grid_atoms_prior([1.0, 5.0], [0.5, 0.5])
         cfg = ExperimentConfig(prior=prior, n=400, rate=LearningRate(1.0, 0.75), seeds=(0, 1, 2))
