@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg.lapack import dgesv
-from scipy.special import digamma, gammaln
+from scipy.special import digamma
 
 # ratio_estimate stays importable here: perfbench/tracing.py patches it.
 from .inference import estimate_table, ratio_estimate  # noqa: F401
@@ -263,20 +263,6 @@ def fit_min_hellinger(h: CountHistogram, cfg: SolverConfig) -> SolverResult:
 
 
 # -- Gamma hyperprior (negative binomial marginal) ---------------------------
-
-
-def nb_log_likelihood(h: CountHistogram, shape: float, rate: float) -> float:
-    """Marginal log likelihood of the histogram under Gamma(shape, rate)."""
-    ys = h.support().astype(float)
-    n = h.multiplicities()
-    terms = (
-        gammaln(ys + shape)
-        - gammaln(shape)
-        - gammaln(ys + 1.0)
-        + shape * np.log(rate / (1.0 + rate))
-        - ys * np.log1p(rate)
-    )
-    return float(n @ terms)
 
 
 _BOUNDARY_LOG = np.log(1e8)

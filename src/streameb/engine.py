@@ -9,11 +9,12 @@ An observation is a count on a :class:`Grid`, or a vector of k independent
 counts on a :class:`ProductGrid` of D = d^k rate vectors, whose kernel row
 is the outer product of k per-coordinate rows, written by one BLAS
 ``dgemm``.  That row is the only step that depends on the grid kind; the
-recursion is shared.  It has two loop bodies with the same arithmetic:
+recursion is shared.  Its loop bodies all have the same arithmetic:
 ``_fold`` (BLAS calls on one weight vector) behind ``update`` and
-``update_stream``, and
-``_fold_lockstep`` (numpy calls on a weight matrix, row by row on a
-two-atom grid) behind ``evaluation.batched_newton_stream``.
+``update_stream``, and ``_fold_lockstep`` behind
+``evaluation.batched_newton_stream``, which runs numpy calls on a weight
+matrix (row by row on a two-atom grid), or on two atoms and a few
+replications, Python floats one replication at a time.
 
 States are immutable; ``update`` returns a new state with fresh, read-only
 weights, sharing the kernel cache, so a held reference is already a
@@ -336,6 +337,13 @@ def _fold(state, ys, top, skip_degenerate=False):
 # count matrix.  512 KB: a block and its betas stay in a core's L2 cache.
 _LOCKSTEP_BLOCK_FLOATS = 1 << 16
 
+# Up to this many replications a two-atom lockstep runs each replication as
+# Python floats (``_lockstep_pair_floats``).  Measured on the regret task,
+# the floats run 1.2x faster than numpy's row views at 16 replications and
+# break even at 20, so the cap sits below the crossover (README, the
+# lockstep loop).
+_SCALAR_MAX_REPS = 16
+
 
 def _fold_lockstep(grid: Grid, rate: LearningRate, y_matrix: np.ndarray, w0: np.ndarray, checkpoints):
     """``_fold``'s recursion for many replications of a scalar stream in lockstep.
@@ -355,7 +363,11 @@ def _fold_lockstep(grid: Grid, rate: LearningRate, y_matrix: np.ndarray, w0: np.
     ``Q *= beta`` is two row products, on row views bound before the loop:
     the same roundings, for less per-call cost than the reduction and the
     broadcast.  Other grids keep the general calls: row by row is already
-    slower at five atoms.
+    slower at five atoms.  A third body takes two atoms with at most
+    ``_SCALAR_MAX_REPS`` replications (and a kernel table of at most
+    ``_LOCKSTEP_BLOCK_FLOATS`` entries): ``_lockstep_pair_floats`` runs
+    each replication as Python floats, the same operations again without
+    numpy's per-call cost, which at 10 replications is most of a step.
     A step that takes S past ``_RESCALE_AT`` then divides V by its column
     sums and sets S to 1.  Everything else is done once per block of steps:
 
@@ -372,9 +384,11 @@ def _fold_lockstep(grid: Grid, rate: LearningRate, y_matrix: np.ndarray, w0: np.
     reps, n_steps = y_matrix.shape
     d = len(grid)
     table = np.ascontiguousarray(KernelMatrixCache(grid).scaled_table(int(y_matrix.max())).T)
+    block = min(n_steps, max(1, _LOCKSTEP_BLOCK_FLOATS // (d * reps)))
+    if d == 2 and reps <= _SCALAR_MAX_REPS and table.size <= _LOCKSTEP_BLOCK_FLOATS:
+        return _lockstep_pair_floats(table, rate, y_matrix, w0, checkpoints, block)
     v = np.repeat(np.asarray(w0, dtype=float)[:, None], reps, axis=1)
     q, t = np.empty_like(v), np.empty(reps)
-    block = min(n_steps, max(1, _LOCKSTEP_BLOCK_FLOATS // (d * reps)))
     rows_buf, beta_buf = np.empty(block * d * reps), np.empty((block, reps))
     alpha, neg_gamma = rate.alpha, -rate.gamma
     n, s, snaps = 0, 1.0, {}
@@ -415,6 +429,119 @@ def _fold_lockstep(grid: Grid, rate: LearningRate, y_matrix: np.ndarray, w0: np.
                 j, bad = divmod(int(np.argmin(beta < math.inf)), reps)
                 raise DegenerateLikelihoodError(int(counts[j, bad]), n - steps + j)
     return (v / v.sum(axis=0)).T.copy(), snaps
+
+
+def _lockstep_pair_floats(table, rate, y_matrix, w0, checkpoints, block):
+    """``_fold_lockstep`` on two atoms, one replication at a time in Python floats.
+
+    ``table`` is the (2, top + 1) kernel table, read as two lists.  Per
+    block of steps, the counts become lists, and the step constants ``c``
+    and the steps that end a segment (a rescale or a checkpoint) are
+    computed once for all replications.  Then each replication runs
+
+        q0 = r0 v0;   q1 = r1 v1;   b = c / (q0 + q1);   v0 += q0 b;   v1 += q1 b
+
+    and at a segment's end divides by ``v0 + v1``: the IEEE operations of
+    the numpy bodies in the same order (Python floats are float64, with no
+    fused multiply-add), so the same bits, without per-call overhead.  The
+    loop has no check: a replication whose block divides by zero or ends
+    with a weight that is not finite runs the block again in numpy scalars
+    with a check per step (``_pair_floats_checked``), and the first
+    degenerate (step, replication) of the block raises, as in the numpy
+    bodies.  Scratch is the table's two lists and the block's count lists
+    and constants, each at most ``_LOCKSTEP_BLOCK_FLOATS`` values, so
+    memory does not grow with the steps.
+    """
+    reps, n_steps = y_matrix.shape
+    row0, row1 = table.tolist()
+    v = [(float(w0[0]), float(w0[1]))] * reps
+    snaps = {c: np.empty((reps, 2)) for c in sorted(checkpoints)}
+    alpha, neg_gamma = rate.alpha, -rate.gamma
+    n, s = 0, 1.0
+    for lo in range(0, n_steps, block):
+        counts = y_matrix[:, lo : lo + block].tolist()
+        cs, stops = [], []  # stops: (end, rescale, snapshot array or None), one per segment
+        for j in range(len(counts[0])):
+            n += 1
+            a = (alpha + n) ** neg_gamma
+            keep = 1.0 - a
+            cs.append(a / keep * s)
+            s /= keep
+            rescale = s > _RESCALE_AT
+            if rescale:
+                s = 1.0
+            if rescale or n in checkpoints:
+                stops.append((j + 1, rescale, snaps.get(n)))
+        if not stops or stops[-1][0] < len(cs):
+            stops.append((len(cs), False, None))
+        bad = []
+        for r, ys in enumerate(counts):
+            v0, v1 = v[r]
+            try:
+                start = 0
+                for end, rescale, snap in stops:
+                    for y, c in zip(ys[start:end], cs[start:end]):
+                        q0 = row0[y] * v0
+                        q1 = row1[y] * v1
+                        b = c / (q0 + q1)
+                        v0 += q0 * b
+                        v1 += q1 * b
+                    if rescale:
+                        t = v0 + v1
+                        v0 /= t
+                        v1 /= t
+                    if snap is not None:
+                        t = v0 + v1
+                        snap[r] = v0 / t, v1 / t
+                    start = end
+                clean = math.isfinite(v0) and math.isfinite(v1)
+            except ZeroDivisionError:
+                clean = False
+            if not clean:
+                v0, v1, first_bad = _pair_floats_checked(row0, row1, ys, cs, stops, *v[r], r)
+                if first_bad is not None:
+                    bad.append((first_bad, r))
+            v[r] = v0, v1
+        if bad:
+            j, r = min(bad)
+            raise DegenerateLikelihoodError(counts[r][j], lo + j)
+    final = np.empty((reps, 2))
+    for r, (v0, v1) in enumerate(v):
+        t = v0 + v1
+        final[r] = v0 / t, v1 / t
+    return final, snaps
+
+
+def _pair_floats_checked(row0, row1, ys, cs, stops, v0, v1, r):
+    """One replication's block of ``_lockstep_pair_floats`` with numpy's semantics.
+
+    The same operations in numpy float64 scalars, which give inf and NaN
+    where Python floats raise, and a check of each ``b``.  Returns the
+    weights after the block and the block index of the first degenerate
+    step, or None when there is none (the weights only overflowed, as
+    they can in the numpy bodies).
+    """
+    v0, v1 = np.float64(v0), np.float64(v1)
+    start = 0
+    with np.errstate(all="ignore"):
+        for end, rescale, snap in stops:
+            for j in range(start, end):
+                q0 = row0[ys[j]] * v0
+                q1 = row1[ys[j]] * v1
+                b = cs[j] / (q0 + q1)
+                if not b < math.inf:  # t not positive, an overflow, or a NaN
+                    return v0, v1, j
+                v0 += q0 * b
+                v1 += q1 * b
+            if rescale:
+                t = v0 + v1
+                v0 /= t
+                v1 /= t
+            if snap is not None:
+                t = v0 + v1
+                snap[r] = v0 / t, v1 / t
+            start = end
+    return float(v0), float(v1), None
 
 
 # -- serialization ----------------------------------------------------------

@@ -132,9 +132,12 @@ def batched_newton_stream(
     widened.  ``g0`` is read as ``MixingWeights`` on the grid and defaults
     to uniform; every checkpoint must lie in [1, n_steps].  Each
     replication's weights agree with ``engine.update_stream`` on its row
-    within 1e-12 (the two loops sum in different orders).  Returns
-    ``(final_weights, {n: weights_at_n})`` with one weight row per
-    replication.
+    within 1e-12 (the two loops sum in different orders).  The loop body
+    follows the input's size (``engine._fold_lockstep``): numpy calls on
+    a weight matrix, or Python floats per replication on two atoms with at
+    most ``engine._SCALAR_MAX_REPS`` replications; each gives the same
+    bits.  Returns ``(final_weights, {n: weights_at_n})`` with one weight
+    row per replication.
     """
     w0 = MixingWeights.uniform(grid) if g0 is None else MixingWeights(grid, g0)
     ys = np.asarray(y_matrix)

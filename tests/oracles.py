@@ -22,10 +22,10 @@ lockstep streams of the interval-coverage criterion.
 written, gathering the support's columns afresh for every solve and every
 gradient: the bit-for-bit reference for the solver that reuses them.
 ``gamma_hyperprior_brent`` is the Gamma-hyperprior fit as first written, a
-bounded Brent search of the profile likelihood itself: the reference for
-the fit that bisects its score.  ``nb_log_likelihood_direct`` scores both
-without the library's ``gammaln`` difference, which at a shape of 1e7
-carries an error near 1e-8 of the likelihood.
+bounded Brent search of the profile likelihood itself, in its ``gammaln``
+difference form: the reference for the fit that bisects its score.
+``nb_log_likelihood_direct`` scores both without that difference, which at
+a shape of 1e7 carries an error near 1e-8 of the likelihood.
 """
 
 import math
@@ -35,11 +35,10 @@ import numpy as np
 from scipy.linalg import blas
 from scipy.linalg.lapack import dgesv
 from scipy.optimize import minimize_scalar
-from scipy.special import pdtrc, roots_legendre
+from scipy.special import gammaln, pdtrc, roots_legendre
 from scipy.stats import poisson, rv_discrete
 
 from streameb import engine, inference
-from streameb.baselines import nb_log_likelihood
 from streameb.evaluation import batched_newton_stream
 from streameb.inference import credible_intervals, default_y_max, ratio_estimate
 from streameb.model import (
@@ -552,6 +551,14 @@ def nonnegative_qp_reference(a, g, x, start=None):
     return y, solves
 
 
+def _nb_log_likelihood_gammaln(h, shape, rate):
+    """The marginal log likelihood as the first fit scored it, by ``gammaln`` differences."""
+    ys = h.support().astype(float)
+    terms = (gammaln(ys + shape) - gammaln(shape) - gammaln(ys + 1.0)
+             + shape * np.log(rate / (1.0 + rate)) - ys * np.log1p(rate))
+    return float(h.multiplicities() @ terms)
+
+
 def gamma_hyperprior_brent(h, cap=1e8):
     """``(shape, rate, warned)`` from ``minimize_scalar``'s bounded method.
 
@@ -566,7 +573,7 @@ def gamma_hyperprior_brent(h, cap=1e8):
     bound = math.log(cap)
     if var <= mean:
         return cap, cap / max(mean, 1e-8), True
-    res = minimize_scalar(lambda x: -nb_log_likelihood(h, np.exp(x), np.exp(x) / mean),
+    res = minimize_scalar(lambda x: -_nb_log_likelihood_gammaln(h, np.exp(x), np.exp(x) / mean),
                           bounds=(-bound, bound), method="bounded", options={"xatol": 1e-8})
     log_shape = float(res.x)
     warned = max(log_shape, log_shape - np.log(mean)) >= bound - 1e-3
@@ -577,7 +584,7 @@ def gamma_hyperprior_brent(h, cap=1e8):
 
 
 def nb_log_likelihood_direct(h, shape, rate):
-    """``baselines.nb_log_likelihood`` by exact sums.
+    """Marginal log likelihood of the histogram under Gamma(shape, rate), by exact sums.
 
     ``lgamma(y + shape) - lgamma(shape)`` is the sum of ``log(shape + k)``
     over k < y, and each count's terms are added by ``math.fsum``, so

@@ -133,6 +133,15 @@ class TestRegret:
         assert regret(g_a, g_b, 80) != pytest.approx(regret(g_b, g_a, 80), rel=1e-6)
 
 
+def _scalar_body_runs(monkeypatch):
+    """A list that gets each scalar-float lockstep run's replication count."""
+    runs, body = [], engine._lockstep_pair_floats
+    monkeypatch.setattr(
+        engine, "_lockstep_pair_floats", lambda *a: runs.append(a[2].shape[0]) or body(*a)
+    )
+    return runs
+
+
 class TestBatchedStream:
     def test_matches_the_engine_row_by_row(self):
         atoms = np.array([0.5, 2.0, 5.0])
@@ -167,11 +176,13 @@ class TestBatchedStream:
                 assert np.max(np.abs(got - want)) < 1e-12, (r, n)
 
     @pytest.mark.parametrize("d", [1, 2, 5, 8, 500])
-    @pytest.mark.parametrize("reps", [1, 3, 40])
+    @pytest.mark.parametrize("reps", [1, 3, 40, engine._SCALAR_MAX_REPS, engine._SCALAR_MAX_REPS + 1])
     def test_gives_the_reference_loops_bits(self, monkeypatch, d, reps):
         # Blocks of 50 steps, so checkpoints fall at, before and after a
-        # block boundary and the last block is short.
+        # block boundary and the last block is short.  Two atoms run as
+        # scalar floats up to the cap, on row views above it.
         monkeypatch.setattr(engine, "_LOCKSTEP_BLOCK_FLOATS", 50 * d * reps)
+        scalar_runs = _scalar_body_runs(monkeypatch)
         grid = Grid(np.linspace(0.3, 9.0, d))
         rate = LearningRate(1.0, 0.75)
         rng = np.random.default_rng(d * 100 + reps)
@@ -179,17 +190,24 @@ class TestBatchedStream:
         g0 = MixingWeights(grid, rng.dirichlet(np.ones(d))).weights
         checkpoints = {1, 49, 50, 51, 100, 229, 230}
         final, snaps = engine._fold_lockstep(grid, rate, ys, g0, checkpoints)
+        assert scalar_runs == ([reps] if d == 2 and reps <= engine._SCALAR_MAX_REPS else [])
         ref_final, ref_snaps = oracles.lockstep_reference(grid, rate, ys, g0, checkpoints)
         assert np.array_equal(final, ref_final)
         assert sorted(snaps) == sorted(ref_snaps) == sorted(checkpoints)
         for c in checkpoints:
             assert np.array_equal(snaps[c], ref_snaps[c]), c
 
-    @pytest.mark.parametrize("points", [[0.5, 2.0, 5.0], [0.5, 5.0]], ids=["3-atoms", "2-atoms"])
-    def test_a_checkpoint_on_the_rescale_step(self, monkeypatch, points):
+    @pytest.mark.parametrize(
+        "points, cap",
+        [([0.5, 2.0, 5.0], engine._SCALAR_MAX_REPS), ([0.5, 5.0], engine._SCALAR_MAX_REPS),
+         ([0.5, 5.0], 3)],
+        ids=["3-atoms", "2-atoms", "2-atoms-above-the-cap"],
+    )
+    def test_a_checkpoint_on_the_rescale_step(self, monkeypatch, points, cap):
         # S first passes its rescale point after step 12,361 under this
         # schedule; blocks of 1,000 steps put that step inside a block.
-        # Two atoms take the lockstep's row-by-row step.
+        # Two atoms run the 4 replications as scalar floats, or on row
+        # views when the cap is below 4.
         rate = LearningRate(1e-9, 0.51)
         s, rescale_at = 1.0, 0
         while s <= engine._RESCALE_AT:
@@ -197,10 +215,13 @@ class TestBatchedStream:
             s /= 1.0 - rate(rescale_at)
         assert rescale_at == 12_361
         monkeypatch.setattr(engine, "_LOCKSTEP_BLOCK_FLOATS", 1000 * 4 * len(points))
+        monkeypatch.setattr(engine, "_SCALAR_MAX_REPS", cap)
+        scalar_runs = _scalar_body_runs(monkeypatch)
         grid = Grid(points)
         ys = np.random.default_rng(5).poisson(2.0, size=(4, 12_500))
         checkpoints = (rescale_at - 1, rescale_at, rescale_at + 1)
         final, snaps = batched_newton_stream(grid, rate, ys, checkpoints=checkpoints)
+        assert scalar_runs == ([4] if len(points) == 2 and cap >= 4 else [])
         w0 = MixingWeights.uniform(grid).weights
         ref_final, ref_snaps = oracles.lockstep_reference(grid, rate, ys, w0, checkpoints)
         assert np.array_equal(final, ref_final)
@@ -213,16 +234,59 @@ class TestBatchedStream:
     def test_a_degenerate_step_in_a_later_block_raises_the_first_one(self, monkeypatch):
         # Blocks of 64 steps; step 71 (n = 70) is the first degenerate one,
         # in replication 2, then in replication 3; replication 1 fails later.
+        # The 5 replications run as scalar floats, then on row views under
+        # a cap of 4.
         monkeypatch.setattr(engine, "_LOCKSTEP_BLOCK_FLOATS", 64 * 5 * 2)
+        scalar_runs = _scalar_body_runs(monkeypatch)
         grid = Grid([0.5, 152.0])
         ys = np.random.default_rng(8).poisson(0.5, size=(5, 200))
         ys[2, 70] = ys[3, 70] = ys[1, 90] = 152
         rate, w0 = LearningRate(1.0, 0.99), np.array([1.0, 0.0])
-        with pytest.raises(DegenerateLikelihoodError) as err:
-            batched_newton_stream(grid, rate, ys, g0=w0)
         with pytest.raises(DegenerateLikelihoodError) as ref:
             oracles.lockstep_reference(grid, rate, ys, w0, ())
-        assert (err.value.y, err.value.n) == (ref.value.y, ref.value.n) == (152, 70)
+        assert (ref.value.y, ref.value.n) == (152, 70)
+        for cap, runs in ((engine._SCALAR_MAX_REPS, [5]), (4, [])):
+            monkeypatch.setattr(engine, "_SCALAR_MAX_REPS", cap)
+            scalar_runs.clear()
+            with pytest.raises(DegenerateLikelihoodError) as err:
+                batched_newton_stream(grid, rate, ys, g0=w0)
+            assert scalar_runs == runs
+            assert (err.value.y, err.value.n) == (ref.value.y, ref.value.n)
+
+    def test_a_two_atom_table_longer_than_a_block_keeps_the_row_views(self, monkeypatch):
+        # A count of 40,000 makes a table of 80,002 entries, over the 2^16
+        # the scalar body's lists may hold.
+        scalar_runs = _scalar_body_runs(monkeypatch)
+        grid, rate = Grid([0.5, 40_000.0]), LearningRate(1.0, 0.75)
+        ys = np.random.default_rng(6).poisson([[0.5], [40_000.0], [0.5]], size=(3, 60))
+        assert ys.max() >= 40_000
+        final, snaps = batched_newton_stream(grid, rate, ys, checkpoints=(30,))
+        assert scalar_runs == []
+        ref_final, ref_snaps = oracles.lockstep_reference(grid, rate, ys, [0.5, 0.5], {30})
+        assert np.array_equal(final, ref_final) and np.array_equal(snaps[30], ref_snaps[30])
+
+    def test_scalar_memory_does_not_grow_with_the_steps(self, monkeypatch):
+        # Two atoms, 5 replications, blocks of 8,000 floats (800 steps).
+        # tracemalloc re-traces every float the loop recycles, which slows
+        # it about 60-fold, so the blocks are small and the long stream is
+        # 12.5 blocks, not hundreds.  The count matrix is made before
+        # tracing starts.
+        monkeypatch.setattr(engine, "_LOCKSTEP_BLOCK_FLOATS", 8000)
+        scalar_runs = _scalar_body_runs(monkeypatch)
+        block_bytes = 8 * engine._LOCKSTEP_BLOCK_FLOATS
+        grid, rate = Grid([1.0, 5.0]), LearningRate(1.0, 0.75)
+        peaks = []
+        for n_steps in (1_600, 10_000):
+            ys = np.random.default_rng(4).poisson(3.0, size=(5, n_steps))
+            tracemalloc.start()
+            try:
+                batched_newton_stream(grid, rate, ys, checkpoints=(800, n_steps))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert scalar_runs == [5, 5]
+        assert max(peaks) < 2 * block_bytes
+        assert peaks[1] < 1.1 * peaks[0]
 
     def test_counts_are_read_as_integers(self, monkeypatch):
         grid = Grid([0.5, 2.0, 5.0])
