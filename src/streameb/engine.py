@@ -518,8 +518,7 @@ def _pair_floats_checked(row0, row1, ys, cs, stops, v0, v1, r):
     The same operations in numpy float64 scalars, which give inf and NaN
     where Python floats raise, and a check of each ``b``.  Returns the
     weights after the block and the block index of the first degenerate
-    step, or None when there is none (the weights only overflowed, as
-    they can in the numpy bodies).
+    step, or None when no step is degenerate.
     """
     v0, v1 = np.float64(v0), np.float64(v1)
     start = 0

@@ -267,10 +267,9 @@ class TestBatchedStream:
 
     def test_scalar_memory_does_not_grow_with_the_steps(self, monkeypatch):
         # Two atoms, 5 replications, blocks of 8,000 floats (800 steps).
-        # tracemalloc re-traces every float the loop recycles, which slows
-        # it about 60-fold, so the blocks are small and the long stream is
-        # 12.5 blocks, not hundreds.  The count matrix is made before
-        # tracing starts.
+        # Under tracemalloc the float loop runs about 60 times slower, so
+        # the blocks are small and the long stream is 12.5 of them.  The
+        # count matrix is made before tracing starts.
         monkeypatch.setattr(engine, "_LOCKSTEP_BLOCK_FLOATS", 8000)
         scalar_runs = _scalar_body_runs(monkeypatch)
         block_bytes = 8 * engine._LOCKSTEP_BLOCK_FLOATS
