@@ -13,8 +13,8 @@ recursion is shared.  Its loop bodies all have the same arithmetic:
 ``_fold`` (BLAS calls on one weight vector) behind ``update`` and
 ``update_stream``, and ``_fold_lockstep`` behind
 ``evaluation.batched_newton_stream``, which runs numpy calls on a weight
-matrix (row by row on a two-atom grid), or on two atoms and a few
-replications, Python floats one replication at a time.
+matrix, or on two atoms and a few replications, Python floats one
+replication at a time.
 
 States are immutable; ``update`` returns a new state with fresh, read-only
 weights, sharing the kernel cache, so a held reference is already a
@@ -339,10 +339,10 @@ _LOCKSTEP_BLOCK_FLOATS = 1 << 16
 
 # Up to this many replications a two-atom lockstep runs each replication as
 # Python floats (``_lockstep_pair_floats``).  Measured on the regret task,
-# the floats run 1.2x faster than numpy's row views at 16 replications and
-# break even at 20, so the cap sits below the crossover (README, the
+# the floats run 1.1x faster than the numpy calls at 24 replications and
+# break even at 28, so the cap sits below the crossover (README, the
 # lockstep loop).
-_SCALAR_MAX_REPS = 16
+_SCALAR_MAX_REPS = 24
 
 
 def _fold_lockstep(grid: Grid, rate: LearningRate, y_matrix: np.ndarray, w0: np.ndarray, checkpoints):
@@ -359,15 +359,12 @@ def _fold_lockstep(grid: Grid, rate: LearningRate, y_matrix: np.ndarray, w0: np.
 
     where R is the step's (d, reps) slice of scaled kernel rows and
     ``c = a S / (1 - a)``; the sum adds the atoms one at a time, in order.
-    On two atoms the sum is the one addition ``t = Q[0] + Q[1]`` and
-    ``Q *= beta`` is two row products, on row views bound before the loop:
-    the same roundings, for less per-call cost than the reduction and the
-    broadcast.  Other grids keep the general calls: row by row is already
-    slower at five atoms.  A third body takes two atoms with at most
-    ``_SCALAR_MAX_REPS`` replications (and a kernel table of at most
-    ``_LOCKSTEP_BLOCK_FLOATS`` entries): ``_lockstep_pair_floats`` runs
-    each replication as Python floats, the same operations again without
-    numpy's per-call cost, which at 10 replications is most of a step.
+    The other body takes two atoms with at most ``_SCALAR_MAX_REPS``
+    replications (and a kernel table of at most ``_LOCKSTEP_BLOCK_FLOATS``
+    entries): ``_lockstep_pair_floats`` runs each replication as Python
+    floats, the same operations without numpy's per-call cost, which at
+    10 replications is most of a step.  When it meets a degenerate step
+    it gives up, and this loop runs the stream again from the start.
     A step that takes S past ``_RESCALE_AT`` then divides V by its column
     sums and sets S to 1.  Everything else is done once per block of steps:
 
@@ -386,16 +383,15 @@ def _fold_lockstep(grid: Grid, rate: LearningRate, y_matrix: np.ndarray, w0: np.
     table = np.ascontiguousarray(KernelMatrixCache(grid).scaled_table(int(y_matrix.max())).T)
     block = min(n_steps, max(1, _LOCKSTEP_BLOCK_FLOATS // (d * reps)))
     if d == 2 and reps <= _SCALAR_MAX_REPS and table.size <= _LOCKSTEP_BLOCK_FLOATS:
-        return _lockstep_pair_floats(table, rate, y_matrix, w0, checkpoints, block)
+        done = _lockstep_pair_floats(table, rate, y_matrix, w0, checkpoints, block)
+        if done is not None:
+            return done
     v = np.repeat(np.asarray(w0, dtype=float)[:, None], reps, axis=1)
     q, t = np.empty_like(v), np.empty(reps)
     rows_buf, beta_buf = np.empty(block * d * reps), np.empty((block, reps))
     alpha, neg_gamma = rate.alpha, -rate.gamma
     n, s, snaps = 0, 1.0, {}
     mul, add, reduce, div = np.multiply, np.add, np.add.reduce, np.divide
-    pair = d == 2
-    if pair:
-        q0, q1 = q  # row views, bound once
     with np.errstate(all="ignore"):  # the check after each block catches a degenerate beta
         for lo in range(0, n_steps, block):
             counts = y_matrix[:, lo : lo + block].T  # (steps, reps) view
@@ -410,15 +406,9 @@ def _fold_lockstep(grid: Grid, rate: LearningRate, y_matrix: np.ndarray, w0: np.
                 c = a / keep * s
                 s /= keep
                 mul(r, v, q)
-                if pair:  # the same sums and products as the general calls, for less per-call cost
-                    add(q0, q1, t)
-                    div(c, t, b)
-                    mul(q0, b, q0)
-                    mul(q1, b, q1)
-                else:
-                    reduce(q, 0, None, t)
-                    div(c, t, b)
-                    mul(q, b, q)
+                reduce(q, 0, None, t)
+                div(c, t, b)
+                mul(q, b, q)
                 add(v, q, v)
                 if s > _RESCALE_AT:
                     v /= v.sum(axis=0)
@@ -444,11 +434,10 @@ def _lockstep_pair_floats(table, rate, y_matrix, w0, checkpoints, block):
     and at a segment's end divides by ``v0 + v1``: the IEEE operations of
     the numpy bodies in the same order (Python floats are float64, with no
     fused multiply-add), so the same bits, without per-call overhead.  The
-    loop has no check: a replication whose block divides by zero or ends
-    with a weight that is not finite runs the block again in numpy scalars
-    with a check per step (``_pair_floats_checked``), and the first
-    degenerate (step, replication) of the block raises, as in the numpy
-    bodies.  Scratch is the table's two lists and the block's count lists
+    loop has no check: a degenerate step divides by zero or leaves a weight
+    that is not finite up to the block's end, and then this returns None,
+    so that ``_fold_lockstep`` runs the numpy body, which raises for the
+    first degenerate (step, replication).  Scratch is the table's two lists and the block's count lists
     and constants, each at most ``_LOCKSTEP_BLOCK_FLOATS`` values, so
     memory does not grow with the steps.
     """
@@ -474,7 +463,6 @@ def _lockstep_pair_floats(table, rate, y_matrix, w0, checkpoints, block):
                 stops.append((j + 1, rescale, snaps.get(n)))
         if not stops or stops[-1][0] < len(cs):
             stops.append((len(cs), False, None))
-        bad = []
         for r, ys in enumerate(counts):
             v0, v1 = v[r]
             try:
@@ -494,53 +482,16 @@ def _lockstep_pair_floats(table, rate, y_matrix, w0, checkpoints, block):
                         t = v0 + v1
                         snap[r] = v0 / t, v1 / t
                     start = end
-                clean = math.isfinite(v0) and math.isfinite(v1)
             except ZeroDivisionError:
-                clean = False
-            if not clean:
-                v0, v1, first_bad = _pair_floats_checked(row0, row1, ys, cs, stops, *v[r], r)
-                if first_bad is not None:
-                    bad.append((first_bad, r))
+                return None
+            if not (math.isfinite(v0) and math.isfinite(v1)):
+                return None
             v[r] = v0, v1
-        if bad:
-            j, r = min(bad)
-            raise DegenerateLikelihoodError(counts[r][j], lo + j)
     final = np.empty((reps, 2))
     for r, (v0, v1) in enumerate(v):
         t = v0 + v1
         final[r] = v0 / t, v1 / t
     return final, snaps
-
-
-def _pair_floats_checked(row0, row1, ys, cs, stops, v0, v1, r):
-    """One replication's block of ``_lockstep_pair_floats`` with numpy's semantics.
-
-    The same operations in numpy float64 scalars, which give inf and NaN
-    where Python floats raise, and a check of each ``b``.  Returns the
-    weights after the block and the block index of the first degenerate
-    step, or None when no step is degenerate.
-    """
-    v0, v1 = np.float64(v0), np.float64(v1)
-    start = 0
-    with np.errstate(all="ignore"):
-        for end, rescale, snap in stops:
-            for j in range(start, end):
-                q0 = row0[ys[j]] * v0
-                q1 = row1[ys[j]] * v1
-                b = cs[j] / (q0 + q1)
-                if not b < math.inf:  # t not positive, an overflow, or a NaN
-                    return v0, v1, j
-                v0 += q0 * b
-                v1 += q1 * b
-            if rescale:
-                t = v0 + v1
-                v0 /= t
-                v1 /= t
-            if snap is not None:
-                t = v0 + v1
-                snap[r] = v0 / t, v1 / t
-            start = end
-    return float(v0), float(v1), None
 
 
 # -- serialization ----------------------------------------------------------

@@ -180,7 +180,7 @@ class TestBatchedStream:
     def test_gives_the_reference_loops_bits(self, monkeypatch, d, reps):
         # Blocks of 50 steps, so checkpoints fall at, before and after a
         # block boundary and the last block is short.  Two atoms run as
-        # scalar floats up to the cap, on row views above it.
+        # scalar floats up to the cap, by the general calls above it.
         monkeypatch.setattr(engine, "_LOCKSTEP_BLOCK_FLOATS", 50 * d * reps)
         scalar_runs = _scalar_body_runs(monkeypatch)
         grid = Grid(np.linspace(0.3, 9.0, d))
@@ -206,8 +206,8 @@ class TestBatchedStream:
     def test_a_checkpoint_on_the_rescale_step(self, monkeypatch, points, cap):
         # S first passes its rescale point after step 12,361 under this
         # schedule; blocks of 1,000 steps put that step inside a block.
-        # Two atoms run the 4 replications as scalar floats, or on row
-        # views when the cap is below 4.
+        # Two atoms run the 4 replications as scalar floats, or by the
+        # general calls when the cap is below 4.
         rate = LearningRate(1e-9, 0.51)
         s, rescale_at = 1.0, 0
         while s <= engine._RESCALE_AT:
@@ -234,8 +234,8 @@ class TestBatchedStream:
     def test_a_degenerate_step_in_a_later_block_raises_the_first_one(self, monkeypatch):
         # Blocks of 64 steps; step 71 (n = 70) is the first degenerate one,
         # in replication 2, then in replication 3; replication 1 fails later.
-        # The 5 replications run as scalar floats, then on row views under
-        # a cap of 4.
+        # The 5 replications run as scalar floats (which give up at the
+        # degenerate step), then by the general calls alone under a cap of 4.
         monkeypatch.setattr(engine, "_LOCKSTEP_BLOCK_FLOATS", 64 * 5 * 2)
         scalar_runs = _scalar_body_runs(monkeypatch)
         grid = Grid([0.5, 152.0])
@@ -253,7 +253,31 @@ class TestBatchedStream:
             assert scalar_runs == runs
             assert (err.value.y, err.value.n) == (ref.value.y, ref.value.n)
 
-    def test_a_two_atom_table_longer_than_a_block_keeps_the_row_views(self, monkeypatch):
+    def test_a_zero_likelihood_step_raises_as_the_reference(self, monkeypatch):
+        # The scaled likelihood of a count of 1,000 rounds to exactly 0 at
+        # the atom that holds all the weight, so its step divides by zero:
+        # in Python floats that raises, and the float loop hands the stream
+        # back to the numpy loop, which raises for the first degenerate step.
+        done, body = [], engine._lockstep_pair_floats
+        monkeypatch.setattr(
+            engine, "_lockstep_pair_floats", lambda *a: done.append(body(*a)) or done[-1]
+        )
+        grid = Grid([0.5, 152.0])
+        ys = np.random.default_rng(8).poisson(0.5, size=(5, 200))
+        ys[1, 70] = ys[2, 70] = 1000
+        rate, w0 = LearningRate(1.0, 0.99), np.array([1.0, 0.0])
+        with pytest.raises(DegenerateLikelihoodError) as ref:
+            oracles.lockstep_reference(grid, rate, ys, w0, ())
+        assert (ref.value.y, ref.value.n) == (1000, 70)
+        for cap, runs in ((engine._SCALAR_MAX_REPS, [None]), (4, [])):
+            monkeypatch.setattr(engine, "_SCALAR_MAX_REPS", cap)
+            done.clear()
+            with pytest.raises(DegenerateLikelihoodError) as err:
+                batched_newton_stream(grid, rate, ys, g0=w0)
+            assert done == runs
+            assert (err.value.y, err.value.n) == (ref.value.y, ref.value.n)
+
+    def test_a_two_atom_table_longer_than_a_block_takes_the_general_calls(self, monkeypatch):
         # A count of 40,000 makes a table of 80,002 entries, over the 2^16
         # the scalar body's lists may hold.
         scalar_runs = _scalar_body_runs(monkeypatch)
